@@ -21,7 +21,6 @@ conflict-free on the *original* instance.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Any
 
@@ -31,18 +30,15 @@ from ..core.errors import ReproError, SolverLimitError
 from ..core.instance import Instance
 from ..core.result import SolverResult, timed_solver_result
 from ..core.schedule import Schedule
-from ..solver import SolverPoolError, get_solver_service
 from .classification import classify_bags, classify_jobs
 from .large_jobs import place_large_and_medium
 from .milp import (
     ConfigurationModel,
     ConfigurationSolution,
     build_configuration_milp,
-    configuration_solve_request,
-    interpret_milp_solution,
     solve_configuration_milp,
 )
-from .params import ConstantsMode, EptasConfig
+from .params import EptasConfig
 from .patterns import collect_entry_types, enumerate_patterns
 from .repair import resolve_conflicts
 from .rounding import scale_and_round
@@ -90,11 +86,7 @@ class AttemptReport:
 
 @dataclass(slots=True)
 class _PreparedGuess:
-    """Everything of one decision step up to (but excluding) the MILP solve.
-
-    Building this is pure CPU work in the driver process; the expensive MILP
-    solve that follows is what the solver pool overlaps across guesses.
-    """
+    """Everything of one decision step up to (but excluding) the MILP solve."""
 
     guess: float
     report: AttemptReport
@@ -140,7 +132,6 @@ def _prepare_guess(
         budget=constants.budget,
         max_slots=constants.q,
         max_patterns=config.max_patterns,
-        num_machines=transformed.num_machines,
     )
     report.num_patterns = len(patterns)
 
@@ -249,128 +240,6 @@ def solve_for_guess(
     )
 
 
-@dataclass(slots=True)
-class _GuessOutcome:
-    """Result of one guess inside a (possibly speculative) search round."""
-
-    guess: float
-    schedule: Schedule | None
-    report: AttemptReport | None
-    limit_error: str | None = None
-    attempt_error: str | None = None
-
-
-def _evaluate_guesses(
-    instance: Instance, guesses: list[float], config: EptasConfig
-) -> list[_GuessOutcome]:
-    """Evaluate a round of independent guesses, batching the MILP solves.
-
-    Preparation (transformation + pattern enumeration + model assembly) runs
-    sequentially in-process; the per-guess configuration MILPs are then
-    submitted as one ``solve_many`` batch, so with a subprocess solver pool
-    installed the expensive solves overlap.  Per-guess errors are captured
-    in the outcome instead of aborting the whole round.
-    """
-    outcomes: dict[float, _GuessOutcome] = {}
-    prepared: list[_PreparedGuess] = []
-    for guess in guesses:
-        try:
-            prepared.append(_prepare_guess(instance, guess, config))
-        except SolverLimitError as exc:
-            outcomes[guess] = _GuessOutcome(
-                guess=guess, schedule=None, report=None, limit_error=str(exc)
-            )
-        except ReproError as exc:
-            outcomes[guess] = _GuessOutcome(
-                guess=guess,
-                schedule=None,
-                report=AttemptReport(guess=guess, feasible=False),
-                attempt_error=str(exc),
-            )
-    # A limit error stops the whole search at that guess, so the caller
-    # discards every larger guess of this round — don't pay for their
-    # (dominant-cost) MILP solves.
-    limit_guesses = [
-        outcome.guess for outcome in outcomes.values() if outcome.limit_error is not None
-    ]
-    if limit_guesses:
-        cutoff = min(limit_guesses)
-        prepared = [item for item in prepared if item.guess < cutoff]
-    solutions = get_solver_service().solve_many(
-        [configuration_solve_request(item.configuration, config) for item in prepared],
-        return_exceptions=True,
-    )
-    for item, raw in zip(prepared, solutions):
-        # Errors raised *during the solve* degrade per guess exactly like
-        # the pre-pool sequential search did: a limit stops the search, any
-        # other library error marks the attempt failed.  Pool infrastructure
-        # failures (server crash after retries, backend bugs wrapped by the
-        # server) and genuine non-library bugs still propagate — they say
-        # nothing about the guess.
-        if isinstance(raw, SolverPoolError):
-            raise raw
-        if isinstance(raw, SolverLimitError):
-            outcomes[item.guess] = _GuessOutcome(
-                guess=item.guess, schedule=None, report=None, limit_error=str(raw)
-            )
-            continue
-        if isinstance(raw, ReproError):
-            outcomes[item.guess] = _GuessOutcome(
-                guess=item.guess,
-                schedule=None,
-                report=AttemptReport(guess=item.guess, feasible=False),
-                attempt_error=str(raw),
-            )
-            continue
-        if isinstance(raw, Exception):
-            raise raw
-        try:
-            solution = interpret_milp_solution(item.configuration, raw)
-            schedule, report = _complete_guess(
-                instance,
-                item,
-                solution,
-                validate_intermediate=config.validate_intermediate,
-            )
-            outcomes[item.guess] = _GuessOutcome(
-                guess=item.guess, schedule=schedule, report=report
-            )
-        except SolverLimitError as exc:
-            outcomes[item.guess] = _GuessOutcome(
-                guess=item.guess, schedule=None, report=None, limit_error=str(exc)
-            )
-        except ReproError as exc:
-            outcomes[item.guess] = _GuessOutcome(
-                guess=item.guess,
-                schedule=None,
-                report=AttemptReport(guess=item.guess, feasible=False),
-                attempt_error=str(exc),
-            )
-    return [outcomes[guess] for guess in guesses if guess in outcomes]
-
-
-def _round_guesses(
-    low: float, high: float, count: int, *, include_low: bool
-) -> list[float]:
-    """Candidate guesses for one search round, ascending and de-duplicated.
-
-    ``count == 1`` reproduces the classic binary search exactly: the lower
-    bound itself on the first round, the geometric midpoint afterwards.
-    Larger counts add geometric quantiles of ``(low, high)`` — the guesses a
-    sequential search would probe next, evaluated speculatively.
-    """
-    guesses: list[float] = [low] if include_low else []
-    subdivisions = count - 1 if include_low else count
-    if high > low:
-        for j in range(1, subdivisions + 1):
-            guesses.append(low * (high / low) ** (j / (subdivisions + 1)))
-    deduped: list[float] = []
-    for guess in sorted(guesses):
-        if not deduped or guess > deduped[-1] * (1 + 1e-15):
-            deduped.append(guess)
-    return deduped
-
-
 def eptas_schedule(
     instance: Instance,
     eps: float = 0.5,
@@ -408,51 +277,36 @@ def eptas_schedule(
         tolerance = config.binary_search_tol
         if tolerance is None:
             tolerance = config.eps / 8
-        iterations = 0
-        # Speculative width: with a subprocess solver pool installed, each
-        # round evaluates several guesses whose MILPs overlap on the
-        # servers; without one the classic sequential search is preserved.
-        round_width = max(1, config.speculative_guesses)
-        if round_width > 1:
-            round_width = min(round_width, max(1, get_solver_service().concurrency))
         # Always test the lower bound itself first: on many instances the
         # optimum equals the bound and a single MILP solve finishes the job.
-        pending_first = True
-        stop_search = False
-        while (
-            not stop_search
-            and iterations < config.max_search_iterations
-            and (pending_first or high / low > 1.0 + tolerance)
-        ):
-            width = min(round_width, config.max_search_iterations - iterations)
-            guesses = _round_guesses(low, high, width, include_low=pending_first)
-            if not guesses:
-                guesses = [math.sqrt(low * high)]
-            pending_first = False
-            iterations += len(guesses)
-            for outcome in _evaluate_guesses(instance, guesses, config):
-                if outcome.limit_error is not None:
-                    diagnostics.setdefault("limit_errors", []).append(outcome.limit_error)
-                    stop_search = True
+        guess = low
+        iterations = 0
+        while iterations < config.max_search_iterations:
+            iterations += 1
+            try:
+                schedule, report = solve_for_guess(instance, guess, config)
+            except SolverLimitError as exc:
+                diagnostics.setdefault("limit_errors", []).append(str(exc))
+                break
+            except ReproError as exc:
+                diagnostics.setdefault("attempt_errors", []).append(str(exc))
+                schedule, report = None, AttemptReport(guess=guess, feasible=False)
+            attempts.append(report.to_dict())
+            if schedule is not None:
+                if schedule.makespan() < best_makespan - 1e-12:
+                    best_schedule = schedule
+                    best_makespan = schedule.makespan()
+                high = min(high, guess)
+                if guess <= low * (1.0 + 1e-12):
                     break
-                if outcome.attempt_error is not None:
-                    diagnostics.setdefault("attempt_errors", []).append(
-                        outcome.attempt_error
-                    )
-                attempts.append(outcome.report.to_dict())
-                if outcome.schedule is not None:
-                    if outcome.schedule.makespan() < best_makespan - 1e-12:
-                        best_schedule = outcome.schedule
-                        best_makespan = outcome.schedule.makespan()
-                    high = min(high, outcome.guess)
-                    if outcome.guess <= low * (1.0 + 1e-12):
-                        stop_search = True
-                        break
-                elif outcome.guess < high:
-                    # An infeasible guess above an already-confirmed feasible
-                    # one contradicts monotonicity (solver noise/limits);
-                    # never let it push the bracket inside-out.
-                    low = max(low * (1 + 1e-9), outcome.guess)
+            elif guess < high:
+                # An infeasible guess above an already-confirmed feasible
+                # one contradicts monotonicity (solver noise/limits);
+                # never let it push the bracket inside-out.
+                low = max(low * (1 + 1e-9), guess)
+            if high / low <= 1.0 + tolerance:
+                break
+            guess = low * (high / low) ** 0.5
 
         diagnostics["search_iterations"] = iterations
         diagnostics["attempts"] = attempts

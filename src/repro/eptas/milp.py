@@ -15,11 +15,11 @@ with the configured backend and returns a structured
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from ..core.instance import Instance
 from ..milp import LinearModel, MilpSolution, SolutionStatus
-from ..solver import SolveRequest, get_solver_service
+from ..solver import get_solver_service
 from .classification import BagClasses, JobClasses, SIZE_TOL
 from .params import DerivedConstants, EptasConfig
 from .patterns import Pattern, PatternSet, size_key
@@ -29,10 +29,8 @@ __all__ = [
     "ConfigurationModel",
     "ConfigurationSolution",
     "build_configuration_milp",
-    "configuration_solve_request",
     "interpret_milp_solution",
     "solve_configuration_milp",
-    "solve_configuration_milps",
 ]
 
 
@@ -264,49 +262,14 @@ def interpret_milp_solution(
     )
 
 
-def configuration_solve_request(
-    configuration: ConfigurationModel, config: EptasConfig
-) -> SolveRequest:
-    """The service request one configuration MILP solve corresponds to."""
-    return SolveRequest(
-        model=configuration.model,
-        spec=config.backend_spec,
-        time_limit=config.milp_time_limit,
-        mip_rel_gap=config.mip_rel_gap,
-        tag=configuration.model.name,
-    )
-
-
 def solve_configuration_milp(
     configuration: ConfigurationModel, *, config: EptasConfig
 ) -> ConfigurationSolution:
     """Solve the configuration MILP through the current solver service."""
-    request = configuration_solve_request(configuration, config)
     solution = get_solver_service().solve(
-        request.model,
-        spec=request.spec,
-        time_limit=request.time_limit,
-        mip_rel_gap=request.mip_rel_gap,
+        configuration.model,
+        spec=config.backend_spec,
+        time_limit=config.milp_time_limit,
+        mip_rel_gap=config.mip_rel_gap,
     )
     return interpret_milp_solution(configuration, solution)
-
-
-def solve_configuration_milps(
-    configurations: Sequence[ConfigurationModel], *, config: EptasConfig
-) -> list[ConfigurationSolution]:
-    """Solve several independent configuration MILPs as one batch.
-
-    With a subprocess solver pool installed the solves overlap across the
-    servers; otherwise they run sequentially inline.  Results preserve the
-    input order either way.
-    """
-    solutions = get_solver_service().solve_many(
-        [
-            configuration_solve_request(configuration, config)
-            for configuration in configurations
-        ]
-    )
-    return [
-        interpret_milp_solution(configuration, solution)
-        for configuration, solution in zip(configurations, solutions)
-    ]

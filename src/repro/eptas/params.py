@@ -87,12 +87,6 @@ class EptasConfig:
         validated against the backend registry *at construction*, so an
         unknown backend fails immediately instead of deep inside the first
         solve after transformation work has already been spent.
-    speculative_guesses:
-        When > 1 and a subprocess solver pool is installed
-        (:func:`repro.solver.pooled_service_scope`), each binary-search step
-        evaluates up to this many candidate makespan guesses concurrently:
-        the per-guess configuration MILPs are batched through
-        ``SolverService.solve_many`` and overlap on the solver servers.
     max_search_iterations:
         Cap on the dual-approximation binary search length.
     binary_search_tol:
@@ -111,7 +105,6 @@ class EptasConfig:
     milp_backend: str | BackendSpec = "scipy"
     milp_time_limit: float | None = 60.0
     mip_rel_gap: float = 0.0
-    speculative_guesses: int = 1
     max_search_iterations: int = 40
     binary_search_tol: float | None = None
     validate_intermediate: bool = False
@@ -122,10 +115,6 @@ class EptasConfig:
         # now, not inside the first solve (the dataclass is frozen, hence
         # object.__setattr__).
         object.__setattr__(self, "milp_backend", BackendSpec.coerce(self.milp_backend))
-        if self.speculative_guesses < 1:
-            raise ValueError(
-                f"speculative_guesses must be >= 1, got {self.speculative_guesses}"
-            )
 
     @property
     def backend_spec(self) -> BackendSpec:
@@ -146,7 +135,6 @@ class EptasConfig:
             "milp_backend": self.backend_spec.to_dict(),
             "milp_time_limit": self.milp_time_limit,
             "mip_rel_gap": self.mip_rel_gap,
-            "speculative_guesses": self.speculative_guesses,
             "max_search_iterations": self.max_search_iterations,
         }
 

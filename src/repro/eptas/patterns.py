@@ -164,7 +164,6 @@ def enumerate_patterns(
     budget: float,
     max_slots: int,
     max_patterns: int = 50_000,
-    num_machines: int | None = None,
 ) -> PatternSet:
     """Enumerate every valid pattern over the given entry types.
 
@@ -208,8 +207,6 @@ def enumerate_patterns(
             if entry.is_wildcard:
                 # Take 1..limit copies of the wildcard slot.
                 limit = min(available, max_slots - slots)
-                if num_machines is not None:
-                    limit = min(limit, max_slots)
                 taken = 0
                 added_height = 0.0
                 while taken < limit and height + added_height + entry.size <= budget + SIZE_TOL:

@@ -16,12 +16,7 @@ cell cost, rescaled into seconds by the duration-history cost model) and —
 for the experiments that start by solving an exact MILP (E2, E4, E10) —
 ``prerequisites`` declarations that let the planner hoist exact optima
 shared by several cells into dedicated ``prereq`` rows (see
-:mod:`repro.orchestration.planner`).  Timing-insensitive cells additionally
-opt into pool-aware speculative EPTAS batching: when the runner installs a
-subprocess solver pool (``repro orch run --solver-servers N``), their
-``EptasConfig`` picks up ``speculative_guesses = N`` so the binary-search
-MILPs overlap on the pool.  Timed cells (E3, E4, E10) keep
-``speculative_guesses = 1`` — batching would falsify their measurements.
+:mod:`repro.orchestration.planner`).
 """
 
 from __future__ import annotations
@@ -69,7 +64,6 @@ from ..generators import (
     uniform_random_instance,
 )
 from ..simulation import ClusterSimulator
-from ..solver import get_solver_service
 from .cache import cached_solve
 from .planner import PREREQ_EXPERIMENT, PrereqCall, prereq_cost_hint
 from .registry import CellPair, ExperimentSpec, register
@@ -103,17 +97,6 @@ def _exact_prereq(instance: Instance) -> PrereqCall:
         backend=config.backend_spec,
         cost_hint=float(instance.num_jobs * instance.num_machines),
     )
-
-
-def _pool_guesses() -> int:
-    """Speculative-guess width for timing-insensitive EPTAS cells.
-
-    Follows the solver pool the runner installed for this worker (1 without
-    a pool, i.e. plain sequential binary search).  Results are identical
-    either way — batching only reorders which guesses are evaluated
-    concurrently — so cached payloads stay valid across pool sizes.
-    """
-    return max(1, get_solver_service().concurrency)
 
 
 def _group_means(
@@ -163,7 +146,7 @@ def cell_e1(*, machines: int, seed: int) -> dict[str, Any]:
     naive = cached_solve(instance, "first-fit", lambda: first_fit_schedule(instance))
     greedy = cached_solve(instance, "greedy-list", lambda: greedy_schedule(instance))
     lpt = cached_solve(instance, "lpt", lambda: lpt_schedule(instance))
-    eptas_config = EptasConfig(eps=0.25, speculative_guesses=_pool_guesses())
+    eptas_config = EptasConfig(eps=0.25)
     eptas = cached_solve(
         instance,
         "eptas",
@@ -210,7 +193,7 @@ def _e2_solvers() -> dict[str, tuple[Callable[[Instance], SolverResult], Any]]:
         ),
     }
     for eps in _E2_EPS_VALUES:
-        eptas_config = EptasConfig(eps=eps, speculative_guesses=_pool_guesses())
+        eptas_config = EptasConfig(eps=eps)
         solvers[f"eptas({eps:g})"] = (
             lambda inst, eps=eps, cfg=eptas_config: eptas_schedule(inst, eps=eps, config=cfg),
             eptas_config.backend_spec,
@@ -557,9 +540,7 @@ def grid_e8(*, quick: bool = True, seed: int = 0) -> list[dict[str, Any]]:
 
 def cell_e8(*, family: str, seed: int) -> dict[str, Any]:
     instance = _e8_instance(family, seed)
-    config = EptasConfig(
-        eps=0.25, practical_priority_cap=1, speculative_guesses=_pool_guesses()
-    )
+    config = EptasConfig(eps=0.25, practical_priority_cap=1)
     payload = cached_solve(
         instance,
         "eptas",

@@ -648,7 +648,7 @@ class SolverFabric:
     # ------------------------------------------------------------------
     @property
     def num_servers(self) -> int:
-        """Total live solver capacity (what the service calls concurrency)."""
+        """Total live solver capacity."""
         with self._lock:
             total = sum(ep.capacity for ep in self._endpoints if ep.alive)
         return max(1, total)

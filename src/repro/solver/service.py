@@ -10,9 +10,11 @@ fingerprint, pooled flag) to every returned
 A process-global *current service* makes the pool pluggable without
 threading it through every config object: the orchestration worker installs
 a pooled service around its claim–execute loop via
-:func:`pooled_service_scope`, and all solves inside the cell (EPTAS
-configuration MILPs, exact assignment MILPs, the Das–Wiese ILP) pick it up
-through :func:`get_solver_service`.
+:func:`pooled_service_scope`, and every solve inside the cell picks it up
+through :func:`get_solver_service`.  Only :meth:`SolverService.solve_many`
+batches of two or more requests reach the pool; :meth:`SolverService.solve`
+always runs inline, and the EPTAS configuration MILPs, exact assignment
+MILPs and the Das–Wiese ILP are all single ``solve`` calls.
 
 Failure semantics: a pool *hard timeout* degrades to a ``LIMIT`` solution
 (exactly like an inline backend hitting its time limit) so algorithms treat
@@ -69,11 +71,6 @@ class SolverService:
     # ------------------------------------------------------------------
     # Solving
     # ------------------------------------------------------------------
-    @property
-    def concurrency(self) -> int:
-        """How many solves can genuinely overlap (1 without a pool)."""
-        return self.pool.num_servers if self.pool is not None else 1
-
     def solve(
         self,
         model: LinearModel | CompiledModel,
@@ -103,7 +100,7 @@ class SolverService:
         With ``return_exceptions=True`` a failing solve yields its exception
         in that request's slot instead of aborting the batch — the solver
         analogue of ``asyncio.gather`` — so callers with per-item fallback
-        logic (the EPTAS search) never lose the rest of a round.
+        logic never lose the rest of a batch.
         """
         requests = list(requests)
         if self.pool is None or len(requests) <= 1:

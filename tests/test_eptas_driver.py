@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.baselines import greedy_schedule, lpt_schedule
-from repro.bounds import combined_lower_bound
+from repro.bounds import best_lower_bound, combined_lower_bound
 from repro.core import Instance
-from repro.eptas import ConstantsMode, EptasConfig, eptas_schedule, solve_for_guess
+from repro.eptas import ConstantsMode, EptasConfig, driver, eptas_schedule, solve_for_guess
 from repro.exact import brute_force_optimum, exact_milp_schedule
 from repro.generators import (
     bag_heavy_instance,
@@ -133,6 +135,50 @@ class TestSolveForGuess:
         assert data["feasible"] is True
         assert data["k"] >= 1
         assert data["num_patterns"] == report.num_patterns
+
+
+class TestBinarySearch:
+    """The dual-approximation search: the lower bound, then geometric midpoints."""
+
+    # Per seed, with the lower bound halved: the feasible flag of each guess
+    # and the final makespan.
+    EXPECTED = {
+        0: ([False, True, True, False, False], 2.33645413848856),
+        1: ([False, True, True, False, True], 2.3494234520219264),
+        2: ([False, True, True, False, True], 1.7631488236418416),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(EXPECTED))
+    def test_guesses_follow_the_bracket(self, seed, monkeypatch):
+        # A halved lower bound leaves a wide bracket, so the search needs
+        # several guesses instead of ending at the bound.
+        def halved_bound(instance, **kwargs):
+            report = best_lower_bound(instance, **kwargs)
+            return replace(report, best=report.best / 2)
+
+        monkeypatch.setattr(driver, "best_lower_bound", halved_bound)
+        instance = uniform_random_instance(
+            num_jobs=12, num_machines=3, num_bags=5, seed=seed
+        ).instance
+        result = eptas_schedule(instance, eps=0.5)
+        diagnostics = result.diagnostics
+        attempts = diagnostics["attempts"]
+
+        low = halved_bound(instance).best
+        high = max(diagnostics["greedy_upper_bound"], low)
+        assert attempts[0]["guess"] == low
+        for previous, attempt in zip(attempts, attempts[1:]):
+            if previous["feasible"]:
+                high = min(high, previous["guess"])
+            elif previous["guess"] < high:
+                low = max(low * (1 + 1e-9), previous["guess"])
+            assert attempt["guess"] == low * (high / low) ** 0.5
+
+        assert diagnostics["search_iterations"] == len(attempts)
+        feasible, makespan = self.EXPECTED[seed]
+        assert [attempt["feasible"] for attempt in attempts] == feasible
+        assert result.makespan == pytest.approx(makespan, rel=1e-12)
+        assert_feasible(result.schedule)
 
 
 class TestConfigurations:

@@ -73,20 +73,6 @@ class TestGrids:
         with pytest.raises(KeyError):
             registry.get_spec("e99")
 
-    def test_timing_insensitive_cells_follow_the_solver_pool(self):
-        """E1/E2/E8 EPTAS configs opt into speculative batching when a pool
-        is installed; without one they stay at 1 (sequential search)."""
-        from types import SimpleNamespace
-
-        from repro.orchestration.grids import _pool_guesses
-        from repro.solver import SolverService
-        from repro.solver.service import service_scope
-
-        assert _pool_guesses() == 1
-        pooled = SolverService(pool=SimpleNamespace(num_servers=3))
-        with service_scope(pooled):
-            assert _pool_guesses() == 3
-
 
 # ----------------------------------------------------------------------
 # Store: idempotent population and atomic claiming

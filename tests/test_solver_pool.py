@@ -6,7 +6,7 @@ Covers the reliability contract of ISSUE 2:
 * a solver server that crashes mid-solve is restarted and the request is
   retried (and cleanly raises once retries are exhausted);
 * a per-solve hard timeout cancels the solve without poisoning the pool;
-* the pooled service plugs into the EPTAS driver's speculative search.
+* the EPTAS driver solves inline even with a pool installed.
 
 The chaos backend is registered at import time so the ``fork``-started
 server processes inherit it.
@@ -19,7 +19,7 @@ import time
 
 import pytest
 
-from repro.eptas import EptasConfig, eptas_schedule
+from repro.eptas import eptas_schedule
 from repro.generators import uniform_random_instance
 from repro.milp import LinearModel, MilpSolution, SolutionStatus
 from repro.solver import (
@@ -180,16 +180,17 @@ class TestPooledServiceIntegration:
         assert solutions[1].objective == 3.0
         assert solutions[1].telemetry is not None and solutions[1].telemetry.pooled
 
-    def test_speculative_eptas_matches_sequential(self):
+    def test_eptas_under_pool_matches_inline(self):
+        # Single solves never reach the pool, so the search is unchanged.
         instance = uniform_random_instance(
             num_jobs=12, num_machines=3, num_bags=5, seed=7
         ).instance
-        sequential = eptas_schedule(instance, eps=0.5)
-        config = EptasConfig(eps=0.5, speculative_guesses=2)
-        with pooled_service_scope(2):
-            speculative = eptas_schedule(instance, eps=0.5, config=config)
-        assert speculative.makespan <= sequential.makespan + 1e-9
-        speculative.schedule.validate(require_complete=True)
+        inline = eptas_schedule(instance, eps=0.5)
+        with pooled_service_scope(2) as service:
+            pooled = eptas_schedule(instance, eps=0.5)
+            assert service.pool.stats().submitted == 0
+        assert pooled.schedule.assignment == inline.schedule.assignment
+        assert pooled.makespan == inline.makespan
 
 
 class TestParentDeathWatchdog:

@@ -121,10 +121,6 @@ class TestFailFastConfigs:
         normalised = config.normalised()
         assert normalised.backend_spec == config.backend_spec
 
-    def test_speculative_guesses_validated(self):
-        with pytest.raises(ValueError, match="speculative_guesses"):
-            EptasConfig(speculative_guesses=0)
-
 
 class TestServiceTelemetry:
     def test_inline_solve_attaches_telemetry(self):
