@@ -287,10 +287,18 @@ def eptas_schedule(
                 schedule, report = solve_for_guess(instance, guess, config)
             except SolverLimitError as exc:
                 diagnostics.setdefault("limit_errors", []).append(str(exc))
+                attempts.append(
+                    AttemptReport(
+                        guess=guess, feasible=False, details={"limit": str(exc)}
+                    ).to_dict()
+                )
                 break
             except ReproError as exc:
                 diagnostics.setdefault("attempt_errors", []).append(str(exc))
-                schedule, report = None, AttemptReport(guess=guess, feasible=False)
+                schedule = None
+                report = AttemptReport(
+                    guess=guess, feasible=False, details={"error": str(exc)}
+                )
             attempts.append(report.to_dict())
             if schedule is not None:
                 if schedule.makespan() < best_makespan - 1e-12:

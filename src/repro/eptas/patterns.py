@@ -16,7 +16,7 @@ pruning never removes patterns needed by the Lemma-5 feasibility argument.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Callable, Iterable
 
 from ..core.errors import SolverLimitError
 from ..core.instance import Instance
@@ -158,6 +158,52 @@ def collect_entry_types(
     return entry_types
 
 
+def _walk_patterns(
+    entries: list[tuple[PatternEntry, int]],
+    capacity: float,
+    max_slots: int,
+    emit: Callable[[list[tuple[PatternEntry, int]], float, int], None],
+) -> None:
+    """Visit every valid pattern depth-first: ``emit(stack, height, slots)``.
+
+    ``stack`` holds the pattern's ``(entry, count)`` pairs in entry order.  It
+    is pushed and popped as the walk descends, so ``emit`` copies what it
+    keeps.
+    """
+    usable = [
+        (entry, entry.size, entry.bag, entry.is_wildcard, available)
+        for entry, available in entries
+        if available > 0
+    ]
+    stack: list[tuple[PatternEntry, int]] = []
+
+    def recurse(start: int, height: float, slots: int, used_bags: frozenset[int]) -> None:
+        emit(stack, height, slots)
+        if slots >= max_slots:
+            return
+        for index in range(start, len(usable)):
+            entry, size, bag, wildcard, available = usable[index]
+            if height + size > capacity:
+                continue
+            if wildcard:
+                # Take 1..limit copies of the wildcard slot.
+                limit = min(available, max_slots - slots)
+                taken = 0
+                added_height = 0.0
+                while taken < limit and height + added_height + size <= capacity:
+                    taken += 1
+                    added_height += size
+                    stack.append((entry, taken))
+                    recurse(index + 1, height + added_height, slots + taken, used_bags)
+                    stack.pop()
+            elif bag not in used_bags:
+                stack.append((entry, 1))
+                recurse(index + 1, height + size, slots + 1, used_bags | {bag})
+                stack.pop()
+
+    recurse(0, 0.0, 0, frozenset())
+
+
 def enumerate_patterns(
     entry_types: Iterable[tuple[PatternEntry, int]],
     *,
@@ -172,65 +218,35 @@ def enumerate_patterns(
     number of available jobs of that size (and up to ``max_slots``).  The
     empty pattern is always included (machines may carry only small jobs).
 
-    Raises :class:`SolverLimitError` when more than ``max_patterns`` patterns
-    would be produced.
+    The patterns are counted first, by a walk that builds none of them, and
+    :class:`SolverLimitError` is raised when more than ``max_patterns`` would
+    be produced: no pattern is built past the cap.  Only then does a second
+    walk build them.  Both walks visit the patterns in the same depth-first
+    order, and that order fixes the column order of the configuration MILP.
     """
     entries = list(entry_types)
-    patterns: list[Pattern] = []
-    current_counts: list[int] = [0] * len(entries)
+    capacity = budget + SIZE_TOL
+    count = 0
 
-    def emit(height: float, slots: int) -> None:
-        if len(patterns) >= max_patterns:
+    def count_pattern(stack: object, height: float, slots: int) -> None:
+        nonlocal count
+        count += 1
+        if count > max_patterns:
             raise SolverLimitError(
                 f"pattern enumeration exceeded max_patterns={max_patterns}; "
                 "increase the limit or use a larger eps"
             )
-        chosen = tuple(
-            (entries[index][0], count)
-            for index, count in enumerate(current_counts)
-            if count > 0
-        )
-        patterns.append(Pattern(entries=chosen, height=height, num_slots=slots))
 
-    def recurse(start: int, height: float, slots: int, used_bags: frozenset[int]) -> None:
-        emit(height, slots)
-        for index in range(start, len(entries)):
-            entry, available = entries[index]
-            if available <= 0:
-                continue
-            if not entry.is_wildcard and entry.bag in used_bags:
-                continue
-            if slots >= max_slots:
-                continue
-            if height + entry.size > budget + SIZE_TOL:
-                continue
-            if entry.is_wildcard:
-                # Take 1..limit copies of the wildcard slot.
-                limit = min(available, max_slots - slots)
-                taken = 0
-                added_height = 0.0
-                while taken < limit and height + added_height + entry.size <= budget + SIZE_TOL:
-                    taken += 1
-                    added_height += entry.size
-                    current_counts[index] = taken
-                    recurse(
-                        index + 1,
-                        height + added_height,
-                        slots + taken,
-                        used_bags,
-                    )
-                current_counts[index] = 0
-            else:
-                current_counts[index] = 1
-                recurse(
-                    index + 1,
-                    height + entry.size,
-                    slots + 1,
-                    used_bags | {entry.bag},
-                )
-                current_counts[index] = 0
-
-    recurse(0, 0.0, 0, frozenset())
+    _walk_patterns(entries, capacity, max_slots, count_pattern)
+    patterns: list[Pattern] = []
+    _walk_patterns(
+        entries,
+        capacity,
+        max_slots,
+        lambda stack, height, slots: patterns.append(
+            Pattern(entries=tuple(stack), height=height, num_slots=slots)
+        ),
+    )
     return PatternSet(
         patterns=tuple(patterns),
         entry_types=tuple(entries),

@@ -9,6 +9,7 @@ import pytest
 from repro.baselines import greedy_schedule, lpt_schedule
 from repro.bounds import best_lower_bound, combined_lower_bound
 from repro.core import Instance
+from repro.core.errors import AlgorithmError
 from repro.eptas import ConstantsMode, EptasConfig, driver, eptas_schedule, solve_for_guess
 from repro.exact import brute_force_optimum, exact_milp_schedule
 from repro.generators import (
@@ -209,6 +210,27 @@ class TestConfigurations:
         # a feasible schedule (the greedy upper bound).
         assert_feasible(result.schedule)
         assert "limit_errors" in result.diagnostics
+        # The aborted guess still leaves one (infeasible) attempt record.
+        attempts = result.diagnostics["attempts"]
+        assert result.diagnostics["search_iterations"] == len(attempts) == 1
+        assert not attempts[0]["feasible"]
+        assert "max_patterns=2" in attempts[0]["limit"]
+
+    def test_failed_guess_records_its_error(self, monkeypatch):
+        def failing_enumeration(*args, **kwargs):
+            raise AlgorithmError("enumeration failed")
+
+        monkeypatch.setattr(driver, "enumerate_patterns", failing_enumeration)
+        instance = uniform_random_instance(
+            num_jobs=12, num_machines=3, num_bags=5, seed=0
+        ).instance
+        result = eptas_schedule(instance, eps=0.5)
+        attempts = result.diagnostics["attempts"]
+        assert result.diagnostics["search_iterations"] == len(attempts) >= 1
+        assert result.diagnostics["attempt_errors"] == ["enumeration failed"] * len(attempts)
+        assert all(attempt["error"] == "enumeration failed" for attempt in attempts)
+        assert not any(attempt["feasible"] for attempt in attempts)
+        assert_feasible(result.schedule)
 
     def test_priority_cap_one(self, uniform_instance):
         config = EptasConfig(eps=0.25, practical_priority_cap=1)

@@ -3,20 +3,183 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.bounds import best_lower_bound
 from repro.core import Instance
 from repro.core.errors import SolverLimitError
 from repro.eptas import (
+    EptasConfig,
     classify_bags,
     classify_jobs,
     collect_entry_types,
     enumerate_patterns,
+    scale_and_round,
+    transform_instance,
 )
-from repro.eptas.patterns import WILDCARD_BAG, PatternEntry
+from repro.eptas.classification import SIZE_TOL
+from repro.eptas.patterns import (
+    WILDCARD_BAG,
+    Pattern,
+    PatternEntry,
+    PatternSet,
+    size_key,
+)
+from repro.generators import (
+    clustered_sizes_instance,
+    figure1_adversarial_instance,
+    uniform_random_instance,
+)
 
 
 def _entry(size: float, bag: int) -> PatternEntry:
     return PatternEntry(size=size, bag=bag)
+
+
+def _reference_patterns(
+    entry_types,
+    *,
+    budget: float,
+    max_slots: int,
+    max_patterns: int = 50_000,
+) -> PatternSet:
+    """Oracle: a one-walk enumerator with the same rules and visit order.
+
+    It builds every pattern as it goes, rescanning all entry types per
+    pattern, and raises once pattern ``max_patterns + 1`` is reached.
+    """
+    entries = list(entry_types)
+    patterns: list[Pattern] = []
+    current_counts: list[int] = [0] * len(entries)
+
+    def emit(height: float, slots: int) -> None:
+        if len(patterns) >= max_patterns:
+            raise SolverLimitError(
+                f"pattern enumeration exceeded max_patterns={max_patterns}; "
+                "increase the limit or use a larger eps"
+            )
+        chosen = tuple(
+            (entries[index][0], count)
+            for index, count in enumerate(current_counts)
+            if count > 0
+        )
+        patterns.append(Pattern(entries=chosen, height=height, num_slots=slots))
+
+    def recurse(start: int, height: float, slots: int, used_bags: frozenset[int]) -> None:
+        emit(height, slots)
+        for index in range(start, len(entries)):
+            entry, available = entries[index]
+            if available <= 0:
+                continue
+            if not entry.is_wildcard and entry.bag in used_bags:
+                continue
+            if slots >= max_slots:
+                continue
+            if height + entry.size > budget + SIZE_TOL:
+                continue
+            if entry.is_wildcard:
+                limit = min(available, max_slots - slots)
+                taken = 0
+                added_height = 0.0
+                while taken < limit and height + added_height + entry.size <= budget + SIZE_TOL:
+                    taken += 1
+                    added_height += entry.size
+                    current_counts[index] = taken
+                    recurse(
+                        index + 1,
+                        height + added_height,
+                        slots + taken,
+                        used_bags,
+                    )
+                current_counts[index] = 0
+            else:
+                current_counts[index] = 1
+                recurse(
+                    index + 1,
+                    height + entry.size,
+                    slots + 1,
+                    used_bags | {entry.bag},
+                )
+                current_counts[index] = 0
+
+    recurse(0, 0.0, 0, frozenset())
+    return PatternSet(
+        patterns=tuple(patterns),
+        entry_types=tuple(entries),
+        budget=budget,
+        max_slots=max_slots,
+    )
+
+
+def _outcome(enumerate_, entry_types, **kwargs):
+    """The ordered ``(entries, height, num_slots)`` sequence, or the limit message."""
+    try:
+        patterns = enumerate_(entry_types, **kwargs)
+    except SolverLimitError as exc:
+        return str(exc)
+    return patterns.entry_types, [
+        (pattern.entries, pattern.height, pattern.num_slots)
+        for pattern in patterns.patterns
+    ]
+
+
+def _assert_matches_reference(entry_types, **kwargs) -> None:
+    expected = _outcome(_reference_patterns, entry_types, **kwargs)
+    assert _outcome(enumerate_patterns, entry_types, **kwargs) == expected
+
+
+# Rounded sizes are powers of 1 + eps (here eps = 1/4), as in ``rounding``.
+_GRID_SIZES = tuple(size_key(1.25**power) for power in range(-10, 4))
+
+
+@st.composite
+def _enumeration_inputs(draw) -> tuple[list[tuple[PatternEntry, int]], float]:
+    """Slot types and a budget for the two enumerators to agree on.
+
+    Entries mix priority bags 0-4 and the wildcard, with 0-4 jobs each, and
+    the budget lies in [1, 2.25].  Half the time the budget sits within the
+    size tolerance of a sum of drawn sizes, which tests pruning at the edge.
+    """
+    entry_types = [
+        (_entry(size, bag), available)
+        for size, bag, available in draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(_GRID_SIZES),
+                    st.sampled_from((WILDCARD_BAG, 0, 1, 2, 3, 4)),
+                    st.integers(min_value=0, max_value=4),
+                ),
+                max_size=8,
+            )
+        )
+    ]
+    budget = draw(st.floats(min_value=1.0, max_value=2.25))
+    if entry_types and draw(st.booleans()):
+        sizes = [entry.size for entry, _ in entry_types]
+        height = sum(draw(st.lists(st.sampled_from(sizes), min_size=1, max_size=6)))
+        if 1.0 <= height <= 2.25:
+            offset = draw(st.sampled_from((-1.5, -0.5, 0.0, 0.5)))
+            budget = height + offset * SIZE_TOL
+    return entry_types, budget
+
+
+def _library_entry_types(instance: Instance, eps: float):
+    """Entry types and constants at ``eptas_schedule``'s first guess, the lower bound."""
+    config = EptasConfig(eps=eps).normalised()
+    guess = best_lower_bound(instance).best
+    working = scale_and_round(instance, config.eps, guess).instance
+    job_classes = classify_jobs(working, config.eps)
+    bag_classes = classify_bags(
+        working,
+        job_classes,
+        mode=config.mode,
+        practical_priority_cap=config.practical_priority_cap,
+    )
+    record = transform_instance(working, job_classes, bag_classes)
+    transformed_jobs = classify_jobs(record.transformed, config.eps, k=job_classes.k)
+    entry_types = collect_entry_types(record.transformed, transformed_jobs, bag_classes)
+    return entry_types, bag_classes.constants
 
 
 class TestEnumeration:
@@ -64,8 +227,20 @@ class TestEnumeration:
 
     def test_max_patterns_limit(self):
         entries = [(_entry(0.05, bag), 1) for bag in range(20)]
-        with pytest.raises(SolverLimitError):
+        with pytest.raises(SolverLimitError, match="max_patterns=100"):
             enumerate_patterns(entries, budget=5.0, max_slots=20, max_patterns=100)
+        # Exactly at the cap every pattern comes back; one below, it raises.
+        entries = entries[:6] + [(_entry(0.3, WILDCARD_BAG), 3)]
+        full = enumerate_patterns(entries, budget=5.0, max_slots=20)
+        assert len(full) == 2**6 * 4
+        at_cap = enumerate_patterns(
+            entries, budget=5.0, max_slots=20, max_patterns=len(full)
+        )
+        assert at_cap.patterns == full.patterns
+        with pytest.raises(SolverLimitError, match=f"max_patterns={len(full) - 1}"):
+            enumerate_patterns(
+                entries, budget=5.0, max_slots=20, max_patterns=len(full) - 1
+            )
 
     def test_pattern_helpers(self):
         entries = [(_entry(0.5, 3), 1), (_entry(0.4, WILDCARD_BAG), 2)]
@@ -78,6 +253,54 @@ class TestEnumeration:
         assert "B^0.5_3" in full.label()
         summary = patterns.summary()
         assert summary["num_patterns"] == len(patterns)
+
+
+class TestMatchesReference:
+    """``enumerate_patterns`` yields the reference's patterns in its order."""
+
+    @given(
+        inputs=_enumeration_inputs(),
+        max_slots=st.integers(min_value=1, max_value=8),
+        max_patterns=st.integers(min_value=0, max_value=300),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_random_entry_sets(self, inputs, max_slots, max_patterns):
+        entry_types, budget = inputs
+        _assert_matches_reference(
+            entry_types, budget=budget, max_slots=max_slots, max_patterns=max_patterns
+        )
+
+    @pytest.mark.parametrize(
+        "instance, eps",
+        [
+            pytest.param(clustered_sizes_instance(seed=0).instance, 0.5, id="clustered-cap"),
+            pytest.param(
+                clustered_sizes_instance(
+                    num_jobs=24, num_machines=4, num_bags=6, seed=1
+                ).instance,
+                0.25,
+                id="clustered-small",
+            ),
+            pytest.param(
+                uniform_random_instance(
+                    num_jobs=20, num_machines=4, num_bags=8, seed=0
+                ).instance,
+                0.25,
+                id="uniform",
+            ),
+            pytest.param(
+                figure1_adversarial_instance(num_machines=6).instance, 0.25, id="figure1"
+            ),
+        ],
+    )
+    def test_library_instances(self, instance, eps):
+        entry_types, constants = _library_entry_types(instance, eps)
+        _assert_matches_reference(
+            entry_types,
+            budget=constants.budget,
+            max_slots=constants.q,
+            max_patterns=5_000,
+        )
 
 
 class TestCollectEntryTypes:
