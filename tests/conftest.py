@@ -74,8 +74,10 @@ def figure1_instance() -> Instance:
     return figure1_adversarial_instance(num_machines=4, seed=0).instance
 
 
-@pytest.fixture
+@pytest.fixture(scope="session")
 def uniform_instance() -> Instance:
+    # Instances are immutable, so one copy serves the whole session and
+    # module-scoped fixtures can solve it once for several tests.
     return uniform_random_instance(
         num_jobs=24, num_machines=4, num_bags=8, seed=7
     ).instance

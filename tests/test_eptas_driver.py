@@ -24,6 +24,22 @@ from repro.generators import (
 from helpers import assert_feasible
 
 
+# The EPTAS at eps = 1/2 on the uniform instance spends about a minute in
+# HiGHS.  The tests that only read its result share one run instead of
+# repeating it.
+@pytest.fixture(scope="module")
+def uniform_result(uniform_instance):
+    return eptas_schedule(uniform_instance, eps=0.5)
+
+
+@pytest.fixture(scope="module")
+def generous_guess(uniform_instance):
+    """``solve_for_guess`` at eps = 1/2 and the LPT makespan as the guess."""
+    config = EptasConfig(eps=0.5).normalised()
+    upper = lpt_schedule(uniform_instance).makespan
+    return solve_for_guess(uniform_instance, upper, config)
+
+
 class TestDriverBasics:
     def test_empty_instance(self):
         instance = Instance([], 3, name="empty")
@@ -41,8 +57,8 @@ class TestDriverBasics:
         result = eptas_schedule(instance, eps=0.5)
         assert result.makespan == pytest.approx(6.0)
 
-    def test_diagnostics_populated(self, uniform_instance):
-        result = eptas_schedule(uniform_instance, eps=0.5)
+    def test_diagnostics_populated(self, uniform_result):
+        result = uniform_result
         assert result.solver == "eptas"
         assert result.params["eps"] == 0.5
         assert "lower_bound" in result.diagnostics
@@ -55,8 +71,8 @@ class TestDriverBasics:
         # eps is pushed down to the next reciprocal of an integer (1/4)
         assert result.params["eps"] == pytest.approx(0.25)
 
-    def test_never_worse_than_greedy_upper_bound(self, uniform_instance):
-        result = eptas_schedule(uniform_instance, eps=0.5)
+    def test_never_worse_than_greedy_upper_bound(self, uniform_instance, uniform_result):
+        result = uniform_result
         lpt = lpt_schedule(uniform_instance)
         assert result.makespan <= lpt.makespan + 1e-9
 
@@ -111,10 +127,8 @@ class TestApproximationGuarantee:
 
 
 class TestSolveForGuess:
-    def test_feasible_at_generous_guess(self, uniform_instance):
-        config = EptasConfig(eps=0.5).normalised()
-        upper = lpt_schedule(uniform_instance).makespan
-        schedule, report = solve_for_guess(uniform_instance, upper, config)
+    def test_feasible_at_generous_guess(self, generous_guess):
+        schedule, report = generous_guess
         assert report.feasible
         assert schedule is not None
         assert_feasible(schedule)
@@ -127,11 +141,8 @@ class TestSolveForGuess:
         assert schedule is None
         assert not report.feasible
 
-    def test_report_to_dict(self, uniform_instance):
-        config = EptasConfig(eps=0.5).normalised()
-        _, report = solve_for_guess(
-            uniform_instance, lpt_schedule(uniform_instance).makespan, config
-        )
+    def test_report_to_dict(self, generous_guess):
+        _, report = generous_guess
         data = report.to_dict()
         assert data["feasible"] is True
         assert data["k"] >= 1

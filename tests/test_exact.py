@@ -21,6 +21,13 @@ from repro.generators import uniform_random_instance
 from helpers import assert_feasible
 
 
+# ``exact_schedule`` sends the 24-job uniform instance to the assignment MILP,
+# a solve of over a minute.  The tests that only read its result share it.
+@pytest.fixture(scope="module")
+def uniform_exact(uniform_instance):
+    return exact_schedule(uniform_instance)
+
+
 class TestBruteForce:
     def test_known_optimum_tiny(self, tiny_instance):
         # sizes 3,2 in bag0 and 2,1 in bag1 on 2 machines; optimum is 4
@@ -74,8 +81,9 @@ class TestExactMilp:
         )
         assert with_sym.makespan == pytest.approx(without_sym.makespan)
 
-    def test_optimum_at_least_lower_bound(self, uniform_instance):
-        result = exact_milp_schedule(uniform_instance)
+    def test_optimum_at_least_lower_bound(self, uniform_instance, uniform_exact):
+        result = uniform_exact
+        assert result.solver == "exact-milp"
         assert result.makespan >= combined_lower_bound(uniform_instance) - 1e-6
 
 
@@ -83,8 +91,8 @@ class TestDispatch:
     def test_auto_uses_brute_for_tiny(self, tiny_instance):
         assert exact_schedule(tiny_instance).solver == "brute-force"
 
-    def test_auto_uses_milp_for_larger(self, uniform_instance):
-        assert exact_schedule(uniform_instance).solver == "exact-milp"
+    def test_auto_uses_milp_for_larger(self, uniform_exact):
+        assert uniform_exact.solver == "exact-milp"
 
     def test_explicit_methods(self, tiny_instance):
         assert exact_schedule(tiny_instance, method="milp").solver == "exact-milp"
