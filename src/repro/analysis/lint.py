@@ -1,7 +1,7 @@
 """``repro lint``: AST invariant checks for the repo's own conventions.
 
 Generic linters catch generic bugs.  The bugs that actually bit this repo —
-orphaned solver-server processes, the cache layer closing caller-owned
+orphaned solver subprocesses, the cache layer closing caller-owned
 store connections, wire calls that would double-execute on retry — were
 violations of *repo-specific* conventions that no off-the-shelf tool knows
 about.  Each rule here encodes one of those conventions; the module scans
@@ -182,8 +182,9 @@ def _wire_mutating_methods() -> frozenset[str]:
     """Method names that mutate server state, from the protocol itself.
 
     Sourced from ``MUTATING_METHODS`` so new store methods are covered the
-    moment they are declared; the fabric's ``solve`` and the service's
-    ``submit`` execute work on the server side, so they count too.
+    moment they are declared; the service's ``submit`` and a solver
+    endpoint's ``solve`` execute work on the server side, so they count
+    too.
     """
     extra = frozenset({"solve", "submit"})
     try:
@@ -199,7 +200,7 @@ def _check_wire_op_id(ctx: ModuleContext) -> Iterator[Finding]:
     A payload is a dict literal with "id" and "method" keys.  Read-only
     methods (a constant method name outside the protocol's mutating set)
     are exempt.  Compliant shapes for the rest: an ``"op"`` key in the
-    literal itself (the fabric's per-item op id), or a later
+    literal itself (a per-item op id), or a later
     ``payload["op"] = ...`` in the same function (the clients attach it for
     mutating methods / ``op=True`` calls).  Without one, a retried request
     whose reply was lost re-executes the mutation — the exact bug class

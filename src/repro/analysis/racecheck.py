@@ -4,10 +4,10 @@ The stack's thread-safety rests on two conventions that no test asserts
 directly:
 
 * **Lock ordering** — the RPC dispatch lock, the scheduling service's store
-  lock, the fabric client lock, the solver pool lock and the cache memo
-  lock are only ever nested in one direction.  A new code path that nests
-  two of them the other way round deadlocks only under load, typically in
-  CI's chaos jobs, where the hang is a timeout rather than a diagnosis.
+  lock and the cache memo lock are only ever nested in one direction.  A
+  new code path that nests two of them the other way round deadlocks only
+  under load, typically in CI's chaos jobs, where the hang is a timeout
+  rather than a diagnosis.
 * **Store thread confinement** — an :class:`ExperimentStore` is used from
   the thread that opened it, *except* for owners that pass
   ``check_same_thread=False`` and serialize every access themselves (the
@@ -27,7 +27,7 @@ the checker) or programmatically::
 
     from repro.analysis import racecheck
     racecheck.enable()
-    ...build servers/fabrics/pools...
+    ...build servers and stores...
     racecheck.disable()
 
 Violations raise :class:`LockOrderViolation` / :class:`StoreThreadViolation`
@@ -231,8 +231,7 @@ class _TrackedLockBase:
 
     Exposes the ``_release_save`` / ``_acquire_restore`` / ``_is_owned``
     trio, so a plain :class:`threading.Condition` can be built directly on
-    top of a tracked lock (the fabric builds its endpoint conditions on the
-    shared client RLock this way).
+    top of a tracked lock.
     """
 
     _reentrant = False

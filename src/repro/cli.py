@@ -169,27 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-cache", action="store_true", help="disable the persistent result cache"
     )
     orch_run.add_argument(
-        "--solver-servers",
-        type=int,
-        default=0,
-        help="subprocess solver servers per worker (0 = solve MILPs inline); "
-        "cells then overlap independent MILPs on the shared pool",
-    )
-    orch_run.add_argument(
-        "--solver-connect",
-        default=None,
-        metavar="HOST:PORT[,HOST:PORT...]",
-        help="route MILP solves to remote `repro orch solver-serve` "
-        "endpoints instead of a local pool (mutually exclusive with "
-        "--solver-servers)",
-    )
-    orch_run.add_argument(
-        "--solver-token",
-        default=None,
-        help="shared secret of the solver endpoints "
-        "(default: $REPRO_ORCH_TOKEN)",
-    )
-    orch_run.add_argument(
         "--no-populate",
         action="store_true",
         help="only drain rows already in the store (skip grid expansion)",
@@ -275,40 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
         "all remote workers)",
     )
 
-    orch_solver_serve = orch_sub.add_parser(
-        "solver-serve",
-        help="serve this machine's cores as MILP solver capacity: N "
-        "subprocess solver servers behind one TCP socket, for workers "
-        "anywhere to reach via --solver-connect",
-    )
-    orch_solver_serve.add_argument(
-        "--host",
-        default="127.0.0.1",
-        help="interface to bind (default: loopback only; pass 0.0.0.0 to "
-        "accept remote workers — set a --token when you do)",
-    )
-    orch_solver_serve.add_argument(
-        "--port",
-        type=int,
-        # Mirrors repro.solver.fabric.DEFAULT_SOLVER_PORT; literal here so
-        # building the parser never imports the solver stack.
-        default=7480,
-        help="TCP port (default: 7480; 0 = ephemeral, printed on startup)",
-    )
-    orch_solver_serve.add_argument(
-        "--token",
-        default=None,
-        help="shared secret required on every request "
-        "(default: $REPRO_ORCH_TOKEN; unset = no auth)",
-    )
-    orch_solver_serve.add_argument(
-        "--servers",
-        type=int,
-        default=0,
-        help="subprocess solver servers behind the socket "
-        "(default: 0 = one per CPU core)",
-    )
-
     orch_schedule_serve = orch_sub.add_parser(
         "schedule-serve",
         help="long-running scheduling service: accept ad-hoc instances from "
@@ -359,22 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
         "of the same request (default: 0 = failures stay terminal; op-id "
         "replays never consume the budget)",
     )
-    orch_schedule_serve.add_argument(
-        "--solver-servers",
-        type=int,
-        default=0,
-        help="subprocess solver servers for MILP-backed solves "
-        "(0 = solve MILPs inline)",
-    )
-    orch_schedule_serve.add_argument(
-        "--solver-connect",
-        default=None,
-        metavar="HOST:PORT[,HOST:PORT...]",
-        help="route MILP solves to remote `repro orch solver-serve` "
-        "endpoints instead of a local pool (mutually exclusive with "
-        "--solver-servers); auth uses the same --token",
-    )
-
     orch_submit = orch_sub.add_parser(
         "submit",
         help="submit instance JSON files to a `repro orch schedule-serve` "
@@ -456,20 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     orch_worker.add_argument(
         "--no-cache", action="store_true", help="disable the persistent result cache"
-    )
-    orch_worker.add_argument(
-        "--solver-servers",
-        type=int,
-        default=0,
-        help="subprocess solver servers per worker (0 = solve MILPs inline)",
-    )
-    orch_worker.add_argument(
-        "--solver-connect",
-        default=None,
-        metavar="HOST:PORT[,HOST:PORT...]",
-        help="route MILP solves to remote `repro orch solver-serve` "
-        "endpoints instead of a local pool (mutually exclusive with "
-        "--solver-servers); auth uses the same --token as the store",
     )
     worker_replan = orch_worker.add_mutually_exclusive_group()
     worker_replan.add_argument(
@@ -799,26 +714,10 @@ def _resolve_replan_every(args: argparse.Namespace) -> int:
     return DEFAULT_REPLAN_EVERY
 
 
-def _resolve_solver_connect(args: argparse.Namespace) -> str | None:
-    """Validate the local-pool vs fabric choice; returns the connect string."""
-    solver_connect = getattr(args, "solver_connect", None)
-    if solver_connect and args.solver_servers:
-        # Mirrors run_pool's tcp:// guard: an ambiguous topology must fail
-        # loudly, not silently pick one interpretation.
-        raise SystemExit(
-            "error: --solver-servers and --solver-connect are mutually "
-            "exclusive — a worker solves on its local pool or on the remote "
-            "fabric, not both (run `repro orch solver-serve` on this machine "
-            "and list it in --solver-connect to combine them)"
-        )
-    return solver_connect
-
-
 def _cmd_orch_run(args: argparse.Namespace) -> int:
     from .orchestration import registry, run_pool
 
     names = _resolve_spec_names(args.experiments)
-    solver_connect = _resolve_solver_connect(args)
     if args.workers > 1:
         timed = [name for name in names if registry.get_spec(name).timing_sensitive]
         if timed:
@@ -840,9 +739,6 @@ def _cmd_orch_run(args: argparse.Namespace) -> int:
         do_populate=not args.no_populate,
         stale_after=args.stale_after,
         use_cache=not args.no_cache,
-        solver_servers=args.solver_servers,
-        solver_connect=solver_connect,
-        solver_token=args.solver_token or _orch_token(args),
         plan=not args.no_plan,
         replan_every=replan_every,
         fifo_every=args.fifo_every,
@@ -999,49 +895,10 @@ def _cmd_racecheck_dump(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_orch_solver_serve(args: argparse.Namespace) -> int:
-    import signal
-
-    from .solver.fabric import SolverFabricServer
-
-    token = _orch_token(args)
-    if token is None and args.host not in ("127.0.0.1", "localhost", "::1"):
-        print(
-            "warning: serving a non-loopback interface without --token — "
-            "any network peer can submit solves to this machine",
-            file=sys.stderr,
-        )
-    server = SolverFabricServer(
-        host=args.host,
-        port=args.port,
-        token=token,
-        servers=args.servers or None,
-    )
-    print(
-        f"serving {server.num_solver_servers} solver servers on {server.url}"
-        + (" (token auth)" if token else " (no auth)"),
-        flush=True,
-    )
-
-    def _stop(signum: int, frame: object) -> None:
-        raise SystemExit(0)
-
-    signal.signal(signal.SIGTERM, _stop)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.shutdown()
-        print("solver server stopped", flush=True)
-    return 0
-
-
 def _cmd_orch_schedule_serve(args: argparse.Namespace) -> int:
     import signal
 
     from .service import ScheduleServer
-    from .solver.service import solver_service_scope
 
     token = _orch_token(args)
     if token is None and args.host not in ("127.0.0.1", "localhost", "::1"):
@@ -1050,7 +907,6 @@ def _cmd_orch_schedule_serve(args: argparse.Namespace) -> int:
             "any network peer can submit solves to this machine",
             file=sys.stderr,
         )
-    solver_connect = _resolve_solver_connect(args)
     if args.executors < 1:
         raise SystemExit("error: --executors must be >= 1")
     if args.retry_errors < 0:
@@ -1060,37 +916,34 @@ def _cmd_orch_schedule_serve(args: argparse.Namespace) -> int:
         raise SystemExit(0)
 
     signal.signal(signal.SIGTERM, _stop)
-    # The solver scope wraps the whole server lifetime: executor threads
-    # pick up the ambient SolverService (pool or fabric) at solve time.
-    with solver_service_scope(args.solver_servers, solver_connect, token=token):
-        server = ScheduleServer(
-            _orch_db_path(args),
-            host=args.host,
-            port=args.port,
-            token=token,
-            executors=args.executors,
-            budget=args.budget,
-            retry_errors=args.retry_errors,
-        )
-        print(
-            f"scheduling service on {server.url} "
-            f"(journal {_orch_db_path(args)}, {args.executors} executors"
-            + (f", budget {args.budget:g}s" if args.budget is not None else "")
-            + (", token auth)" if token else ", no auth)")
-            + (
-                f"; resumed {server.resumed} in-flight requests"
-                if server.resumed
-                else ""
-            ),
-            flush=True,
-        )
-        try:
-            server.serve_forever()
-        except KeyboardInterrupt:
-            pass
-        finally:
-            server.shutdown()
-            print("scheduling service stopped", flush=True)
+    server = ScheduleServer(
+        _orch_db_path(args),
+        host=args.host,
+        port=args.port,
+        token=token,
+        executors=args.executors,
+        budget=args.budget,
+        retry_errors=args.retry_errors,
+    )
+    print(
+        f"scheduling service on {server.url} "
+        f"(journal {_orch_db_path(args)}, {args.executors} executors"
+        + (f", budget {args.budget:g}s" if args.budget is not None else "")
+        + (", token auth)" if token else ", no auth)")
+        + (
+            f"; resumed {server.resumed} in-flight requests"
+            if server.resumed
+            else ""
+        ),
+        flush=True,
+    )
+    try:
+        server.serve_forever()
+    except KeyboardInterrupt:
+        pass
+    finally:
+        server.shutdown()
+        print("scheduling service stopped", flush=True)
     return 0
 
 
@@ -1131,7 +984,6 @@ def _cmd_orch_worker(args: argparse.Namespace) -> int:
     from .orchestration import run_workers
 
     names = _resolve_spec_names(args.experiments) if args.experiments else None
-    solver_connect = _resolve_solver_connect(args)
     if args.fifo_every is not None and args.fifo_every < 0:
         raise SystemExit("error: --fifo-every must be >= 0 (0 = pure priority order)")
     report = run_workers(
@@ -1140,8 +992,6 @@ def _cmd_orch_worker(args: argparse.Namespace) -> int:
         workers=args.workers,
         stale_after=args.stale_after,
         use_cache=not args.no_cache,
-        solver_servers=args.solver_servers,
-        solver_connect=solver_connect,
         replan_every=_resolve_replan_every(args),
         fifo_every=args.fifo_every,
         token=_orch_token(args),
@@ -1394,7 +1244,6 @@ def _cmd_orch_export(args: argparse.Namespace) -> int:
 _ORCH_HANDLERS = {
     "run": _cmd_orch_run,
     "serve": _cmd_orch_serve,
-    "solver-serve": _cmd_orch_solver_serve,
     "schedule-serve": _cmd_orch_schedule_serve,
     "submit": _cmd_orch_submit,
     "worker": _cmd_orch_worker,
@@ -1409,13 +1258,12 @@ _ORCH_HANDLERS = {
 
 def _cmd_orch(args: argparse.Namespace) -> int:
     from .distributed.protocol import ProtocolError
-    from .solver.pool import SolverPoolError
 
     try:
         return _ORCH_HANDLERS[args.orch_command](args)
-    except (ProtocolError, SolverPoolError) as exc:
-        # Connection refused, auth rejected, server-side store errors, dead
-        # solver endpoints: a one-line diagnosis, not a traceback.
+    except ProtocolError as exc:
+        # Connection refused, auth rejected, server-side store errors: a
+        # one-line diagnosis, not a traceback.
         raise SystemExit(f"error: {exc}") from exc
 
 

@@ -1,10 +1,10 @@
 """Shared RPC machinery for every framed-JSON TCP service in the repo.
 
-The store server (PR 5) and the solver fabric servers speak the same wire
-dialect — length-prefixed JSON frames, per-request token auth, structured
-error replies, op-id replay for safe client retries — so the transport
-skeleton lives here once and :class:`~repro.distributed.server.StoreServer`
-and :class:`repro.solver.fabric.SolverFabricServer` subclass it.
+The store server and the scheduling service speak the same wire dialect —
+length-prefixed JSON frames, per-request token auth, structured error
+replies, op-id replay for safe client retries — so the transport skeleton
+lives here once and :class:`~repro.distributed.server.StoreServer` and
+:class:`repro.service.ScheduleServer` subclass it.
 
 :class:`RpcServer` owns the threaded TCP listener, the per-connection
 handler loop, graceful shutdown (stop accepting, unblock the accept loop,
@@ -16,7 +16,7 @@ choose a dispatch policy:
 * ``serialize_dispatch = True`` (the store): *every* request executes under
   one lock — the single writer SQLite requires anyway, and what makes the
   op-replay check atomic with execution.
-* ``serialize_dispatch = False`` (the solver fabric): requests execute
+* ``serialize_dispatch = False`` (the scheduling service): requests execute
   concurrently (a solve blocks its handler thread for seconds); only op
   bookkeeping takes the lock.  An op id that is *in flight* — a client
   resent a solve whose reply was lost while the original is still running —
@@ -24,8 +24,8 @@ choose a dispatch policy:
   reply, so one op never executes twice on the same server.
 
 The client-side helpers (:func:`knock`, :func:`raise_reply_error`) are the
-pieces :class:`~repro.distributed.client.RemoteStore` and the fabric client
-share: patient initial connects (a server mid-restart comes up within
+pieces :class:`~repro.distributed.client.RemoteStore` and
+:class:`repro.service.ScheduleClient` share: patient initial connects (a server mid-restart comes up within
 moments) and uniform error-reply raising (``AuthError`` gets its own class
 so callers can refuse to retry it).
 """
@@ -197,7 +197,7 @@ class RpcServer:
     ) -> None:
         self._token = token
         # Lock names are per-class so the racecheck ordering graph keeps the
-        # store server's dispatch lock distinct from the fabric's.
+        # store server's dispatch lock distinct from the service's.
         self._lock = racecheck.tracked_lock(f"rpc.dispatch.{type(self).__name__}")
         self._ops = _OpCache()
         # Op ids currently executing on the concurrent path: a resent op
@@ -277,7 +277,7 @@ class RpcServer:
             self._on_shutdown()
 
     def _on_shutdown(self) -> None:
-        """Release subclass-owned resources (store, solver pool, ...)."""
+        """Release subclass-owned resources (store, executors, ...)."""
 
     def __enter__(self) -> "RpcServer":
         return self

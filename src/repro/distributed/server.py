@@ -12,7 +12,7 @@ IMMEDIATE`` claim semantics hold unchanged.
 
 The transport skeleton — threaded TCP listener, per-connection handler
 loop, token auth, op-id replay, graceful shutdown — is the shared
-:class:`~repro.distributed.rpc.RpcServer`; the solver fabric servers ride
+:class:`~repro.distributed.rpc.RpcServer`; the scheduling service rides
 the same base.  See that module for the failure semantics (structured
 error replies, AuthError connection drops, replay of recorded op replies)
 that make client retry after a lost reply safe: a retried ``complete()``

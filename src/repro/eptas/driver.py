@@ -32,12 +32,7 @@ from ..core.result import SolverResult, timed_solver_result
 from ..core.schedule import Schedule
 from .classification import classify_bags, classify_jobs
 from .large_jobs import place_large_and_medium
-from .milp import (
-    ConfigurationModel,
-    ConfigurationSolution,
-    build_configuration_milp,
-    solve_configuration_milp,
-)
+from .milp import build_configuration_milp, solve_configuration_milp
 from .params import EptasConfig
 from .patterns import collect_entry_types, enumerate_patterns
 from .repair import resolve_conflicts
@@ -84,24 +79,17 @@ class AttemptReport:
         }
 
 
-@dataclass(slots=True)
-class _PreparedGuess:
-    """Everything of one decision step up to (but excluding) the MILP solve."""
-
-    guess: float
-    report: AttemptReport
-    record: Any  # TransformationRecord
-    transformed_job_classes: Any  # JobClasses
-    bag_classes: Any  # BagClasses
-    constants: Any  # DerivedConstants
-    patterns: Any  # PatternSet
-    configuration: ConfigurationModel
-
-
-def _prepare_guess(
+def solve_for_guess(
     instance: Instance, guess: float, config: EptasConfig
-) -> _PreparedGuess:
-    """Scale, classify, transform, enumerate patterns and assemble the MILP."""
+) -> tuple[Schedule | None, AttemptReport]:
+    """Run one decision step of the dual approximation.
+
+    Scales, classifies, transforms, enumerates patterns and solves the
+    configuration MILP; when it is feasible, places, repairs and reverts.
+    Returns a feasible schedule of the *original* instance with makespan at
+    most ``(1 + O(eps)) * guess`` when the configuration MILP admits a
+    solution for the guess, and ``None`` otherwise.
+    """
     report = AttemptReport(guess=guess, feasible=False)
     eps = config.eps
 
@@ -147,34 +135,8 @@ def _prepare_guess(
     report.integer_variables = int(summary.get("integer_variables", 0))
     report.continuous_variables = int(summary.get("continuous_variables", 0))
     report.constraints = int(summary.get("constraints", 0))
-    return _PreparedGuess(
-        guess=guess,
-        report=report,
-        record=record,
-        transformed_job_classes=transformed_job_classes,
-        bag_classes=bag_classes,
-        constants=constants,
-        patterns=patterns,
-        configuration=configuration,
-    )
 
-
-def _complete_guess(
-    instance: Instance,
-    prepared: _PreparedGuess,
-    solution: ConfigurationSolution,
-    *,
-    validate_intermediate: bool = False,
-) -> tuple[Schedule | None, AttemptReport]:
-    """Interpret a solved configuration MILP: placement, repair, revert."""
-    report = prepared.report
-    record = prepared.record
-    transformed = record.transformed
-    transformed_job_classes = prepared.transformed_job_classes
-    bag_classes = prepared.bag_classes
-    constants = prepared.constants
-    patterns = prepared.patterns
-
+    solution = solve_configuration_milp(configuration, config=config)
     report.details["milp_status"] = solution.status.value
     if "telemetry" in solution.milp_diagnostics:
         report.details["milp_telemetry"] = solution.milp_diagnostics["telemetry"]
@@ -198,7 +160,7 @@ def _complete_guess(
     )
     report.details.update(small_diag.to_dict())
 
-    if validate_intermediate:
+    if config.validate_intermediate:
         placement.schedule.validate(require_complete=False)
 
     repair_diag = resolve_conflicts(
@@ -224,32 +186,20 @@ def _complete_guess(
     return final, report
 
 
-def solve_for_guess(
-    instance: Instance, guess: float, config: EptasConfig
-) -> tuple[Schedule | None, AttemptReport]:
-    """Run one decision step of the dual approximation.
-
-    Returns a feasible schedule of the *original* instance with makespan at
-    most ``(1 + O(eps)) * guess`` when the configuration MILP admits a
-    solution for the guess, and ``None`` otherwise.
-    """
-    prepared = _prepare_guess(instance, guess, config)
-    solution = solve_configuration_milp(prepared.configuration, config=config)
-    return _complete_guess(
-        instance, prepared, solution, validate_intermediate=config.validate_intermediate
-    )
-
-
 def eptas_schedule(
     instance: Instance,
-    eps: float = 0.5,
+    eps: float | None = None,
     *,
     config: EptasConfig | None = None,
 ) -> SolverResult:
-    """The paper's EPTAS: a (1 + O(eps))-approximation for ``P | bag | C_max``."""
+    """The paper's EPTAS: a (1 + O(eps))-approximation for ``P | bag | C_max``.
+
+    ``eps=None`` takes ``config.eps``, or 0.5 without a config; an explicit
+    ``eps`` overrides the config's.
+    """
     if config is None:
-        config = EptasConfig(eps=eps)
-    elif config.eps != eps:
+        config = EptasConfig() if eps is None else EptasConfig(eps=eps)
+    elif eps is not None and config.eps != eps:
         config = replace(config, eps=eps)
     config = config.normalised()
     diagnostics: dict[str, Any] = {}
@@ -269,6 +219,7 @@ def eptas_schedule(
 
         best_schedule = greedy
         best_makespan = upper
+        best_attempt: dict[str, Any] | None = None
         attempts: list[dict[str, Any]] = []
 
         if lower <= 0:
@@ -304,6 +255,7 @@ def eptas_schedule(
                 if schedule.makespan() < best_makespan - 1e-12:
                     best_schedule = schedule
                     best_makespan = schedule.makespan()
+                    best_attempt = attempts[-1]
                 high = min(high, guess)
                 if guess <= low * (1.0 + 1e-12):
                     break
@@ -319,22 +271,25 @@ def eptas_schedule(
         diagnostics["search_iterations"] = iterations
         diagnostics["attempts"] = attempts
         diagnostics["best_makespan"] = best_makespan
-        if attempts:
-            last_feasible = [a for a in attempts if a["feasible"]]
-            if last_feasible:
-                final_attempt = last_feasible[-1]
-                for key in (
-                    "num_patterns",
-                    "integer_variables",
-                    "continuous_variables",
-                    "constraints",
-                    "k",
-                    "num_priority_bags",
-                    "num_non_priority_bags",
-                    "large_swaps",
-                    "repair_conflicts",
-                ):
-                    diagnostics[key] = final_attempt.get(key)
+        # Describe the attempt whose schedule is returned; when the greedy
+        # schedule is, fall back to the last feasible attempt, if any.
+        summary_attempt = best_attempt
+        if summary_attempt is None:
+            feasible = [a for a in attempts if a["feasible"]]
+            summary_attempt = feasible[-1] if feasible else None
+        if summary_attempt is not None:
+            for key in (
+                "num_patterns",
+                "integer_variables",
+                "continuous_variables",
+                "constraints",
+                "k",
+                "num_priority_bags",
+                "num_non_priority_bags",
+                "large_swaps",
+                "repair_conflicts",
+            ):
+                diagnostics[key] = summary_attempt.get(key)
         return best_schedule
 
     return timed_solver_result(

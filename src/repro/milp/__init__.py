@@ -11,8 +11,7 @@ package substitutes two interchangeable exact oracles:
 Backend selection, validation and dispatch live in :mod:`repro.solver`
 (see ``docs/solver-backends.md``): backends register against a pluggable
 registry, and every solve flows through the :class:`repro.solver.SolverService`
-facade — optionally onto an async subprocess solver pool.
-:func:`solve_model` remains as a thin convenience shim over that service.
+facade.  :func:`solve_model` remains as a thin convenience shim over that service.
 """
 
 from __future__ import annotations

@@ -121,19 +121,16 @@ class CompiledModel:
 class SolveTelemetry:
     """Uniform per-solve telemetry attached by the solver service.
 
-    Every solve that goes through :class:`repro.solver.SolverService` —
-    inline, pooled, or on a remote fabric endpoint — carries one of these:
-    wall time, terminal status, the backend *fingerprint* (name + version +
-    option digest, the cache identity from the registry), whether the solve
-    ran on a subprocess solver server, and that server's pid when it did.
+    Every solve that goes through :class:`repro.solver.SolverService`
+    carries one of these: wall time, terminal status and the backend
+    *fingerprint* (name + version + option digest, the cache identity from
+    the registry).
 
-    ``wall_time`` is the solve's own wall clock (backend time on whichever
-    process ran it).  The split fields break a pooled/fabric solve down:
-    ``queue_wait_s`` is the time between submission and dispatch onto a
-    solver server, ``solve_s`` the backend solve time on that server, and
-    ``wire_s`` the transport overhead of a remote (fabric) solve —
-    round-trip minus the server-side queue and solve time.  ``endpoint``
-    names the serving fabric endpoint (``None`` for inline/local solves).
+    Solves run inline, so ``solve_s`` equals ``wall_time``, ``queue_wait_s``
+    is 0 and ``pooled``, ``server_pid``, ``wire_s`` and ``endpoint`` keep
+    their defaults.  The fields stay because results stored by earlier
+    versions, which could route solves to subprocess or remote solver
+    servers, carry them.
     """
 
     backend: str

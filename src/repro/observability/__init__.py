@@ -4,8 +4,7 @@ Three pieces, layered:
 
 * :mod:`repro.observability.metrics` — a cheap process-local registry of
   counters/gauges/histograms, instrumented through the distributed
-  server/client, the solver fabric, the scheduling service and the
-  runner/store hot paths.
+  server/client, the scheduling service and the runner/store hot paths.
 * :mod:`repro.observability.events` — structured trace spans correlated
   by the wire op-ids, journaled into the store's ``events`` table so
   traces cross process boundaries and survive restarts.

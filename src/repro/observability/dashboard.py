@@ -42,7 +42,7 @@ __all__ = [
     "build_snapshot",
 ]
 
-# Default HTTP port; store serve=7479, fabric=7480, schedule service=7481.
+# Default HTTP port; store serve=7479, schedule service=7481.
 DEFAULT_DASHBOARD_PORT = 7482
 
 # How many journaled spans a snapshot carries by default: enough to show

@@ -9,10 +9,6 @@ through the module-level singleton:
   ``rpc.frames_out``/``rpc.op_replays`` on the server,
   ``remote_store.calls``/``remote_store.bytes_out``/
   ``remote_store.reconnects``/``remote_store.retries`` on the client.
-* ``repro.solver.fabric`` — ``fabric.submitted``/``fabric.completed``/
-  ``fabric.memo_hits``/``fabric.steals``/``fabric.duplicates_dropped``,
-  the ``fabric.server.active`` queue-depth gauge and per-endpoint
-  ``fabric.endpoint_rate.*`` EWMA gauges.
 * ``repro.service`` — ``service.requests``/``service.admitted``/
   ``service.rejected``/``service.cache_hits``/``service.solves`` mirrors
   of the journaled telemetry counters plus the
@@ -31,7 +27,7 @@ is a number; :meth:`MetricsRegistry.snapshot` must serialise with a plain
 literals passed to the emission helpers), and **dependency-free**.
 
 The registry lock is a :func:`repro.analysis.racecheck.tracked_lock` leaf:
-metric bumps happen under dispatch/fabric/service locks all over the
+metric bumps happen under dispatch/service/store locks all over the
 stack, and never acquire anything else while held, so the order graph
 gains only inbound edges.
 """

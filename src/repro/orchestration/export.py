@@ -132,7 +132,8 @@ def format_solver_telemetry(totals: dict[str, Any]) -> str:
         f"({totals['pooled_solves']} pooled), "
         f"{totals['wall_time']:.2f}s solver wall time"
     )
-    # The split only exists for pooled/fabric solves; a purely inline run
+    # Only results stored by earlier versions, which could run solves on
+    # subprocess or remote solver servers, carry a split; an inline run
     # would print an all-zero breakdown nobody asked for.
     if totals["queue_wait_s"] or totals["wire_s"]:
         text += (

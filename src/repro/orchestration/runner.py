@@ -26,20 +26,11 @@ drain against a store that was seeded elsewhere.  :func:`run_pool` is the
 seed-plan-drain pipeline and stays local-only (it rejects remote targets):
 grids are expanded and planned once, where the file lives.
 
-Solver servers: with ``solver_servers > 0`` each worker process installs a
-shared :class:`repro.solver.SolverPool` of that many subprocess solver
-servers around its claim–execute loop, so the MILP solves inside a cell can
-overlap instead of blocking the worker (``repro orch run --solver-servers
-N``).  With ``solver_connect`` the worker instead routes its MILP solves
-over a :class:`repro.solver.SolverFabric` of remote solver endpoints
-(``repro orch solver-serve`` processes on any machines; ``--solver-connect
-HOST:PORT[,HOST:PORT...]``) — least-loaded routing, content-hash result
-memoisation, and exactly-once work-stealing around endpoint failures; a
-nonzero ``solver_servers`` then contributes a local pool as one more
-endpoint.  The per-cell solver telemetry delta (solve count, wall time,
-queue-wait/solve/wire split, backend fingerprints, serving endpoints) is
-attached to every result under ``_solver_telemetry`` and surfaced by
-``repro orch export`` and ``repro orch status``.
+Solver telemetry: every MILP a cell solves runs inline through the
+current :class:`repro.solver.SolverService`.  The per-cell delta of its
+counters (solve count, wall time, backend fingerprints) is attached to every
+result under ``_solver_telemetry`` and surfaced by ``repro orch export`` and
+``repro orch status``.
 
 Scheduling: ``run_pool`` plans before it drains (``plan=True``): the
 :mod:`~repro.orchestration.planner` hoists shared prerequisites and the
@@ -74,7 +65,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Sequence
 
 from ..observability import events, metrics
-from ..solver import get_solver_service, solver_service_scope
+from ..solver import get_solver_service
 from . import registry
 from .cache import cache_scope
 from .planner import PREREQ_EXPERIMENT, replan
@@ -215,8 +206,6 @@ def run_worker(
     worker_tag: str,
     *,
     use_cache: bool = True,
-    solver_servers: int = 0,
-    solver_connect: str | Sequence[str] | None = None,
     stale_after: float = 600.0,
     replan_every: int = 0,
     fifo_every: int | None = None,
@@ -229,9 +218,6 @@ def run_worker(
     persistent result cache is the *server's* cache table, reached over the
     same connection as the claims (``token`` authenticates every request).
 
-    ``solver_servers > 0`` installs a shared subprocess solver pool for the
-    lifetime of the loop: every MILP solved by any cell this worker executes
-    goes through the same pool of long-lived solver servers.
     ``stale_after`` bounds how long the loop waits on a dependency-blocking
     row claimed by a worker that may have died before reclaiming it.
 
@@ -264,9 +250,7 @@ def run_worker(
     # leave the process-global cache pointed at this store after returning;
     # a None target pins the persistent layer (and its env fallback) off, so
     # use_cache=False cannot be overridden by REPRO_CACHE_DB.
-    with store, cache_scope(cache_target), solver_service_scope(
-        solver_servers, solver_connect, token=token
-    ) as solver_service:
+    with store, cache_scope(cache_target):
         while True:
             claim_started = time.perf_counter()
             claimed = store.claim_next(worker_tag, experiments)
@@ -289,6 +273,7 @@ def run_worker(
             # server.dispatch → worker.cell in the journaled trace.
             claim_op = getattr(store, "last_op", None)
             start = time.perf_counter()
+            solver_service = get_solver_service()
             solver_before = solver_service.stats()
             try:
                 result = registry.execute_cell(claimed.experiment, claimed.params)
@@ -386,8 +371,6 @@ def _drain(
     report: RunReport,
     *,
     use_cache: bool,
-    solver_servers: int,
-    solver_connect: str | Sequence[str] | None,
     stale_after: float,
     replan_every: int,
     fifo_every: int | None,
@@ -411,8 +394,6 @@ def _drain(
                 claim_names,
                 f"w0.{fleet}",
                 use_cache=use_cache,
-                solver_servers=solver_servers,
-                solver_connect=solver_connect,
                 stale_after=stale_after,
                 replan_every=replan_every,
                 fifo_every=fifo_every,
@@ -428,8 +409,6 @@ def _drain(
                 claim_names,
                 f"w{i}.{fleet}",
                 use_cache=use_cache,
-                solver_servers=solver_servers,
-                solver_connect=solver_connect,
                 stale_after=stale_after,
                 replan_every=replan_every,
                 fifo_every=fifo_every,
@@ -448,8 +427,6 @@ def run_workers(
     workers: int = 2,
     stale_after: float = 600.0,
     use_cache: bool = True,
-    solver_servers: int = 0,
-    solver_connect: str | Sequence[str] | None = None,
     replan_every: int = DEFAULT_REPLAN_EVERY,
     fifo_every: int | None = None,
     token: str | None = None,
@@ -481,8 +458,6 @@ def run_workers(
             claim_names,
             report,
             use_cache=use_cache,
-            solver_servers=solver_servers,
-            solver_connect=solver_connect,
             stale_after=stale_after,
             replan_every=replan_every,
             fifo_every=fifo_every,
@@ -502,9 +477,6 @@ def run_pool(
     do_populate: bool | None = None,
     stale_after: float = 600.0,
     use_cache: bool = True,
-    solver_servers: int = 0,
-    solver_connect: str | Sequence[str] | None = None,
-    solver_token: str | None = None,
     plan: bool = True,
     replan_every: int = DEFAULT_REPLAN_EVERY,
     fifo_every: int | None = None,
@@ -519,14 +491,6 @@ def run_pool(
     ``stale_after`` is the age in seconds beyond which a ``running`` row is
     considered orphaned by a dead worker and reclaimed; pass ``0`` to
     reclaim all running rows (safe when no other runner shares the file).
-    ``solver_servers`` gives every worker its own pool of that many
-    subprocess solver servers (0 = inline solves, the default).
-    ``solver_connect`` routes every worker's MILP solves over a
-    :class:`repro.solver.SolverFabric` of remote solver endpoints instead
-    (``repro orch solver-serve`` processes, authenticated by
-    ``solver_token``); combined with ``solver_servers`` each worker also
-    contributes a local pool of that size as one more fabric endpoint.
-    The store itself stays local either way.
 
     ``plan=True`` (the default, applied when explicit names are given) runs
     the dependency-aware planner before draining: shared prerequisites are
@@ -595,12 +559,9 @@ def run_pool(
             claim_names,
             report,
             use_cache=use_cache,
-            solver_servers=solver_servers,
-            solver_connect=solver_connect,
             stale_after=stale_after,
             replan_every=replan_every,
             fifo_every=fifo_every,
-            token=solver_token,
         )
     report.wall_time = time.perf_counter() - start
     return report

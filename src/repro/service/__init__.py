@@ -7,9 +7,9 @@ accepts arbitrary scheduling instances, probes the content-hash result
 cache, gates admission on a :class:`~repro.orchestration.scheduling.CostModel`
 duration prediction, journals accepted requests into an
 :class:`~repro.orchestration.store.ExperimentStore` (the ``service``
-namespace), and executes them on a pool of executor threads — through a
-local :class:`~repro.solver.SolverService` pool or remote fabric endpoints
-when the CLI installs one.  See ``docs/scheduling-service.md``.
+namespace), and executes them on a pool of executor threads, each solving
+inline through the current :class:`~repro.solver.SolverService`.  See
+``docs/scheduling-service.md``.
 """
 
 from .client import ScheduleClient, ScheduleConnectionError

@@ -1,25 +1,15 @@
 """Pluggable solver service layer (see docs/solver-backends.md).
 
-Three pieces:
+Two pieces:
 
 * :mod:`repro.solver.registry` — the :class:`SolverBackend` protocol, the
   process-global backend registry (``register_backend`` /
   ``resolve_backend``) and validated :class:`BackendSpec` references with
   cache fingerprints.
-* :mod:`repro.solver.pool` — an async subprocess solver pool: N long-lived
-  solver server processes behind a futures ``submit()`` / ``solve_many()``
-  API with per-solve hard timeouts, cancellation and crash-recovery
-  restarts.
 * :mod:`repro.solver.service` — the :class:`SolverService` facade the whole
-  repository calls through; attaches uniform telemetry to every solution
-  and routes batches onto the pool when one is installed
-  (:func:`pooled_service_scope` / :func:`solver_service_scope`).
-* :mod:`repro.solver.fabric` — the remote solver fabric: solver servers any
-  host runs (``repro orch solver-serve``) and the :class:`SolverFabric`
-  client that routes solves across them with least-loaded EWMA scheduling,
-  a content-hash result memo, and exactly-once work-stealing around dead or
-  wedged endpoints.  Imported lazily: plain single-host runs never touch
-  the networking stack.
+  repository calls through; it solves inline and attaches uniform telemetry
+  to every solution.  :func:`service_scope` installs a substitute service
+  for a scope.
 
 :func:`repro.milp.solve_model` is a thin shim over this package; no other
 call site dispatches on raw backend strings.
@@ -27,15 +17,6 @@ call site dispatches on raw backend strings.
 
 from __future__ import annotations
 
-from .pool import (
-    PoolStats,
-    SolveRequest,
-    SolverBackendError,
-    SolverPool,
-    SolverPoolError,
-    SolverPoolTimeoutError,
-    SolverServerCrashError,
-)
 from .registry import (
     BackendSpec,
     SolverBackend,
@@ -45,57 +26,17 @@ from .registry import (
     resolve_backend,
     unregister_backend,
 )
-from .service import (
-    SolverService,
-    get_solver_service,
-    pooled_service_scope,
-    service_scope,
-    solver_service_scope,
-)
-
-_FABRIC_NAMES = frozenset(
-    {
-        "DEFAULT_SOLVER_PORT",
-        "FabricStats",
-        "SolverFabric",
-        "SolverFabricError",
-        "SolverFabricServer",
-    }
-)
+from .service import SolverService, get_solver_service, service_scope
 
 __all__ = [
     "BackendSpec",
-    "DEFAULT_SOLVER_PORT",
-    "FabricStats",
-    "PoolStats",
-    "SolveRequest",
     "SolverBackend",
-    "SolverBackendError",
-    "SolverFabric",
-    "SolverFabricError",
-    "SolverFabricServer",
-    "SolverPool",
-    "SolverPoolError",
-    "SolverPoolTimeoutError",
-    "SolverServerCrashError",
     "SolverService",
     "available_backends",
     "backend_fingerprint",
     "get_solver_service",
-    "pooled_service_scope",
     "register_backend",
     "resolve_backend",
     "service_scope",
-    "solver_service_scope",
     "unregister_backend",
 ]
-
-
-def __getattr__(name: str) -> object:
-    # Fabric symbols resolve lazily so importing repro.solver stays free of
-    # the sockets/select machinery for single-host runs.
-    if name in _FABRIC_NAMES:
-        from . import fabric
-
-        return getattr(fabric, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -192,8 +192,38 @@ class TestBinarySearch:
         assert result.makespan == pytest.approx(makespan, rel=1e-12)
         assert_feasible(result.schedule)
 
+        # The summary keys describe the attempt whose schedule is returned:
+        # the first feasible attempt with the smallest makespan.
+        returned = min(
+            (attempt for attempt in attempts if attempt["feasible"]),
+            key=lambda attempt: attempt["makespan"],
+        )
+        assert returned["makespan"] == result.makespan
+        for key in (
+            "num_patterns",
+            "integer_variables",
+            "continuous_variables",
+            "constraints",
+            "k",
+            "num_priority_bags",
+            "num_non_priority_bags",
+            "large_swaps",
+            "repair_conflicts",
+        ):
+            assert diagnostics[key] == returned[key], key
+
 
 class TestConfigurations:
+    def test_eps_defaults_to_the_configs(self):
+        instance = Instance.from_sizes(
+            [3.0, 2.0, 2.0, 1.0], bags=[0, 1, 1, 2], num_machines=2
+        )
+        config = EptasConfig(eps=0.25)
+        assert eptas_schedule(instance, config=config).params["eps"] == 0.25
+        assert eptas_schedule(instance).params["eps"] == 0.5
+        # An explicit eps still overrides the config's.
+        assert eptas_schedule(instance, 0.5, config=config).params["eps"] == 0.5
+
     def test_theory_mode_on_tiny_instance(self):
         # Theory constants are astronomically large in general; on a tiny
         # instance with a single large size they stay manageable and the

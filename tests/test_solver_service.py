@@ -17,7 +17,6 @@ from repro.milp import LinearModel, MilpSolution, SolutionStatus, solve_model
 from repro.orchestration.cache import cache_key
 from repro.solver import (
     BackendSpec,
-    SolveRequest,
     available_backends,
     backend_fingerprint,
     get_solver_service,
@@ -132,12 +131,6 @@ class TestServiceTelemetry:
         assert not solution.telemetry.pooled
         assert solution.telemetry.wall_time >= 0.0
 
-    def test_solve_many_without_pool_is_sequential_and_ordered(self):
-        service = get_solver_service()
-        requests = [SolveRequest(model=_model(target)) for target in (1.5, 2.5, 0.5)]
-        solutions = service.solve_many(requests)
-        assert [s.value("x") for s in solutions] == [2.0, 3.0, 1.0]
-
     def test_stats_delta(self):
         service = get_solver_service()
         before = service.stats()
@@ -182,21 +175,6 @@ class TestDriverErrorDegradation:
         result = eptas_schedule(instance, eps=0.5, config=config)
         result.schedule.validate(require_complete=True)
         assert "limit_errors" in result.diagnostics
-
-    def test_solve_many_return_exceptions(self):
-        service = get_solver_service()
-        bad = SolveRequest(
-            model=_model(),
-            spec=BackendSpec.make("bnb", max_nodes=0, raise_on_limit=True),
-        )
-        good = SolveRequest(model=_model(2.5))
-        from repro.core.errors import SolverLimitError
-
-        results = service.solve_many([bad, good], return_exceptions=True)
-        assert isinstance(results[0], SolverLimitError)
-        assert results[1].value("x") == 3.0
-        with pytest.raises(SolverLimitError):
-            service.solve_many([bad, good])
 
 
 class TestRunnerTelemetryAttach:
