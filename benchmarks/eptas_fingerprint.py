@@ -1,0 +1,95 @@
+"""Identity fingerprint of ``eptas_schedule`` on the EPTAS benchmark workloads.
+
+Usage, from the root of a checkout::
+
+    PYTHONPATH=src python3 benchmarks/eptas_fingerprint.py --seed 1 [--size smoke]
+
+For every instance of the three workloads of ``eptas_bench/workloads.py`` it
+prints the makespan's ``repr``, the sha256 of the sorted assignment and one
+sha256 per configuration MILP solved in the call.  A change that must leave
+schedules and models byte-identical is checked by fingerprinting both sides
+with this one script and comparing the output::
+
+    PYTHONPATH=/path/to/old/src python3 benchmarks/eptas_fingerprint.py --seed 1 > old.txt
+    PYTHONPATH=src python3 benchmarks/eptas_fingerprint.py --seed 1 > new.txt
+    diff old.txt new.txt
+
+``repro`` comes from ``PYTHONPATH``, so the script fingerprints whichever
+checkout that names.  Models are hashed by a solver service installed with
+``service_scope``, so the script runs the program's own pipeline and copies
+none of it.  The output is not a golden file: another HiGHS version may pick
+another optimal solution, and with it another schedule.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+from pathlib import Path
+from typing import Any
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "eptas_bench"))
+
+from repro.eptas import eptas_schedule  # noqa: E402
+from repro.milp.model import CompiledModel, LinearModel  # noqa: E402
+from repro.solver.service import SolverService, service_scope  # noqa: E402
+from workloads import WORKLOADS, build_instance  # noqa: E402
+
+
+def model_digest(compiled: CompiledModel) -> str:
+    """sha256 over names, objective, bounds, integrality, CSR arrays and rhs."""
+    digest = hashlib.sha256("\n".join(compiled.variable_names).encode())
+    for vector in (compiled.objective, compiled.lower, compiled.upper, compiled.integrality):
+        digest.update(np.ascontiguousarray(vector, dtype=np.float64).tobytes())
+    for matrix, rhs in ((compiled.a_ub, compiled.b_ub), (compiled.a_eq, compiled.b_eq)):
+        digest.update(np.asarray(matrix.shape, dtype=np.int64).tobytes())
+        digest.update(np.ascontiguousarray(matrix.indptr, dtype=np.int64).tobytes())
+        digest.update(np.ascontiguousarray(matrix.indices, dtype=np.int64).tobytes())
+        digest.update(np.ascontiguousarray(matrix.data, dtype=np.float64).tobytes())
+        digest.update(np.ascontiguousarray(rhs, dtype=np.float64).tobytes())
+    return digest.hexdigest()
+
+
+def assignment_digest(assignment: dict[int, int]) -> str:
+    text = ",".join(f"{job_id}:{machine}" for job_id, machine in sorted(assignment.items()))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class _HashingService(SolverService):
+    """Inline solver service that records the digest of every model it solves."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.digests: list[str] = []
+
+    def solve(self, model: LinearModel | CompiledModel, **kwargs: Any) -> Any:
+        compiled = model.compile() if isinstance(model, LinearModel) else model
+        self.digests.append(model_digest(compiled))
+        return super().solve(compiled, **kwargs)
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--size", choices=("full", "smoke"), default="full")
+    args = parser.parse_args(argv)
+    for workload_name, workload in WORKLOADS.items():
+        specs = workload.smoke if args.size == "smoke" else workload.specs
+        for spec in specs:
+            service = _HashingService()
+            with service_scope(service):
+                result = eptas_schedule(build_instance(spec, args.seed), spec.eps)
+            print(
+                f"{workload_name} {spec.name} makespan={result.makespan!r} "
+                f"assignment={assignment_digest(result.schedule.assignment)}"
+            )
+            for digest in service.digests:
+                print(f"  milp {digest}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -105,6 +105,9 @@ def bag_lpt(
         machine: float(initial_loads.get(machine, 0.0)) for machine in machine_list
     }
     assignment: dict[int, Hashable] = {}
+    # Ties in load are broken by the machine's string form.  Python's sort is
+    # stable, so sorting this name order by load alone gives that order.
+    by_name = sorted(machine_list, key=str)
     for bag_index, bag in enumerate(bags):
         if len(bag) > len(machine_list):
             raise AlgorithmError(
@@ -114,7 +117,7 @@ def bag_lpt(
         # Largest job onto least loaded machine, 2nd largest onto 2nd least
         # loaded, and so on (ties broken deterministically by identifier).
         sorted_jobs = sorted(bag, key=lambda job: (-job.size, job.id))
-        sorted_machines = sorted(machine_list, key=lambda machine: (loads[machine], str(machine)))
+        sorted_machines = sorted(by_name, key=loads.__getitem__)
         for job, machine in zip(sorted_jobs, sorted_machines):
             assignment[job.id] = machine
             loads[machine] += job.size

@@ -23,6 +23,15 @@ from .job import Job
 __all__ = ["Schedule", "Conflict", "ValidationReport"]
 
 
+def _columns(assignment: Mapping[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Job ids and machines of an assignment as arrays, in its order."""
+    count = len(assignment)
+    return (
+        np.fromiter(assignment, dtype=np.int64, count=count),
+        np.fromiter(assignment.values(), dtype=np.int64, count=count),
+    )
+
+
 @dataclass(frozen=True, slots=True)
 class Conflict:
     """A violation of the bag constraint: two jobs of one bag on one machine."""
@@ -215,11 +224,26 @@ class Schedule:
     # Loads and makespan
     # ------------------------------------------------------------------
     def loads(self) -> np.ndarray:
-        """Vector of machine loads (length ``m``)."""
-        loads = np.zeros(self._instance.num_machines, dtype=float)
-        for job_id, machine in self._assignment.items():
-            loads[machine] += self._instance.job(job_id).size
-        return loads
+        """Vector of machine loads (length ``m``).
+
+        Sizes are added in assignment order, so every load is the float a
+        job-by-job sum gives.  A job on a machine outside ``[0, m)`` raises
+        :class:`InvalidScheduleError`.
+        """
+        num_machines = self._instance.num_machines
+        ids, machines = _columns(self._assignment)
+        outside = np.flatnonzero((machines < 0) | (machines >= num_machines))
+        if outside.size:
+            position = outside[0]
+            raise InvalidScheduleError(
+                f"cannot compute loads: job {ids[position]} is on machine "
+                f"{machines[position]}, outside [0, {num_machines})"
+            )
+        job = self._instance.job
+        sizes = np.fromiter(
+            (job(job_id).size for job_id in self._assignment), dtype=float, count=len(ids)
+        )
+        return np.bincount(machines, weights=sizes, minlength=num_machines)
 
     def load(self, machine: int) -> float:
         """Load of a single machine."""
@@ -257,23 +281,63 @@ class Schedule:
     # ------------------------------------------------------------------
     # Feasibility
     # ------------------------------------------------------------------
+    def _known_assignment(self) -> dict[int, int]:
+        """The assignment without the job ids the instance does not know."""
+        instance = self._instance
+        if all(map(instance.__contains__, self._assignment)):
+            return self._assignment
+        return {
+            job_id: machine
+            for job_id, machine in self._assignment.items()
+            if job_id in instance
+        }
+
+    def _sorted_pairs(
+        self, known: Mapping[int, int]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Ids, machines and bags of ``known`` sorted by ``(machine, bag, id)``.
+
+        The fourth array marks, from the second position on, each entry whose
+        ``(machine, bag)`` pair equals the previous entry's.
+        """
+        job = self._instance.job
+        ids, machines = _columns(known)
+        bags = np.fromiter(
+            (job(job_id).bag for job_id in known), dtype=np.int64, count=len(ids)
+        )
+        order = np.lexsort((ids, bags, machines))
+        ids, machines, bags = ids[order], machines[order], bags[order]
+        repeats = (machines[1:] == machines[:-1]) & (bags[1:] == bags[:-1])
+        return ids, machines, bags, repeats
+
+    def _conflicts_of(self, known: Mapping[int, int]) -> list[Conflict]:
+        ids, machines, bags, repeats = self._sorted_pairs(known)
+        others = np.flatnonzero(repeats) + 1
+        if not others.size:
+            return []
+        # Every member of a (machine, bag) group after its first pairs with
+        # the first, which holds the group's smallest id.
+        starts = np.concatenate(([True], ~repeats))
+        first = np.maximum.accumulate(np.where(starts, np.arange(len(ids)), 0))
+        return [
+            Conflict(machine=machine, bag=bag, job_a=job_a, job_b=job_b)
+            for machine, bag, job_a, job_b in zip(
+                machines[others].tolist(),
+                bags[others].tolist(),
+                ids[first[others]].tolist(),
+                ids[others].tolist(),
+            )
+        ]
+
     def conflicts(self) -> list[Conflict]:
-        """Enumerate all bag-constraint violations in the current assignment."""
-        per_machine_bag: dict[tuple[int, int], list[int]] = {}
-        for job_id, machine in self._assignment.items():
-            bag = self._instance.job(job_id).bag
-            per_machine_bag.setdefault((machine, bag), []).append(job_id)
-        found: list[Conflict] = []
-        for (machine, bag), job_ids in per_machine_bag.items():
-            if len(job_ids) > 1:
-                job_ids = sorted(job_ids)
-                anchor = job_ids[0]
-                for other in job_ids[1:]:
-                    found.append(
-                        Conflict(machine=machine, bag=bag, job_a=anchor, job_b=other)
-                    )
-        found.sort(key=lambda c: (c.machine, c.bag, c.job_a, c.job_b))
-        return found
+        """Enumerate all bag-constraint violations in the current assignment.
+
+        Sorted by machine, bag and job ids.  Each group of ``j`` jobs of one
+        bag on one machine yields ``j - 1`` conflicts, all anchored at the
+        group's smallest id.  Job ids the instance does not know have no bag
+        and take part in no conflict.
+        """
+        return self._conflicts_of(self._known_assignment())
 
     def num_conflicts(self) -> int:
         """Number of bag-constraint violations."""
@@ -281,36 +345,25 @@ class Schedule:
 
     def is_conflict_free(self) -> bool:
         """``True`` when no machine holds two jobs of one bag."""
-        seen: set[tuple[int, int]] = set()
-        for job_id, machine in self._assignment.items():
-            key = (machine, self._instance.job(job_id).bag)
-            if key in seen:
-                return False
-            seen.add(key)
-        return True
+        return not self._sorted_pairs(self._known_assignment())[3].any()
 
     def validation_report(self) -> ValidationReport:
         """Full structural + feasibility report (never raises)."""
-        missing = tuple(
-            sorted(
-                job.id for job in self._instance.jobs if job.id not in self._assignment
+        instance = self._instance
+        known = self._known_assignment()
+        if len(known) == instance.num_jobs:
+            missing: tuple[int, ...] = ()
+        else:
+            missing = tuple(
+                sorted(job.id for job in instance.jobs if job.id not in known)
             )
-        )
-        unknown = tuple(
-            sorted(job_id for job_id in self._assignment if job_id not in self._instance)
-        )
-        invalid = tuple(
-            sorted(
-                job_id
-                for job_id, machine in self._assignment.items()
-                if not 0 <= machine < self._instance.num_machines
-            )
-        )
+        ids, machines = _columns(self._assignment)
+        outside = (machines < 0) | (machines >= instance.num_machines)
         return ValidationReport(
             missing_jobs=missing,
-            unknown_jobs=unknown,
-            invalid_machines=invalid,
-            conflicts=tuple(self.conflicts()),
+            unknown_jobs=tuple(sorted(self._assignment.keys() - known.keys())),
+            invalid_machines=tuple(np.sort(ids[outside]).tolist()),
+            conflicts=tuple(self._conflicts_of(known)),
         )
 
     def validate(self, *, require_complete: bool = True) -> "Schedule":

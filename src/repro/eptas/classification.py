@@ -17,8 +17,10 @@ Given the scaled-and-rounded instance (guessed optimum ``1``):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
+
+import numpy as np
 
 from ..core.instance import Instance
 from ..core.job import Job
@@ -37,10 +39,6 @@ __all__ = [
 SIZE_TOL = 1e-9
 
 
-def _sizes_equal(a: float, b: float) -> bool:
-    return abs(a - b) <= SIZE_TOL * max(1.0, abs(a), abs(b))
-
-
 def compute_k(instance: Instance, eps: float) -> int:
     """Lemma 1: find ``k`` with little work in the window ``[eps^{k+1}, eps^k)``.
 
@@ -56,14 +54,14 @@ def compute_k(instance: Instance, eps: float) -> int:
     budget = eps * eps * instance.num_machines
     best_k = 1
     best_mass = math.inf
+    sizes = instance.sizes
     for k in range(1, num_windows + 1):
         upper = eps**k
         lower = eps ** (k + 1)
-        mass = sum(
-            job.size
-            for job in instance.jobs
-            if lower - SIZE_TOL <= job.size < upper - SIZE_TOL * upper
-        )
+        in_window = (sizes >= lower - SIZE_TOL) & (sizes < upper - SIZE_TOL * upper)
+        # Built-in ``sum`` over the window's sizes in job order, so the float
+        # result is the same as summing job by job.
+        mass = sum(sizes[in_window].tolist())
         if mass <= budget + 1e-12:
             return k
         if mass < best_mass:
@@ -83,6 +81,10 @@ class JobClasses:
     large: frozenset[int]
     medium: frozenset[int]
     small: frozenset[int]
+    medium_or_large: frozenset[int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "medium_or_large", self.large | self.medium)
 
     def class_of(self, job: Job) -> str:
         if job.id in self.large:
@@ -99,10 +101,6 @@ class JobClasses:
 
     def is_small_size(self, size: float) -> bool:
         return size < self.medium_threshold - SIZE_TOL * self.medium_threshold
-
-    @property
-    def medium_or_large(self) -> frozenset[int]:
-        return self.large | self.medium
 
     def summary(self) -> dict[str, float | int]:
         return {
@@ -122,24 +120,20 @@ def classify_jobs(instance: Instance, eps: float, *, k: int | None = None) -> Jo
         k = compute_k(instance, eps)
     large_threshold = eps**k
     medium_threshold = eps ** (k + 1)
-    large: set[int] = set()
-    medium: set[int] = set()
-    small: set[int] = set()
-    for job in instance.jobs:
-        if job.size >= large_threshold - SIZE_TOL:
-            large.add(job.id)
-        elif job.size >= medium_threshold - SIZE_TOL:
-            medium.add(job.id)
-        else:
-            small.add(job.id)
+    ids = np.fromiter(
+        (job.id for job in instance.jobs), dtype=np.int64, count=instance.num_jobs
+    )
+    sizes = instance.sizes
+    is_large = sizes >= large_threshold - SIZE_TOL
+    is_medium = ~is_large & (sizes >= medium_threshold - SIZE_TOL)
     return JobClasses(
         eps=eps,
         k=k,
         large_threshold=large_threshold,
         medium_threshold=medium_threshold,
-        large=frozenset(large),
-        medium=frozenset(medium),
-        small=frozenset(small),
+        large=frozenset(ids[is_large].tolist()),
+        medium=frozenset(ids[is_medium].tolist()),
+        small=frozenset(ids[~(is_large | is_medium)].tolist()),
     )
 
 
@@ -181,12 +175,9 @@ def classify_bags(
     geometric count used in the proofs.
     """
     eps = job_classes.eps
-    jobs_by_id = {job.id: job for job in instance.jobs}
-
-    large_sizes = sorted(
-        {jobs_by_id[j].size for j in job_classes.large}
-    )
-    medium_sizes = sorted({jobs_by_id[j].size for j in job_classes.medium})
+    job = instance.job
+    large_sizes = sorted({job(j).size for j in job_classes.large})
+    medium_sizes = sorted({job(j).size for j in job_classes.medium})
 
     constants = derive_constants(
         eps,
@@ -201,13 +192,19 @@ def classify_bags(
 
     # Large bags: at least eps * m medium-or-large jobs.
     large_bag_threshold = eps * instance.num_machines
+    heavy_ids = job_classes.medium_or_large
     large_bags: set[int] = set()
     for bag, members in instance.bags().items():
-        heavy = sum(1 for job in members if job.id in job_classes.medium_or_large)
+        heavy = sum(1 for member in members if member.id in heavy_ids)
         if heavy >= large_bag_threshold - SIZE_TOL:
             large_bags.add(bag)
 
-    # Per-size orderings o_s over bags actually containing jobs of size s.
+    # Per-size orderings o_s over bags actually containing jobs of size s:
+    # bags by decreasing |B_l^s|, ties by index.
+    sizes = instance.sizes
+    bags = np.fromiter(
+        (member.bag for member in instance.jobs), dtype=np.int64, count=instance.num_jobs
+    )
     size_orderings: dict[float, tuple[int, ...]] = {}
     # The paper makes every large bag a priority bag so that non-priority bags
     # are provably small (needed by the worst-case proof of Lemma 3).  In
@@ -217,14 +214,12 @@ def classify_bags(
     # conflicts, and every returned schedule is validated (see DESIGN.md §4).
     priority: set[int] = set(large_bags) if mode is ConstantsMode.THEORY else set()
     for size in large_sizes:
-        counts: dict[int, int] = {}
-        for bag, members in instance.bags().items():
-            count = sum(1 for job in members if _sizes_equal(job.size, size))
-            if count > 0:
-                counts[bag] = count
-        ordering = tuple(
-            bag for bag, _ in sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+        # Sizes equal up to SIZE_TOL, relative to the larger of 1 and either size.
+        matches = np.abs(sizes - size) <= SIZE_TOL * np.maximum(
+            np.maximum(1.0, np.abs(sizes)), abs(size)
         )
+        bag_ids, counts = np.unique(bags[matches], return_counts=True)
+        ordering = tuple(bag_ids[np.lexsort((bag_ids, -counts))].tolist())
         size_orderings[size] = ordering
         priority.update(ordering[:b_prime])
 

@@ -16,7 +16,19 @@
    fallback, so a feasible schedule is always returned.
 
 Every schedule handed back to the caller is validated: complete and
-conflict-free on the *original* instance.
+conflict-free on the *original* instance.  A feasible guess runs three
+validations, one per distinct thing they check:
+
+* the placement on the transformed instance, after repair.  Its bags differ
+  from the original ones (fillers, companion bags), so no later check covers
+  it;
+* the final schedule on the original instance.  A failure here is an
+  :class:`~repro.core.errors.InvalidScheduleError`, which the search records
+  as an infeasible guess.  The reverted schedule on the rounded instance is
+  not validated separately: it has the same assignment, job ids, bags and
+  machine count, and validation never reads sizes;
+* the returned schedule in :func:`~repro.core.result.timed_solver_result`,
+  the only check on the greedy fallback.
 """
 
 from __future__ import annotations
@@ -174,7 +186,6 @@ def solve_for_guess(
 
     augmented_schedule = reinsert_medium_jobs(record, placement.schedule)
     final_scaled = revert_to_original(record, augmented_schedule)
-    final_scaled.validate(require_complete=True)
     report.details.update(record.diagnostics)
 
     # Map back to the original (unscaled) instance: job ids are identical,

@@ -200,13 +200,17 @@ def build_configuration_milp(
 
     # --- (5) at most x_p small jobs of a bag on pattern p, none if the
     #          pattern already carries the bag. ---------------------------
-    bags_with_small = sorted({small.bag for small in small_classes})
+    # ``small_classes`` is sorted by (bag, size), so the bags come in
+    # increasing order and each bag's classes by size.
+    classes_by_bag: dict[int, list[SmallClass]] = {}
+    for small in small_classes:
+        classes_by_bag.setdefault(small.bag, []).append(small)
     for index, pattern in enumerate(patterns.patterns):
-        for bag in bags_with_small:
+        for bag, classes in classes_by_bag.items():
             keys = [
-                (index, small.bag, small.size)
-                for small in small_classes
-                if small.bag == bag and (index, small.bag, small.size) in y_name
+                (index, bag, small.size)
+                for small in classes
+                if (index, bag, small.size) in y_name
             ]
             if not keys:
                 continue

@@ -60,12 +60,24 @@ class RoundedInstance:
         return makespan / self.scale
 
 
+def _round_scaled(instance: Instance, eps: float, scale: float, name: str) -> Instance:
+    """Replace every size ``s`` with ``round_up_to_power(s * scale, eps)``.
+
+    ``s * scale`` is the product :meth:`Instance.scaled` stores, so rounding
+    a scaled copy gives the same sizes bit for bit.
+    """
+    return instance.with_jobs(
+        (
+            job.with_size(round_up_to_power(job.size * scale, eps))
+            for job in instance.jobs
+        ),
+        name=name,
+    )
+
+
 def round_instance(instance: Instance, eps: float) -> Instance:
     """Round every job size of an instance up to a power of ``1 + eps``."""
-    return instance.with_jobs(
-        (job.with_size(round_up_to_power(job.size, eps)) for job in instance.jobs),
-        name=f"{instance.name}#rounded",
-    )
+    return _round_scaled(instance, eps, 1.0, f"{instance.name}#rounded")
 
 
 def scale_and_round(instance: Instance, eps: float, makespan_guess: float) -> RoundedInstance:
@@ -78,6 +90,5 @@ def scale_and_round(instance: Instance, eps: float, makespan_guess: float) -> Ro
     if makespan_guess <= 0:
         raise ValueError(f"makespan guess must be positive, got {makespan_guess}")
     scale = 1.0 / makespan_guess
-    scaled = instance.scaled(scale, name=f"{instance.name}#scaled")
-    rounded = round_instance(scaled, eps)
+    rounded = _round_scaled(instance, eps, scale, f"{instance.name}#scaled#rounded")
     return RoundedInstance(instance=rounded, original=instance, eps=eps, scale=scale)

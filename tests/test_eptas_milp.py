@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.baselines import lpt_schedule
+from repro.bounds import best_lower_bound
 from repro.core import Instance
 from repro.eptas import (
     EptasConfig,
@@ -17,8 +19,12 @@ from repro.eptas import (
     transform_instance,
     solve_configuration_milp,
 )
-from repro.generators import figure1_adversarial_instance, uniform_random_instance
-from repro.milp import SolutionStatus
+from repro.generators import (
+    clustered_sizes_instance,
+    figure1_adversarial_instance,
+    uniform_random_instance,
+)
+from repro.milp import LinearModel, SolutionStatus
 
 
 def _prepare(instance: Instance, eps: float = 0.25, guess: float | None = None, cap: int = 3):
@@ -122,3 +128,81 @@ class TestModelStructure:
         for small_class in model.small_classes:
             total = covered.get((small_class.bag, small_class.size), 0.0)
             assert total >= small_class.count - 1e-6
+
+
+def _reference_bagcap_rows(configuration, bag_classes) -> list[tuple[str, dict[str, float]]]:
+    """Oracle: rows (5) as the O(P*B*C) loop built them.
+
+    For every (pattern, bag) pair it scans all small classes for the bag's.
+    """
+    small_classes = configuration.small_classes
+    y_name, x_name = configuration.y_name, configuration.x_name
+    rows: list[tuple[str, dict[str, float]]] = []
+    bags_with_small = sorted({small.bag for small in small_classes})
+    for index, pattern in enumerate(configuration.patterns.patterns):
+        for bag in bags_with_small:
+            keys = [
+                (index, small.bag, small.size)
+                for small in small_classes
+                if small.bag == bag and (index, small.bag, small.size) in y_name
+            ]
+            if not keys:
+                continue
+            coefficients = {y_name[key]: 1.0 for key in keys}
+            uses = 1 if (bag in bag_classes.priority and pattern.uses_bag(bag)) else 0
+            coefficients[x_name[index]] = -(1.0 - uses)
+            rows.append((f"bagcap_{index}_{bag}", coefficients))
+    return rows
+
+
+def _rows(model: LinearModel) -> list[tuple]:
+    return [
+        (row.name, list(row.coefficients.items()), row.sense, row.rhs)
+        for row in model.constraints
+    ]
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [
+        clustered_sizes_instance(seed=3).instance,
+        uniform_random_instance(num_jobs=40, num_machines=5, num_bags=8, seed=4).instance,
+        figure1_adversarial_instance(num_machines=6).instance,
+    ],
+    ids=["clustered", "uniform", "figure1"],
+)
+def test_bagcap_rows_match_the_scan_over_all_classes(instance):
+    """Rows (5) of the first-guess model equal the oracle's, and so does the compiled model."""
+    eps = 0.5
+    guess = best_lower_bound(instance).best
+    *_, bag_classes, _constants, _patterns, configuration = _prepare(
+        instance, eps=eps, guess=guess
+    )
+    model = configuration.model
+    reference = LinearModel(model.name)
+    for variable in model.variables.values():
+        reference.add_variable(
+            variable.name,
+            lower=variable.lower,
+            upper=variable.upper,
+            integer=variable.is_integer,
+            objective=variable.objective,
+        )
+    for row in model.constraints:
+        if not row.name.startswith("bagcap_"):
+            reference.add_constraint(row.name, row.coefficients, row.sense, row.rhs)
+    expected_rows = _reference_bagcap_rows(configuration, bag_classes)
+    assert expected_rows
+    for name, coefficients in expected_rows:
+        reference.add_le(name, coefficients, 0.0)
+
+    assert _rows(model) == _rows(reference)
+    compiled, expected = model.compile(), reference.compile()
+    assert compiled.variable_names == expected.variable_names
+    for field in ("objective", "lower", "upper", "integrality", "b_ub", "b_eq"):
+        assert np.array_equal(getattr(compiled, field), getattr(expected, field)), field
+    for field in ("a_ub", "a_eq"):
+        matrix, wanted = getattr(compiled, field), getattr(expected, field)
+        assert matrix.shape == wanted.shape
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(matrix, part), getattr(wanted, part)), (field, part)

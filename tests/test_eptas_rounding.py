@@ -5,9 +5,13 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.bounds import best_lower_bound
 from repro.core import Instance
 from repro.eptas import round_instance, round_up_to_power, scale_and_round
+from repro.generators import generate
 
 
 class TestRoundUpToPower:
@@ -69,3 +73,43 @@ class TestScaleAndRound:
     def test_invalid_guess_rejected(self, uniform_instance):
         with pytest.raises(ValueError):
             scale_and_round(uniform_instance, 0.25, 0.0)
+
+
+def _assert_matches_two_step_rounding(instance: Instance, eps: float, guess: float) -> None:
+    """``scale_and_round`` equals scaling by ``1 / guess`` and then rounding.
+
+    Ids, bags and names match, and every size matches bit for bit.
+    """
+    rounded = scale_and_round(instance, eps, guess).instance
+    two_step = round_instance(
+        instance.scaled(1 / guess, name=f"{instance.name}#scaled"), eps
+    )
+    assert rounded.name == two_step.name == f"{instance.name}#scaled#rounded"
+    assert rounded.num_machines == two_step.num_machines
+    assert [(job.id, job.bag, job.size.hex(), job.meta) for job in rounded.jobs] == [
+        (job.id, job.bag, job.size.hex(), job.meta) for job in two_step.jobs
+    ]
+
+
+class TestOnePassRounding:
+    @pytest.mark.parametrize(
+        "family", ["uniform", "clustered", "two-size", "figure1", "replicas", "planted", "bag-heavy"]
+    )
+    @pytest.mark.parametrize("eps", [0.5, 0.25, 0.1])
+    def test_library_instances(self, family, eps):
+        instance = generate(family, seed=3).instance
+        lower = best_lower_bound(instance).best
+        for guess in (lower, lower * 1.37, instance.total_work):
+            _assert_matches_two_step_rounding(instance, eps, guess)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        sizes=st.lists(
+            st.floats(0.0, 1e3, allow_nan=False, allow_infinity=False), max_size=30
+        ),
+        eps=st.sampled_from([0.5, 1 / 3, 0.25, 0.2, 0.1]),
+        guess=st.floats(1e-3, 1e4, allow_nan=False, allow_infinity=False),
+    )
+    def test_drawn_instances(self, sizes, eps, guess):
+        instance = Instance.from_sizes(sizes, list(range(len(sizes))), 2, name="drawn")
+        _assert_matches_two_step_rounding(instance, eps, guess)
