@@ -1,15 +1,22 @@
 """HiGHS-based backend for the MILP model builder.
 
 The paper assumes an exact fixed-dimension MILP oracle (Kannan/Lenstra).  We
-substitute scipy's HiGHS interface: :func:`scipy.optimize.milp` for
-mixed-integer models and :func:`scipy.optimize.linprog` for pure LPs and LP
-relaxations.  The backend is exact on the models this library produces and
-returns a :class:`~repro.milp.model.MilpSolution` in terms of the symbolic
-variable names.
+substitute scipy's HiGHS interface, :func:`scipy.optimize.milp`, for
+mixed-integer models and, without integrality, for LP relaxations.  The
+backend is exact on the models this library produces and returns a
+:class:`~repro.milp.model.MilpSolution` in terms of the symbolic variable
+names.
+
+A model with integer columns is solved LP first.  When the LP optimum is
+integral it is returned as the MILP optimum: it is feasible for the MILP and
+meets the relaxation's bound.  An infeasible LP is a certificate that the
+MILP is infeasible.  Only otherwise does HiGHS run its MIP solver, which
+would spend its presolve and set-up before solving the same root LP.
 """
 
 from __future__ import annotations
 
+import time
 from typing import Any
 
 import numpy as np
@@ -18,6 +25,10 @@ from scipy import optimize
 from .model import CompiledModel, LinearModel, MilpSolution, SolutionStatus
 
 __all__ = ["solve_with_scipy", "solve_lp_relaxation"]
+
+# The LP point answers the MILP only when every integer column is this close
+# to an integer; those columns are returned rounded.
+_INTEGRALITY_TOL = 1e-9
 
 
 def _compiled(model: LinearModel | CompiledModel) -> CompiledModel:
@@ -39,6 +50,30 @@ def _build_constraints(compiled: CompiledModel) -> list[optimize.LinearConstrain
     return constraints
 
 
+def _solve_lp(
+    compiled: CompiledModel,
+    constraints: list[optimize.LinearConstraint],
+    bounds: optimize.Bounds,
+    time_limit: float | None,
+) -> optimize.OptimizeResult:
+    """The one HiGHS LP call: the model without integrality, HiGHS's defaults."""
+    options = {} if time_limit is None else {"time_limit": float(time_limit)}
+    return optimize.milp(
+        c=compiled.objective, constraints=constraints, bounds=bounds, options=options
+    )
+
+
+def _diagnostics(result: optimize.OptimizeResult, **extra: Any) -> dict[str, Any]:
+    return {
+        "backend": "scipy-highs",
+        "scipy_status": int(result.status),
+        "message": str(result.message),
+        "mip_node_count": result.get("mip_node_count"),
+        "mip_gap": result.get("mip_gap"),
+        **extra,
+    }
+
+
 def _solution_from_values(
     compiled: CompiledModel,
     status: SolutionStatus,
@@ -57,48 +92,11 @@ def _solution_from_values(
     )
 
 
-def solve_with_scipy(
-    model: LinearModel | CompiledModel,
-    *,
-    time_limit: float | None = None,
-    mip_rel_gap: float = 0.0,
-    node_limit: int | None = None,
+def _solution_from_result(
+    compiled: CompiledModel, result: optimize.OptimizeResult, diagnostics: dict[str, Any]
 ) -> MilpSolution:
-    """Solve a mixed-integer linear model with HiGHS.
-
-    ``mip_rel_gap`` keeps HiGHS exact by default (gap ``0``); a small
-    positive gap can be passed for large experiment models where a certified
-    near-optimal configuration solution is sufficient (the EPTAS analysis
-    only needs a feasible configuration solution of value at most ``T``).
-    """
-    compiled = _compiled(model)
-    if compiled.num_variables == 0:
-        return MilpSolution(status=SolutionStatus.OPTIMAL, objective=0.0, values={})
-
-    options: dict[str, Any] = {"mip_rel_gap": mip_rel_gap}
-    if time_limit is not None:
-        options["time_limit"] = float(time_limit)
-    if node_limit is not None:
-        options["node_limit"] = int(node_limit)
-
-    result = optimize.milp(
-        c=compiled.objective,
-        constraints=_build_constraints(compiled),
-        integrality=compiled.integrality,
-        bounds=optimize.Bounds(compiled.lower, compiled.upper),
-        options=options,
-    )
-
-    diagnostics: dict[str, Any] = {
-        "backend": "scipy-highs",
-        "scipy_status": int(result.status),
-        "message": str(result.message),
-        "mip_node_count": getattr(result, "mip_node_count", None),
-        "mip_gap": getattr(result, "mip_gap", None),
-    }
-
     # scipy.optimize.milp status codes: 0 optimal, 1 iteration/time limit,
-    # 2 infeasible, 3 unbounded, 4 other.
+    # 2 infeasible, 3 unbounded, 4 other.  An LP stopped by a limit has no x.
     if result.status == 0 and result.x is not None:
         return _solution_from_values(
             compiled, SolutionStatus.OPTIMAL, float(result.fun), result.x, diagnostics
@@ -120,17 +118,111 @@ def solve_with_scipy(
     )
 
 
+def _relaxation_outcome(result: optimize.OptimizeResult, integer: np.ndarray) -> str:
+    if result.status == 0:
+        values = result.x[integer]
+        gaps = np.abs(values - np.round(values))
+        return "integral" if np.all(gaps <= _INTEGRALITY_TOL) else "fractional"
+    return {1: "limit", 2: "infeasible"}.get(int(result.status), "other")
+
+
+def solve_with_scipy(
+    model: LinearModel | CompiledModel,
+    *,
+    time_limit: float | None = None,
+    mip_rel_gap: float = 0.0,
+    node_limit: int | None = None,
+) -> MilpSolution:
+    """Solve a mixed-integer linear model with HiGHS, LP relaxation first.
+
+    ``mip_rel_gap`` keeps HiGHS exact by default (gap ``0``); a small
+    positive gap can be passed for large experiment models where a certified
+    near-optimal configuration solution is sufficient (the EPTAS analysis
+    only needs a feasible configuration solution of value at most ``T``).
+
+    ``time_limit`` bounds the LP and the MILP together: the MILP gets what
+    the LP left.  ``node_limit`` applies to the MILP only.  The diagnostics
+    of a model with integer columns say how its LP ended
+    (``lp_relaxation``), with the LP's objective and seconds.
+    """
+    compiled = _compiled(model)
+    if compiled.num_variables == 0:
+        return MilpSolution(status=SolutionStatus.OPTIMAL, objective=0.0, values={})
+
+    constraints = _build_constraints(compiled)
+    bounds = optimize.Bounds(compiled.lower, compiled.upper)
+    lp_diagnostics: dict[str, Any] = {}
+    milp_time_limit = time_limit
+    if compiled.num_integer_variables:
+        integer = compiled.integrality != 0
+        start = time.perf_counter()
+        relaxed = _solve_lp(compiled, constraints, bounds, time_limit)
+        lp_s = time.perf_counter() - start
+        outcome = _relaxation_outcome(relaxed, integer)
+        lp_diagnostics = {
+            "lp_relaxation": outcome,
+            "lp_objective": float(relaxed.fun) if relaxed.status == 0 else None,
+            "lp_s": lp_s,
+        }
+        if outcome == "integral":
+            values = relaxed.x.copy()
+            values[integer] = np.round(values[integer])
+            return _solution_from_values(
+                compiled,
+                SolutionStatus.OPTIMAL,
+                float(compiled.objective @ values),
+                values,
+                _diagnostics(relaxed, mip_node_count=0, mip_gap=0.0, **lp_diagnostics),
+            )
+        if outcome in ("infeasible", "limit"):
+            return _solution_from_result(
+                compiled, relaxed, _diagnostics(relaxed, **lp_diagnostics)
+            )
+        if time_limit is not None:
+            milp_time_limit = time_limit - lp_s
+            if milp_time_limit <= 0:
+                return _solution_from_values(
+                    compiled,
+                    SolutionStatus.LIMIT,
+                    float("inf"),
+                    None,
+                    _diagnostics(
+                        relaxed,
+                        scipy_status=1,
+                        message="The LP relaxation used the whole time limit.",
+                        **lp_diagnostics,
+                    ),
+                )
+
+    options: dict[str, Any] = {"mip_rel_gap": mip_rel_gap}
+    if milp_time_limit is not None:
+        options["time_limit"] = float(milp_time_limit)
+    if node_limit is not None:
+        options["node_limit"] = int(node_limit)
+
+    result = optimize.milp(
+        c=compiled.objective,
+        constraints=constraints,
+        integrality=compiled.integrality,
+        bounds=bounds,
+        options=options,
+    )
+    return _solution_from_result(compiled, result, _diagnostics(result, **lp_diagnostics))
+
+
 def solve_lp_relaxation(
     model: LinearModel | CompiledModel,
     *,
     extra_upper: dict[int, float] | None = None,
     extra_lower: dict[int, float] | None = None,
+    time_limit: float | None = None,
 ) -> MilpSolution:
     """Solve the LP relaxation of a model (integrality dropped).
 
     ``extra_lower`` / ``extra_upper`` override individual variable bounds by
     dense index — this is the hook the branch-and-bound solver uses to
-    impose branching decisions without rebuilding the model.
+    impose branching decisions without rebuilding the model.  A relaxation
+    stopped by ``time_limit`` has status ``LIMIT``.
     """
     compiled = _compiled(model)
     if compiled.num_variables == 0:
@@ -145,33 +237,12 @@ def solve_lp_relaxation(
         for index, value in extra_upper.items():
             upper[index] = min(upper[index], value)
 
-    bounds = list(zip(lower, [None if np.isinf(u) else u for u in upper]))
-    result = optimize.linprog(
-        c=compiled.objective,
-        A_ub=compiled.a_ub if compiled.a_ub.shape[0] else None,
-        b_ub=compiled.b_ub if compiled.a_ub.shape[0] else None,
-        A_eq=compiled.a_eq if compiled.a_eq.shape[0] else None,
-        b_eq=compiled.b_eq if compiled.a_eq.shape[0] else None,
-        bounds=bounds,
-        method="highs",
+    result = _solve_lp(
+        compiled, _build_constraints(compiled), optimize.Bounds(lower, upper), time_limit
     )
     diagnostics: dict[str, Any] = {
-        "backend": "scipy-linprog",
+        "backend": "scipy-highs-lp",
         "scipy_status": int(result.status),
         "message": str(result.message),
     }
-    if result.status == 0:
-        return _solution_from_values(
-            compiled, SolutionStatus.OPTIMAL, float(result.fun), result.x, diagnostics
-        )
-    if result.status == 2:
-        return _solution_from_values(
-            compiled, SolutionStatus.INFEASIBLE, float("inf"), None, diagnostics
-        )
-    if result.status == 3:
-        return _solution_from_values(
-            compiled, SolutionStatus.UNBOUNDED, float("-inf"), None, diagnostics
-        )
-    return _solution_from_values(
-        compiled, SolutionStatus.LIMIT, float("inf"), None, diagnostics
-    )
+    return _solution_from_result(compiled, result, diagnostics)

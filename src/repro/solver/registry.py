@@ -189,7 +189,9 @@ class _ScipyBackend:
     def version(self) -> str:
         import scipy
 
-        return scipy.__version__
+        # The marker names the solve path: LP relaxation first, which can
+        # return a different optimal vertex than a MILP-only solve.
+        return f"{scipy.__version__}+lp-first"
 
     def solve(
         self,
@@ -259,7 +261,7 @@ class _LpRelaxationBackend:
     ) -> MilpSolution:
         from ..milp.scipy_backend import solve_lp_relaxation
 
-        return solve_lp_relaxation(_compiled(model))
+        return solve_lp_relaxation(_compiled(model), time_limit=time_limit)
 
 
 def _ensure_builtins() -> None:

@@ -212,6 +212,27 @@ class TestBinarySearch:
         ):
             assert diagnostics[key] == returned[key], key
 
+    def test_attempts_say_how_the_lp_relaxation_ended(self, monkeypatch):
+        def halved_bound(instance, **kwargs):
+            report = best_lower_bound(instance, **kwargs)
+            return replace(report, best=report.best / 2)
+
+        monkeypatch.setattr(driver, "best_lower_bound", halved_bound)
+        instance = uniform_random_instance(
+            num_jobs=12, num_machines=3, num_bags=5, seed=1
+        ).instance
+        attempts = eptas_schedule(instance, eps=0.5).diagnostics["attempts"]
+        outcomes = [(a["milp_status"], a["milp_lp_relaxation"]) for a in attempts]
+        # An integral LP is the MILP's optimum and an infeasible one its
+        # certificate; a fractional LP only bounds the guess.
+        for status, lp_relaxation in outcomes:
+            assert lp_relaxation in ("integral", "fractional", "infeasible")
+            if lp_relaxation == "integral":
+                assert status == "optimal"
+            if lp_relaxation == "infeasible":
+                assert status == "infeasible"
+        assert {lp for _, lp in outcomes} == {"integral", "fractional", "infeasible"}
+
 
 class TestConfigurations:
     def test_eps_defaults_to_the_configs(self):

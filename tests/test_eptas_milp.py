@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from repro.baselines import lpt_schedule
 from repro.bounds import best_lower_bound
@@ -22,9 +23,10 @@ from repro.eptas import (
 from repro.generators import (
     clustered_sizes_instance,
     figure1_adversarial_instance,
+    planted_optimum_instance,
     uniform_random_instance,
 )
-from repro.milp import LinearModel, SolutionStatus
+from repro.milp import LinearModel, SolutionStatus, solve_with_scipy
 
 
 def _prepare(instance: Instance, eps: float = 0.25, guess: float | None = None, cap: int = 3):
@@ -206,3 +208,28 @@ def test_bagcap_rows_match_the_scan_over_all_classes(instance):
         assert matrix.shape == wanted.shape
         for part in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(matrix, part), getattr(wanted, part)), (field, part)
+
+
+def test_lp_answered_first_guess_is_a_milp_optimum():
+    """The first guess's LP optimum is integral, feasible and as good as HiGHS's MILP."""
+    instance = planted_optimum_instance(num_machines=4, seed=1).instance
+    guess = best_lower_bound(instance).best
+    *_, configuration = _prepare(instance, eps=0.5, guess=guess)
+    model = configuration.model
+    solution = solve_with_scipy(model)
+    assert solution.status is SolutionStatus.OPTIMAL
+    assert solution.diagnostics["lp_relaxation"] == "integral"
+    assert model.check_solution(solution.values) == []
+
+    compiled = model.compile()
+    direct = optimize.milp(
+        c=compiled.objective,
+        constraints=[
+            optimize.LinearConstraint(compiled.a_ub, -np.inf, compiled.b_ub),
+            optimize.LinearConstraint(compiled.a_eq, compiled.b_eq, compiled.b_eq),
+        ],
+        integrality=compiled.integrality,
+        bounds=optimize.Bounds(compiled.lower, compiled.upper),
+    )
+    assert direct.status == 0
+    assert solution.objective == pytest.approx(direct.fun, abs=1e-9)

@@ -95,6 +95,16 @@ class TestBackendSpec:
         assert backend_fingerprint(BackendSpec.make("bnb", max_nodes=10)) != base
         assert backend_fingerprint("scipy") != base
 
+    def test_scipy_fingerprint_names_the_lp_first_path(self):
+        # Results stored by the MILP-only solve path (version = scipy's own)
+        # must miss: LP-first can return a different optimal vertex.
+        import scipy
+
+        fingerprint = backend_fingerprint("scipy")
+        options_digest = fingerprint.rsplit("+", 1)[1]
+        assert fingerprint != f"scipy@{scipy.__version__}+{options_digest}"
+        assert fingerprint == f"scipy@{scipy.__version__}+lp-first+{options_digest}"
+
 
 class TestFailFastConfigs:
     @pytest.mark.parametrize(
