@@ -182,11 +182,10 @@ def _wire_mutating_methods() -> frozenset[str]:
     """Method names that mutate server state, from the protocol itself.
 
     Sourced from ``MUTATING_METHODS`` so new store methods are covered the
-    moment they are declared; the service's ``submit`` and a solver
-    endpoint's ``solve`` execute work on the server side, so they count
-    too.
+    moment they are declared; the scheduling service's ``submit`` executes
+    a solve on the server side, so it counts too.
     """
-    extra = frozenset({"solve", "submit"})
+    extra = frozenset({"submit"})
     try:
         from ..distributed.protocol import MUTATING_METHODS
     except Exception:  # lint must degrade, not crash, on a broken tree
@@ -201,10 +200,10 @@ def _check_wire_op_id(ctx: ModuleContext) -> Iterator[Finding]:
     methods (a constant method name outside the protocol's mutating set)
     are exempt.  Compliant shapes for the rest: an ``"op"`` key in the
     literal itself (a per-item op id), or a later
-    ``payload["op"] = ...`` in the same function (the clients attach it for
-    mutating methods / ``op=True`` calls).  Without one, a retried request
-    whose reply was lost re-executes the mutation — the exact bug class
-    op-id replay exists to kill.
+    ``payload["op"] = ...`` in the same function (the shared RPC client
+    attaches it for its class's mutating methods).  Without one, a retried
+    request whose reply was lost re-executes the mutation — the exact bug
+    class op-id replay exists to kill.
     """
     mutating = _wire_mutating_methods()
     for node, stack in _walk_with_stack(ctx.tree):

@@ -6,59 +6,37 @@ scheduler, planner, export and cache layers work unchanged when handed one
 — a worker process on another machine is just ``run_worker`` with a
 ``tcp://host:port`` target instead of a file path.
 
-Reliability model
------------------
-One persistent socket, one request in flight at a time (workers are
+The transport is the shared :class:`~repro.distributed.rpc.RpcClient`: one
+persistent socket, one request in flight at a time (workers are
 sequential; concurrency comes from running many workers, each with its own
-``RemoteStore``).  On a connection failure or timeout the socket is dropped
-and the call retried on a fresh connection, with backoff:
-
-* *Reads* are naturally idempotent — retried verbatim.
-* *Mutating calls* (claims, completions, reclaims, priority writes) carry a
-  client-generated op id.  If the original request actually executed and
-  only the reply was lost, the server replays the recorded reply instead of
-  executing again — a retried ``complete()`` never double-releases
-  dependents, and a timed-out ``claim_next()`` recovers the very row the
-  lost reply claimed rather than claiming (and stranding) a second one.
-
-Only transport failures are retried.  A structured error reply from the
-server (store exception, unknown method) raises
-:class:`~repro.distributed.protocol.RemoteOperationError` immediately, and
-an ``AuthError`` raises without any retry — a wrong token cannot become a
-reconnect storm.
+``RemoteStore``), and every transport failure retried on a fresh
+connection with backoff.  Reads are naturally idempotent and are resent
+verbatim.  Mutating calls (claims, completions, reclaims, priority writes:
+:data:`~repro.distributed.protocol.MUTATING_METHODS`) carry an op id, so
+if the original request executed and only the reply was lost, the server
+replays the recorded reply — a retried ``complete()`` never
+double-releases dependents, and a timed-out ``claim_next()`` recovers the
+very row the lost reply claimed rather than claiming (and stranding) a
+second one.  Structured error replies are never retried, and an
+``AuthError`` cannot become a reconnect storm.
 """
 
 from __future__ import annotations
 
-import socket
-import time
-import uuid
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
-from ..observability import events, metrics
 from ..orchestration.store import ClaimedRow, StoredRow
-from .protocol import (
-    MUTATING_METHODS,
-    PROTOCOL_VERSION,
-    ConnectionClosed,
-    FrameError,
-    ProtocolError,
-    RemoteOperationError,
-    encode_frame,
-    parse_address,
-    recv_frame,
-    send_encoded,
-)
-from .rpc import knock, raise_reply_error
+from .protocol import DEFAULT_PORT, MUTATING_METHODS, PROTOCOL_VERSION
+from .rpc import RpcClient, RpcConnectionError
 
 __all__ = ["RemoteStore", "StoreConnectionError"]
 
 
-class StoreConnectionError(ProtocolError):
+class StoreConnectionError(RpcConnectionError):
     """The server could not be reached (after the configured retries)."""
 
 
-class RemoteStore:
+class RemoteStore(RpcClient):
     """A :class:`StoreProtocol` implementation speaking to a store server.
 
     ``target`` is ``"host:port"`` or ``"tcp://host:port"``.  ``fifo_every``
@@ -69,6 +47,14 @@ class RemoteStore:
     :class:`StoreConnectionError` (reads and op-id-guarded mutations are
     both safe to retry, see the module docstring).
     """
+
+    default_port = DEFAULT_PORT
+    info_method = "store_info"
+    protocol_version = PROTOCOL_VERSION
+    mutating_methods = MUTATING_METHODS
+    connection_error = StoreConnectionError
+    metrics_prefix = "remote_store"
+    server_name = "store server"
 
     def __init__(
         self,
@@ -81,174 +67,20 @@ class RemoteStore:
         retries: int = 4,
         retry_delay: float = 0.2,
     ) -> None:
-        self.host, self.port = parse_address(target)
-        self._token = token
-        self._timeout = timeout
-        self._connect_timeout = connect_timeout
-        self._retries = max(0, int(retries))
-        self._retry_delay = retry_delay
-        self._sock: socket.socket | None = None
-        self._request_id = 0
-        self._closed = False
-        self._last_op: str | None = None
-        info = self._call("store_info", {})
-        self._check_protocol(info)
+        super().__init__(
+            target,
+            token=token,
+            timeout=timeout,
+            connect_timeout=connect_timeout,
+            retries=retries,
+            retry_delay=retry_delay,
+        )
         if fifo_every is not None:
             self.fifo_every = int(
                 self._call("set_fifo_every", {"fifo_every": int(fifo_every)})
             )
         else:
-            self.fifo_every = int(info["fifo_every"])
-
-    @property
-    def last_op(self) -> str | None:
-        """Op id of the most recent *successful* mutating call.
-
-        The runner stamps each claimed cell's ``worker.cell`` trace span
-        with this, correlating the cell's execution with the
-        ``claim_next`` chain that handed it out.
-        """
-        return self._last_op
-
-    def _check_protocol(self, info: Any) -> None:
-        """Fail at connect time on a server speaking another protocol version.
-
-        Without this an incompatible pair would surface as confusing
-        per-method errors mid-drain instead of one clean mismatch up front.
-        """
-        version = info.get("protocol") if isinstance(info, Mapping) else None
-        if version != PROTOCOL_VERSION:
-            self.close()
-            raise StoreConnectionError(
-                f"store server at {self.host}:{self.port} speaks protocol "
-                f"{version!r}; this client speaks {PROTOCOL_VERSION}"
-            )
-
-    # ------------------------------------------------------------------
-    # Transport
-    # ------------------------------------------------------------------
-    def _connect(self) -> socket.socket:
-        # Keep knocking until the deadline (rpc.knock): a server mid-restart
-        # comes up within moments, and waiting here is what lets every
-        # worker simply outlive it.
-        try:
-            sock = knock(
-                self.host,
-                self.port,
-                timeout=self._timeout,
-                connect_timeout=self._connect_timeout,
-                retry_delay=self._retry_delay,
-            )
-        except OSError as exc:
-            raise StoreConnectionError(
-                f"cannot connect to store server at {self.host}:{self.port}: {exc}"
-            ) from exc
-        metrics.counter("remote_store.reconnects")
-        self._sock = sock
-        return sock
-
-    def _disconnect(self) -> None:
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-            self._sock = None
-
-    def _call(self, method: str, params: dict[str, Any]) -> Any:
-        if self._closed:
-            raise StoreConnectionError("RemoteStore is closed")
-        self._request_id += 1
-        payload: dict[str, Any] = {
-            "id": self._request_id,
-            "method": method,
-            "params": params,
-        }
-        if self._token is not None:
-            payload["token"] = self._token
-        op: str | None = None
-        if method in MUTATING_METHODS:
-            op = uuid.uuid4().hex
-            payload["op"] = op
-        # Serialised before the retry loop: an unframeable *request* (over
-        # the frame ceiling, non-JSON value) is a local payload bug — it
-        # raises FrameError straight to the caller instead of being retried
-        # and misreported as an unreachable server.
-        frame = encode_frame(payload)
-        metrics.counter("remote_store.calls")
-        metrics.counter("remote_store.bytes_out", len(frame))
-        started = time.perf_counter()
-        last_exc: Exception | None = None
-        for attempt in range(self._retries + 1):
-            try:
-                sock = self._sock or self._connect()
-                send_encoded(sock, frame)
-                reply = recv_frame(sock)
-                if reply.get("id") != payload["id"]:
-                    # A half-read earlier frame desynchronised the stream;
-                    # the connection is unusable, but the request is safe to
-                    # replay (op id) or re-issue (read).
-                    raise FrameError(
-                        f"reply id {reply.get('id')!r} does not match request "
-                        f"{payload['id']!r}"
-                    )
-            except (OSError, ConnectionClosed, FrameError) as exc:
-                self._disconnect()
-                last_exc = exc
-                if attempt < self._retries:
-                    metrics.counter("remote_store.retries")
-                    time.sleep(self._retry_delay * (attempt + 1))
-                    continue
-                raise StoreConnectionError(
-                    f"store server at {self.host}:{self.port} unreachable "
-                    f"after {self._retries + 1} attempts: {exc}"
-                ) from exc
-            error = reply.get("error")
-            if error is not None:
-                if error.get("type") == "ServerClosed":
-                    # A server mid-shutdown is a transport condition, not an
-                    # application error: drop the connection and retry — a
-                    # replacement server on the same address picks us up.
-                    self._disconnect()
-                    last_exc = RemoteOperationError(
-                        "ServerClosed", str(error.get("message", ""))
-                    )
-                    if attempt < self._retries:
-                        metrics.counter("remote_store.retries")
-                        time.sleep(self._retry_delay * (attempt + 1))
-                        continue
-                    raise StoreConnectionError(
-                        f"store server at {self.host}:{self.port} is shutting down"
-                    ) from last_exc
-                raise_reply_error(error)
-            if op is not None:
-                self._last_op = op
-            if method in events.SPANNED_METHODS:
-                events.emit(
-                    "client.call",
-                    op=op,
-                    actor=f"client:{self.host}:{self.port}",
-                    duration=time.perf_counter() - started,
-                    detail={"method": method, "replayed": bool(reply.get("replayed"))},
-                )
-            return reply.get("result")
-        raise StoreConnectionError(str(last_exc))  # pragma: no cover - unreachable
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        self._closed = True
-        self._disconnect()
-
-    def __enter__(self) -> "RemoteStore":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def ping(self) -> bool:
-        return self._call("ping", {}) == "pong"
+            self.fifo_every = int(self._server_info["fifo_every"])
 
     def store_info(self) -> dict[str, Any]:
         return self._call("store_info", {})

@@ -87,7 +87,7 @@ class ConnectionClosed(ProtocolError):
 
 
 class AddressError(ProtocolError, ValueError):
-    """A store address string could not be parsed.
+    """A server address string could not be parsed.
 
     Also a ``ValueError`` so plain-library callers can catch it naturally;
     the ``ProtocolError`` base is what lets the CLI render it as a
@@ -191,28 +191,28 @@ def is_remote_target(target: Any) -> bool:
     return isinstance(target, str) and target.startswith("tcp://")
 
 
-def parse_address(target: str) -> tuple[str, int]:
-    """``"host:port"`` / ``"tcp://host:port"`` → ``(host, port)``.
+def parse_address(target: str, *, default_port: int = DEFAULT_PORT) -> tuple[str, int]:
+    """``"host[:port]"`` / ``"tcp://host[:port]"`` → ``(host, port)``.
 
-    The port is optional and defaults to :data:`DEFAULT_PORT`; IPv6 literal
-    hosts must be bracketed (``tcp://[::1]:7479``).
+    A target that names no port gets ``default_port`` (each service has
+    its own); IPv6 literal hosts must be bracketed (``tcp://[::1]:7479``).
     """
-    text = target[len("tcp://"):] if target.startswith("tcp://") else target
+    text = target.strip().removeprefix("tcp://")
     if text.startswith("["):  # bracketed IPv6 literal
         host, _, rest = text[1:].partition("]")
-        port_text = rest[1:] if rest.startswith(":") else ""
+        sep, port_text = rest[:1], rest[1:]
     else:
-        host, _, port_text = text.partition(":")
-    if not host:
-        raise AddressError(f"invalid store address {target!r}; expected HOST[:PORT]")
-    if not port_text:
-        return host, DEFAULT_PORT
+        host, sep, port_text = text.partition(":")
+    if not host or sep not in ("", ":"):
+        raise AddressError(f"invalid address {target!r}; expected HOST[:PORT]")
+    if not sep:
+        return host, default_port
     try:
-        port = int(port_text)
+        port = int(port_text)  # an empty port ("host:") is invalid too
     except ValueError as exc:
-        raise AddressError(f"invalid port in store address {target!r}") from exc
+        raise AddressError(f"invalid port in address {target!r}") from exc
     if not 0 < port < 65536:
-        raise AddressError(f"port out of range in store address {target!r}")
+        raise AddressError(f"port out of range in address {target!r}")
     return host, port
 
 

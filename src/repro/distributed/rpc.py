@@ -2,9 +2,11 @@
 
 The store server and the scheduling service speak the same wire dialect —
 length-prefixed JSON frames, per-request token auth, structured error
-replies, op-id replay for safe client retries — so the transport skeleton
-lives here once and :class:`~repro.distributed.server.StoreServer` and
-:class:`repro.service.ScheduleServer` subclass it.
+replies, op-id replay for safe client retries — so both ends of the
+transport live here once: :class:`~repro.distributed.server.StoreServer`
+and :class:`repro.service.ScheduleServer` subclass :class:`RpcServer`, and
+their clients :class:`~repro.distributed.client.RemoteStore` and
+:class:`repro.service.ScheduleClient` subclass :class:`RpcClient`.
 
 :class:`RpcServer` owns the threaded TCP listener, the per-connection
 handler loop, graceful shutdown (stop accepting, unblock the accept loop,
@@ -23,13 +25,17 @@ choose a dispatch policy:
   parks the retry until the original finishes and then replays its recorded
   reply, so one op never executes twice on the same server.
 
-The client-side helpers (:func:`knock`, :func:`raise_reply_error`) are the
-pieces :class:`~repro.distributed.client.RemoteStore` and
-:class:`repro.service.ScheduleClient` share: patient initial connects (a server mid-restart comes up within
-moments) and uniform error-reply raising (``AuthError`` gets its own class
-so callers can refuse to retry it).
+:class:`RpcClient` owns the other end: one persistent socket with one
+request in flight, a protocol-version check at connect time, patient
+connects (:func:`knock`: a server mid-restart comes up within moments),
+and a retry loop that resends a request on a fresh connection after any
+transport failure — including a ``ServerClosed`` reply from a server
+mid-shutdown.  Mutating calls carry an op id generated once per call, so a
+resend whose first reply was lost replays that reply instead of executing
+twice.  Structured error replies are never retried; they raise through
+:func:`raise_reply_error` (``AuthError`` gets its own class, so a wrong
+token never becomes a reconnect storm).
 """
-
 from __future__ import annotations
 
 import dataclasses
@@ -38,8 +44,9 @@ import socket
 import socketserver
 import threading
 import time
+import uuid
 from collections import OrderedDict
-from typing import Any, Mapping, NoReturn
+from typing import Any, Callable, Mapping, NoReturn, TypeVar
 
 from ..analysis import racecheck
 from ..observability import events, metrics
@@ -47,14 +54,20 @@ from .protocol import (
     AuthError,
     ConnectionClosed,
     FrameError,
+    ProtocolError,
     RemoteOperationError,
+    encode_frame,
     format_address,
+    parse_address,
     recv_frame,
+    send_encoded,
     send_frame,
 )
 
 __all__ = [
     "OP_CACHE_SIZE",
+    "RpcClient",
+    "RpcConnectionError",
     "RpcServer",
     "knock",
     "raise_reply_error",
@@ -424,7 +437,7 @@ class RpcServer:
 
 
 # ----------------------------------------------------------------------
-# Client-side helpers
+# Client side
 # ----------------------------------------------------------------------
 def knock(
     host: str,
@@ -464,15 +477,226 @@ def knock(
             return sock
 
 
-def raise_reply_error(error: Mapping[str, Any]) -> NoReturn:
+def raise_reply_error(
+    error: Mapping[str, Any],
+    typed: Mapping[str, Callable[[str], Exception]] | None = None,
+) -> NoReturn:
     """Raise the exception for a structured ``error`` reply object.
 
-    ``AuthError`` gets its own class (clients must not retry it); everything
-    else raises :class:`RemoteOperationError` carrying the server-side type
-    name, message, and optional structured data.
+    ``AuthError`` gets its own class (clients must not retry it), and so
+    does every error type named in ``typed`` (raised with the message);
+    everything else raises :class:`RemoteOperationError` carrying the
+    server-side type name, message, and optional structured data.
     """
     error_type = str(error.get("type", "Error"))
     message = str(error.get("message", ""))
     if error_type == "AuthError":
         raise AuthError(message)
+    if typed and error_type in typed:
+        raise typed[error_type](message)
     raise RemoteOperationError(error_type, message, data=error.get("data"))
+
+
+class RpcConnectionError(ProtocolError):
+    """A server could not be reached (after the client's configured retries)."""
+
+
+_Client = TypeVar("_Client", bound="RpcClient")
+
+
+class RpcClient:
+    """One persistent connection to an :class:`RpcServer`, retried safely.
+
+    Subclasses declare what differs between services, the way server
+    subclasses declare :attr:`RpcServer.rpc_methods`, and add only their
+    API methods:
+
+    * :attr:`default_port` for targets that name no port;
+    * :attr:`info_method` and :attr:`protocol_version`: the call made at
+      connect time and the ``protocol`` its reply must report;
+    * :attr:`mutating_methods`: the calls that carry an op id;
+    * :attr:`connection_error`, raised when the server stays unreachable;
+    * :attr:`typed_errors`: error replies raised as the service's own
+      exception classes rather than :class:`RemoteOperationError`;
+    * :attr:`metrics_prefix` for the ``calls``/``bytes_out``/``retries``/
+      ``reconnects`` counters, and :attr:`server_name` for messages.
+
+    ``target`` is ``"host[:port]"`` or ``"tcp://host[:port]"``.  ``timeout``
+    bounds each round-trip; ``retries`` transport-level resends are made
+    before :attr:`connection_error`.  Construction connects and checks the
+    protocol version; :attr:`_server_info` keeps that first info reply.
+    """
+
+    default_port: int
+    info_method: str
+    protocol_version: int
+    mutating_methods: frozenset[str] = frozenset()
+    connection_error: type[RpcConnectionError] = RpcConnectionError
+    typed_errors: Mapping[str, Callable[[str], Exception]] = {}
+    metrics_prefix: str
+    server_name: str
+
+    def __init__(
+        self,
+        target: str,
+        *,
+        token: str | None,
+        timeout: float,
+        connect_timeout: float,
+        retries: int,
+        retry_delay: float,
+    ) -> None:
+        self.host, self.port = parse_address(target, default_port=self.default_port)
+        self._token = token
+        self._timeout = timeout
+        self._connect_timeout = connect_timeout
+        self._retries = max(0, int(retries))
+        self._retry_delay = retry_delay
+        self._sock: socket.socket | None = None
+        self._request_id = 0
+        self._closed = False
+        self._last_op: str | None = None
+        self._server_info = self._call(self.info_method, {})
+        self._check_protocol(self._server_info)
+
+    @property
+    def last_op(self) -> str | None:
+        """Op id of the most recent *successful* mutating call.
+
+        The runner stamps each claimed cell's ``worker.cell`` trace span
+        with this, correlating the cell's execution with the
+        ``claim_next`` chain that handed it out.
+        """
+        return self._last_op
+
+    def _check_protocol(self, info: Any) -> None:
+        """Fail at connect time on a server speaking another protocol version.
+
+        Without this an incompatible pair would surface as confusing
+        per-method errors later instead of one clean mismatch up front.
+        """
+        version = info.get("protocol") if isinstance(info, Mapping) else None
+        if version != self.protocol_version:
+            self.close()
+            raise self.connection_error(
+                f"{self.server_name} at {self.host}:{self.port} speaks protocol "
+                f"{version!r}; this client speaks {self.protocol_version}"
+            )
+
+    # ------------------------------------------------------------------
+    # Transport
+    # ------------------------------------------------------------------
+    def _connect(self) -> socket.socket:
+        try:
+            sock = knock(
+                self.host,
+                self.port,
+                timeout=self._timeout,
+                connect_timeout=self._connect_timeout,
+                retry_delay=self._retry_delay,
+            )
+        except OSError as exc:
+            raise self.connection_error(
+                f"cannot connect to {self.server_name} at "
+                f"{self.host}:{self.port}: {exc}"
+            ) from exc
+        metrics.counter(f"{self.metrics_prefix}.reconnects")
+        self._sock = sock
+        return sock
+
+    def _disconnect(self) -> None:
+        if self._sock is not None:
+            try:
+                self._sock.close()
+            except OSError:
+                pass
+            self._sock = None
+
+    def _call(self, method: str, params: dict[str, Any]) -> Any:
+        if self._closed:
+            raise self.connection_error(f"{type(self).__name__} is closed")
+        self._request_id += 1
+        payload: dict[str, Any] = {
+            "id": self._request_id,
+            "method": method,
+            "params": params,
+        }
+        if self._token is not None:
+            payload["token"] = self._token
+        op: str | None = None
+        if method in self.mutating_methods:
+            # Generated once, before the retry loop: every resend carries
+            # it, so the server replays a lost reply instead of executing
+            # the call twice.
+            op = uuid.uuid4().hex
+            payload["op"] = op
+        # Serialised before the retry loop: an unframeable *request* (over
+        # the frame ceiling, non-JSON value) is a local payload bug — it
+        # raises FrameError straight to the caller instead of being retried
+        # and misreported as an unreachable server.
+        frame = encode_frame(payload)
+        metrics.counter(f"{self.metrics_prefix}.calls")
+        metrics.counter(f"{self.metrics_prefix}.bytes_out", len(frame))
+        started = time.perf_counter()
+        for attempt in range(self._retries + 1):
+            try:
+                sock = self._sock or self._connect()
+                send_encoded(sock, frame)
+                reply = recv_frame(sock)
+                if reply.get("id") != payload["id"]:
+                    # A half-read earlier frame desynchronised the stream;
+                    # the connection is unusable, but the request is safe to
+                    # replay (op id) or re-issue (read).
+                    raise FrameError(
+                        f"reply id {reply.get('id')!r} does not match request "
+                        f"{payload['id']!r}"
+                    )
+            except (OSError, ConnectionClosed, FrameError) as exc:
+                cause: Exception = exc
+                failure = f"unreachable after {self._retries + 1} attempts: {exc}"
+            else:
+                error = reply.get("error")
+                if error is None or error.get("type") != "ServerClosed":
+                    break
+                # A server mid-shutdown is a transport condition, not an
+                # application error: a replacement server on the same
+                # address picks the resend up.
+                message = str(error.get("message", ""))
+                cause = RemoteOperationError("ServerClosed", message)
+                failure = "is shutting down"
+            self._disconnect()
+            if attempt == self._retries:
+                raise self.connection_error(
+                    f"{self.server_name} at {self.host}:{self.port} {failure}"
+                ) from cause
+            metrics.counter(f"{self.metrics_prefix}.retries")
+            time.sleep(self._retry_delay * (attempt + 1))
+        if error is not None:
+            raise_reply_error(error, self.typed_errors)
+        if op is not None:
+            self._last_op = op
+        if method in events.SPANNED_METHODS:
+            events.emit(
+                "client.call",
+                op=op,
+                actor=f"client:{self.host}:{self.port}",
+                duration=time.perf_counter() - started,
+                detail={"method": method, "replayed": bool(reply.get("replayed"))},
+            )
+        return reply.get("result")
+
+    # ------------------------------------------------------------------
+    # Lifecycle
+    # ------------------------------------------------------------------
+    def close(self) -> None:
+        self._closed = True
+        self._disconnect()
+
+    def __enter__(self: _Client) -> _Client:
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    def ping(self) -> bool:
+        return self._call("ping", {}) == "pong"

@@ -6,9 +6,10 @@ cross-process half — trace spans journaled through the store — lives in
 through the module-level singleton:
 
 * ``repro.distributed`` — ``rpc.requests``/``rpc.frames_in``/
-  ``rpc.frames_out``/``rpc.op_replays`` on the server,
-  ``remote_store.calls``/``remote_store.bytes_out``/
-  ``remote_store.reconnects``/``remote_store.retries`` on the client.
+  ``rpc.frames_out``/``rpc.op_replays`` on the server; on the client,
+  ``calls``/``bytes_out``/``reconnects``/``retries`` under each client
+  class's prefix: ``remote_store.*`` for the store's, and
+  ``schedule_client.*`` for the scheduling service's.
 * ``repro.service`` — ``service.requests``/``service.admitted``/
   ``service.rejected``/``service.cache_hits``/``service.solves`` mirrors
   of the journaled telemetry counters plus the

@@ -26,7 +26,6 @@ from .requests import (
     cost_experiment,
     execute_request,
     normalise_request,
-    parse_schedule_endpoint,
 )
 from .server import ScheduleServer
 
@@ -46,5 +45,4 @@ __all__ = [
     "cost_experiment",
     "execute_request",
     "normalise_request",
-    "parse_schedule_endpoint",
 ]

@@ -1,56 +1,53 @@
 """ScheduleClient: submit ad-hoc scheduling instances to a ScheduleServer.
 
-Reliability model mirrors :class:`repro.distributed.client.RemoteStore`:
-one persistent socket, one request in flight, transport failures retried on
-a fresh connection with linear backoff.  Every ``submit`` carries a
-client-generated op id, so a retry of a request whose reply was lost —
-including across a server SIGKILL/restart, where the replacement server
-finds the original's journaled row — replays the original result rather
-than solving twice.  ``AuthError`` is raised without any retry;
-``AdmissionError`` replies are revived as the real
-:class:`~repro.service.requests.AdmissionError` so callers can branch on
-rejection without string-matching.
+The transport is the shared :class:`~repro.distributed.rpc.RpcClient`,
+the same one :class:`repro.distributed.client.RemoteStore` uses: one
+persistent socket, one request in flight, transport failures retried on a
+fresh connection with linear backoff.  Every ``submit`` carries an op id,
+so a retry of a request whose reply was lost — including across a server
+SIGKILL/restart, where the replacement server finds the original's
+journaled row — replays the original result rather than solving twice.
+``AuthError`` is raised without any retry; ``AdmissionError`` replies are
+revived as the real :class:`~repro.service.requests.AdmissionError` so
+callers can branch on rejection without string-matching.
 """
 
 from __future__ import annotations
 
-import socket
-import time
-import uuid
 from typing import Any, Mapping
 
 from ..core.instance import Instance
-from ..distributed.protocol import (
-    ConnectionClosed,
-    FrameError,
-    ProtocolError,
-    RemoteOperationError,
-    encode_frame,
-    recv_frame,
-    send_encoded,
-)
-from ..distributed.rpc import knock, raise_reply_error
+from ..distributed.rpc import RpcClient, RpcConnectionError
 from .requests import (
     DEFAULT_EPS,
+    DEFAULT_SCHEDULE_PORT,
     SCHEDULE_PROTOCOL_VERSION,
     AdmissionError,
-    parse_schedule_endpoint,
 )
 
 __all__ = ["ScheduleClient", "ScheduleConnectionError"]
 
 
-class ScheduleConnectionError(ProtocolError):
+class ScheduleConnectionError(RpcConnectionError):
     """The schedule service could not be reached (after configured retries)."""
 
 
-class ScheduleClient:
+class ScheduleClient(RpcClient):
     """Client for one :class:`~repro.service.server.ScheduleServer`.
 
     ``target`` is ``"host[:port]"`` or ``"tcp://host[:port]"`` (port
     defaults to 7481).  ``timeout`` bounds each round-trip — it must cover
     a whole queued solve, hence the generous default.
     """
+
+    default_port = DEFAULT_SCHEDULE_PORT
+    info_method = "schedule_info"
+    protocol_version = SCHEDULE_PROTOCOL_VERSION
+    mutating_methods = frozenset({"submit"})
+    connection_error = ScheduleConnectionError
+    typed_errors = {"AdmissionError": AdmissionError}
+    metrics_prefix = "schedule_client"
+    server_name = "schedule service"
 
     def __init__(
         self,
@@ -62,129 +59,14 @@ class ScheduleClient:
         retries: int = 4,
         retry_delay: float = 0.2,
     ) -> None:
-        self.host, self.port = parse_schedule_endpoint(target)
-        self._token = token
-        self._timeout = timeout
-        self._connect_timeout = connect_timeout
-        self._retries = max(0, int(retries))
-        self._retry_delay = retry_delay
-        self._sock: socket.socket | None = None
-        self._request_id = 0
-        self._closed = False
-        info = self._call("schedule_info", {})
-        version = info.get("protocol") if isinstance(info, Mapping) else None
-        if version != SCHEDULE_PROTOCOL_VERSION:
-            self.close()
-            raise ScheduleConnectionError(
-                f"schedule service at {self.host}:{self.port} speaks protocol "
-                f"{version!r}; this client speaks {SCHEDULE_PROTOCOL_VERSION}"
-            )
-
-    # ------------------------------------------------------------------
-    # Transport
-    # ------------------------------------------------------------------
-    def _connect(self) -> socket.socket:
-        try:
-            sock = knock(
-                self.host,
-                self.port,
-                timeout=self._timeout,
-                connect_timeout=self._connect_timeout,
-                retry_delay=self._retry_delay,
-            )
-        except OSError as exc:
-            raise ScheduleConnectionError(
-                f"cannot connect to schedule service at {self.host}:{self.port}: {exc}"
-            ) from exc
-        self._sock = sock
-        return sock
-
-    def _disconnect(self) -> None:
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-            self._sock = None
-
-    def _call(self, method: str, params: dict[str, Any], *, op: bool = False) -> Any:
-        if self._closed:
-            raise ScheduleConnectionError("ScheduleClient is closed")
-        self._request_id += 1
-        payload: dict[str, Any] = {
-            "id": self._request_id,
-            "method": method,
-            "params": params,
-        }
-        if self._token is not None:
-            payload["token"] = self._token
-        if op:
-            # Generated once, before the retry loop: retries replay the op.
-            payload["op"] = uuid.uuid4().hex
-        # Serialised before the retry loop: an unframeable request is a
-        # local payload bug, not an unreachable server.
-        frame = encode_frame(payload)
-        last_exc: Exception | None = None
-        for attempt in range(self._retries + 1):
-            try:
-                sock = self._sock or self._connect()
-                send_encoded(sock, frame)
-                reply = recv_frame(sock)
-                if reply.get("id") != payload["id"]:
-                    raise FrameError(
-                        f"reply id {reply.get('id')!r} does not match request "
-                        f"{payload['id']!r}"
-                    )
-            except (OSError, ConnectionClosed, FrameError) as exc:
-                self._disconnect()
-                last_exc = exc
-                if attempt < self._retries:
-                    time.sleep(self._retry_delay * (attempt + 1))
-                    continue
-                raise ScheduleConnectionError(
-                    f"schedule service at {self.host}:{self.port} unreachable "
-                    f"after {self._retries + 1} attempts: {exc}"
-                ) from exc
-            error = reply.get("error")
-            if error is not None:
-                if error.get("type") == "ServerClosed":
-                    # Mid-shutdown (or mid-restart) is a transport condition:
-                    # reconnect and replay — the replacement server resumes
-                    # the journaled request instead of solving it again.
-                    self._disconnect()
-                    last_exc = RemoteOperationError(
-                        "ServerClosed", str(error.get("message", ""))
-                    )
-                    if attempt < self._retries:
-                        time.sleep(self._retry_delay * (attempt + 1))
-                        continue
-                    raise ScheduleConnectionError(
-                        f"schedule service at {self.host}:{self.port} is shutting down"
-                    ) from last_exc
-                if error.get("type") == "AdmissionError":
-                    raise AdmissionError(str(error.get("message", "")))
-                raise_reply_error(error)
-            return reply.get("result")
-        raise ScheduleConnectionError(str(last_exc))  # pragma: no cover - unreachable
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        self._closed = True
-        self._disconnect()
-
-    def __enter__(self) -> "ScheduleClient":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------
-    # API
-    # ------------------------------------------------------------------
-    def ping(self) -> bool:
-        return self._call("ping", {}) == "pong"
+        super().__init__(
+            target,
+            token=token,
+            timeout=timeout,
+            connect_timeout=connect_timeout,
+            retries=retries,
+            retry_delay=retry_delay,
+        )
 
     def info(self) -> dict[str, Any]:
         """Live service state: queue depth, telemetry counters, budget."""
@@ -207,7 +89,5 @@ class ScheduleClient:
         """
         wire = instance.to_dict() if isinstance(instance, Instance) else dict(instance)
         return self._call(
-            "submit",
-            {"instance": wire, "solver": solver, "config": {"eps": eps}},
-            op=True,
+            "submit", {"instance": wire, "solver": solver, "config": {"eps": eps}}
         )

@@ -51,7 +51,6 @@ __all__ = [
     "cost_experiment",
     "execute_request",
     "normalise_request",
-    "parse_schedule_endpoint",
 ]
 
 SCHEDULE_PROTOCOL_VERSION = 1
@@ -194,30 +193,3 @@ def execute_request(request: ScheduleRequest) -> tuple[dict[str, Any], float]:
     result = SOLVER_ROSTER[request.solver].run(request.instance, request.eps)
     duration = time.perf_counter() - started
     return summarise_result(result), duration
-
-
-def parse_schedule_endpoint(target: str) -> tuple[str, int]:
-    """Parse ``HOST[:PORT]`` (or ``tcp://HOST[:PORT]``), defaulting the port.
-
-    Unlike the store's ``parse_address`` the port is optional — schedule
-    services overwhelmingly sit on :data:`DEFAULT_SCHEDULE_PORT`.
-    """
-    spec = target.strip()
-    if spec.startswith("tcp://"):
-        spec = spec[len("tcp://") :]
-    if not spec:
-        raise ValueError(f"empty schedule endpoint in {target!r}")
-    host, sep, port_text = spec.rpartition(":")
-    if not sep:
-        return spec, DEFAULT_SCHEDULE_PORT
-    if not host:
-        raise ValueError(f"missing host in schedule endpoint {target!r}")
-    try:
-        port = int(port_text)
-    except ValueError:
-        raise ValueError(
-            f"invalid port {port_text!r} in schedule endpoint {target!r}"
-        ) from None
-    if not 0 < port < 65536:
-        raise ValueError(f"port out of range in schedule endpoint {target!r}")
-    return host, port

@@ -31,13 +31,9 @@ class SolverService:
     def __init__(self) -> None:
         self._stats: dict[str, Any] = {
             "solves": 0,
-            "pooled_solves": 0,
             "wall_time": 0.0,
-            "queue_wait_s": 0.0,
             "solve_s": 0.0,
-            "wire_s": 0.0,
             "backends": {},
-            "endpoints": {},
         }
 
     # ------------------------------------------------------------------
@@ -89,13 +85,9 @@ class SolverService:
     def stats(self) -> dict[str, Any]:
         return {
             "solves": self._stats["solves"],
-            "pooled_solves": self._stats["pooled_solves"],
             "wall_time": self._stats["wall_time"],
-            "queue_wait_s": self._stats["queue_wait_s"],
             "solve_s": self._stats["solve_s"],
-            "wire_s": self._stats["wire_s"],
             "backends": dict(self._stats["backends"]),
-            "endpoints": dict(self._stats["endpoints"]),
         }
 
     def stats_delta(self, before: dict[str, Any]) -> dict[str, Any]:
@@ -106,20 +98,11 @@ class SolverService:
             for fp, count in now["backends"].items()
             if count - before.get("backends", {}).get(fp, 0)
         }
-        endpoints = {
-            ep: count - before.get("endpoints", {}).get(ep, 0)
-            for ep, count in now["endpoints"].items()
-            if count - before.get("endpoints", {}).get(ep, 0)
-        }
         return {
             "solves": now["solves"] - before.get("solves", 0),
-            "pooled_solves": now["pooled_solves"] - before.get("pooled_solves", 0),
             "wall_time": now["wall_time"] - before.get("wall_time", 0.0),
-            "queue_wait_s": now["queue_wait_s"] - before.get("queue_wait_s", 0.0),
             "solve_s": now["solve_s"] - before.get("solve_s", 0.0),
-            "wire_s": now["wire_s"] - before.get("wire_s", 0.0),
             "backends": backends,
-            "endpoints": endpoints,
         }
 
 

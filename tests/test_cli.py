@@ -106,3 +106,11 @@ class TestExperimentsAndConstants:
         code = main(["experiments", "E5", "--markdown"])
         assert code == 0
         assert "###" in capsys.readouterr().out
+
+
+class TestOrchConnect:
+    @pytest.mark.parametrize("command", ["submit", "status"])
+    def test_bad_port_is_a_one_line_error(self, command, instance_file):
+        paths = [str(instance_file)] if command == "submit" else []
+        with pytest.raises(SystemExit, match="invalid port"):
+            main(["orch", command, *paths, "--connect", "localhost:notaport"])

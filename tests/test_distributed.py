@@ -10,6 +10,7 @@ drained entirely over TCP exports the same tables as a local drain.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import re
@@ -19,6 +20,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+from typing import Any, Callable
 
 import pytest
 
@@ -31,6 +33,8 @@ from repro.distributed import (
     open_store,
 )
 from repro.distributed.protocol import (
+    PROTOCOL_VERSION,
+    AuthError,
     ConnectionClosed,
     FrameError,
     RemoteOperationError,
@@ -40,11 +44,13 @@ from repro.distributed.protocol import (
     recv_frame,
     send_frame,
 )
+from repro.observability import metrics
 from repro.orchestration import ExperimentStore, run_pool, run_workers
 from repro.orchestration.cache import clear_memo, deactivate_cache
 from repro.orchestration.export import export_experiment
 from repro.orchestration.planner import plan
 from repro.orchestration.runner import populate
+from repro.service import SCHEDULE_PROTOCOL_VERSION, ScheduleClient
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
@@ -91,7 +97,9 @@ class TestProtocol:
         assert parse_address("myhost") == ("myhost", 7479)  # default port
         assert parse_address("tcp://[::1]:7000") == ("::1", 7000)
 
-    @pytest.mark.parametrize("bad", ["", ":7000", "host:notaport", "host:0", "host:70000"])
+    @pytest.mark.parametrize(
+        "bad", ["", ":7000", "host:", "host:notaport", "host:0", "host:70000"]
+    )
     def test_parse_address_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_address(bad)
@@ -448,6 +456,188 @@ class TestRequestDedup:
         replay = server.dispatch({**request, "id": 2})
         assert replay["error"]["type"] == "TypeError"
         assert "replayed" not in replay  # re-executed, not replayed
+
+
+# ----------------------------------------------------------------------
+# The shared client transport, against a scripted server
+# ----------------------------------------------------------------------
+class _ScriptedServer:
+    """A socket server that serves one connection at a time, by script.
+
+    ``script(request)`` returns the reply frame, or ``None`` to drop the
+    connection unanswered (a lost reply).  Every request is recorded as
+    ``(connection number, request)``.
+    """
+
+    def __init__(self, script: Callable[[dict], dict | None]) -> None:
+        self._script = script
+        self.requests: list[tuple[int, dict]] = []
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._listener.settimeout(0.05)
+        self.url = format_address(*self._listener.getsockname()[:2])
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self) -> None:
+        connection = 0
+        while not self._stop.is_set():
+            try:
+                conn, _ = self._listener.accept()
+            except TimeoutError:
+                continue
+            with conn:
+                conn.settimeout(10)
+                while True:
+                    try:
+                        request = recv_frame(conn)
+                    except (ConnectionClosed, FrameError, OSError):
+                        break
+                    self.requests.append((connection, request))
+                    reply = self._script(request)
+                    if reply is None:
+                        break
+                    send_frame(conn, reply)
+            connection += 1
+
+    def calls(self, method: str) -> list[tuple[int, dict]]:
+        return [(conn, req) for conn, req in self.requests if req["method"] == method]
+
+    def close(self) -> None:
+        self._stop.set()
+        self._thread.join(timeout=15)
+        self._listener.close()
+        assert not self._thread.is_alive()
+
+
+@dataclasses.dataclass(frozen=True)
+class _ClientCase:
+    client: Callable[..., Any]
+    results: dict[str, Any]  # the scripted server's answer, per method
+    mutating: str
+    mutate: Callable[[Any, dict], Any]  # (client, extra payload) -> result
+    read: Callable[[Any], Any]
+
+    def open(self, server: _ScriptedServer) -> Any:
+        return self.client(server.url, timeout=5.0, retry_delay=0.01)
+
+
+_CLIENT_CASES = [
+    pytest.param(
+        _ClientCase(
+            client=RemoteStore,
+            results={
+                "store_info": {"protocol": PROTOCOL_VERSION, "fifo_every": 4},
+                "complete": True,
+                "pending_count": 3,
+                "ping": "pong",
+            },
+            mutating="complete",
+            mutate=lambda client, extra: client.complete(1, extra, duration=0.0),
+            read=lambda client: client.pending_count(),
+        ),
+        id="RemoteStore",
+    ),
+    pytest.param(
+        _ClientCase(
+            client=ScheduleClient,
+            results={
+                "schedule_info": {"protocol": SCHEDULE_PROTOCOL_VERSION},
+                "submit": {"makespan": 1.0},
+                "ping": "pong",
+            },
+            mutating="submit",
+            mutate=lambda client, extra: client.submit(extra),
+            read=lambda client: client.info(),
+        ),
+        id="ScheduleClient",
+    ),
+]
+
+
+def _error(error_type: str) -> Callable[[dict], dict]:
+    return lambda request: {
+        "id": request["id"],
+        "error": {"type": error_type, "message": "scripted"},
+    }
+
+
+class TestClientTransport:
+    """RpcClient's retry rules, seen on the wire through both clients."""
+
+    @pytest.fixture(params=_CLIENT_CASES)
+    def case(self, request) -> _ClientCase:
+        return request.param
+
+    @pytest.fixture
+    def serve(self, case):
+        """Start a scripted server: ``first`` answers the first mutating call."""
+        servers: list[_ScriptedServer] = []
+
+        def start(first: Callable[[dict], Any] | None = None) -> _ScriptedServer:
+            pending = [first] if first is not None else []
+
+            def script(request: dict) -> dict | None:
+                if request["method"] == case.mutating and pending:
+                    return pending.pop()(request)
+                return {"id": request["id"], "result": case.results[request["method"]]}
+
+            servers.append(_ScriptedServer(script))
+            return servers[-1]
+
+        yield start
+        for server in servers:
+            server.close()
+
+    def test_lost_reply_is_resent_with_the_same_op_id(self, case, serve):
+        server = serve(first=lambda request: None)
+        retries = f"{case.client.metrics_prefix}.retries"
+        before = metrics.snapshot()["counters"].get(retries, 0)
+        with case.open(server) as client:
+            case.read(client)
+            assert case.mutate(client, {}) == case.results[case.mutating]
+            (first_conn, first), (second_conn, second) = server.calls(case.mutating)
+            assert second_conn > first_conn
+            assert first["op"] == second["op"] == client.last_op
+        assert metrics.snapshot()["counters"][retries] == before + 1
+        reads = [r for _, r in server.requests if r["method"] != case.mutating]
+        assert len(reads) == 2  # the connect-time info call and the read
+        assert all("op" not in request for request in reads)
+
+    def test_server_closed_reply_reconnects_and_retries(self, case, serve):
+        server = serve(first=_error("ServerClosed"))
+        with case.open(server) as client:
+            assert case.mutate(client, {}) == case.results[case.mutating]
+        (first_conn, first), (second_conn, second) = server.calls(case.mutating)
+        assert second_conn > first_conn and first["op"] == second["op"]
+
+    def test_reply_with_the_wrong_id_is_dropped_and_retried(self, case, serve):
+        server = serve(first=lambda request: {"id": request["id"] + 1, "result": None})
+        with case.open(server) as client:
+            assert case.mutate(client, {}) == case.results[case.mutating]
+        (first_conn, first), (second_conn, second) = server.calls(case.mutating)
+        assert second_conn > first_conn and first["op"] == second["op"]
+
+    def test_auth_error_gets_exactly_one_attempt(self, case, serve):
+        server = serve(first=_error("AuthError"))
+        with case.open(server) as client:
+            with pytest.raises(AuthError):
+                case.mutate(client, {})
+        assert len(server.calls(case.mutating)) == 1
+
+    def test_oversized_request_raises_frame_error_with_nothing_sent(
+        self, case, serve, monkeypatch
+    ):
+        import repro.distributed.protocol as proto
+
+        server = serve()
+        with case.open(server) as client:
+            monkeypatch.setattr(proto, "MAX_FRAME_BYTES", 300)
+            with pytest.raises(FrameError):
+                case.mutate(client, {"blob": "y" * 1000})
+            assert client.ping()
+        assert server.calls(case.mutating) == []
+        assert {conn for conn, _ in server.requests} == {0}  # no reconnect
 
 
 # ----------------------------------------------------------------------

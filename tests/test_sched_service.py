@@ -9,6 +9,7 @@ the unbounded in-process memo.
 
 from __future__ import annotations
 
+import socket
 import threading
 import time
 
@@ -16,7 +17,7 @@ import pytest
 
 from repro.baselines import lpt_schedule
 from repro.core.instance import Instance
-from repro.distributed.protocol import AuthError, RemoteOperationError
+from repro.distributed.protocol import AuthError, RemoteOperationError, parse_address
 from repro.orchestration import ExperimentStore
 from repro.orchestration.cache import (
     DEFAULT_MEMO_ENTRIES,
@@ -30,12 +31,12 @@ from repro.orchestration.cache import (
     set_memo_limit,
 )
 from repro.service import (
+    DEFAULT_SCHEDULE_PORT,
     SERVICE_EXPERIMENT,
     AdmissionError,
     ScheduleClient,
     ScheduleServer,
     normalise_request,
-    parse_schedule_endpoint,
 )
 
 
@@ -562,14 +563,33 @@ class TestTelemetryTail:
 
 
 class TestEndpointParsing:
+    @staticmethod
+    def parse(target):
+        return parse_address(target, default_port=DEFAULT_SCHEDULE_PORT)
+
     def test_default_port(self):
-        assert parse_schedule_endpoint("example.org") == ("example.org", 7481)
-        assert parse_schedule_endpoint("tcp://example.org") == ("example.org", 7481)
+        assert self.parse("example.org") == ("example.org", 7481)
+        assert self.parse("tcp://example.org") == ("example.org", 7481)
 
     def test_explicit_port(self):
-        assert parse_schedule_endpoint("127.0.0.1:9000") == ("127.0.0.1", 9000)
+        assert self.parse("127.0.0.1:9000") == ("127.0.0.1", 9000)
 
     def test_invalid(self):
         for bad in ("", "host:", "host:notaport", ":7481", "host:0"):
             with pytest.raises(ValueError):
-                parse_schedule_endpoint(bad)
+                self.parse(bad)
+
+    def test_ipv6_bind_and_connect(self, tmp_path):
+        try:
+            probe = socket.socket(socket.AF_INET6)
+            probe.bind(("::1", 0))
+            probe.close()
+        except OSError:
+            pytest.skip("IPv6 loopback unavailable")
+        server = ScheduleServer(tmp_path / "sched.db", host="::1", port=0).start()
+        try:
+            assert server.url.startswith("tcp://[::1]:")
+            with ScheduleClient(server.url, connect_timeout=1.0) as client:
+                assert client.ping()
+        finally:
+            server.shutdown()
