@@ -76,9 +76,10 @@ class RemoteStore(RpcClient):
             retry_delay=retry_delay,
         )
         if fifo_every is not None:
-            self.fifo_every = int(
-                self._call("set_fifo_every", {"fifo_every": int(fifo_every)})
-            )
+            with self._closed_on_error():
+                self.fifo_every = int(
+                    self._call("set_fifo_every", {"fifo_every": int(fifo_every)})
+                )
         else:
             self.fifo_every = int(self._server_info["fifo_every"])
 

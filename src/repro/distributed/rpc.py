@@ -46,7 +46,8 @@ import threading
 import time
 import uuid
 from collections import OrderedDict
-from typing import Any, Callable, Mapping, NoReturn, TypeVar
+from contextlib import contextmanager
+from typing import Any, Callable, Iterator, Mapping, NoReturn, TypeVar
 
 from ..analysis import racecheck
 from ..observability import events, metrics
@@ -556,8 +557,21 @@ class RpcClient:
         self._request_id = 0
         self._closed = False
         self._last_op: str | None = None
-        self._server_info = self._call(self.info_method, {})
-        self._check_protocol(self._server_info)
+        with self._closed_on_error():
+            self._server_info = self._call(self.info_method, {})
+            self._check_protocol(self._server_info)
+
+    @contextmanager
+    def _closed_on_error(self) -> Iterator[None]:
+        """Close the connection when a connect-time call raises.
+
+        The constructor never returns then, so no caller could close it.
+        """
+        try:
+            yield
+        except BaseException:
+            self.close()
+            raise
 
     @property
     def last_op(self) -> str | None:
@@ -577,7 +591,6 @@ class RpcClient:
         """
         version = info.get("protocol") if isinstance(info, Mapping) else None
         if version != self.protocol_version:
-            self.close()
             raise self.connection_error(
                 f"{self.server_name} at {self.host}:{self.port} speaks protocol "
                 f"{version!r}; this client speaks {self.protocol_version}"

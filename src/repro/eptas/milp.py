@@ -7,8 +7,14 @@ priority bags with size above ``eps**(2k+11)`` are integral — all other
 ``y`` variables stay fractional, which is what keeps the integral dimension
 independent of the number of bags (the paper's core idea).
 
-The module builds the model with :class:`repro.milp.LinearModel`, solves it
-with the configured backend and returns a structured
+The model is derived from index arrays: the ``x`` columns, the ``y``
+columns that pass the headroom and priority-bag filters, and rows (1)–(5) as
+COO blocks, handed to :class:`repro.milp.LinearModel` in bulk
+(:meth:`~repro.milp.LinearModel.add_columns`,
+:meth:`~repro.milp.LinearModel.add_constraints`).  Nothing is built per
+pattern and class pair beyond the ``y`` columns themselves, so memory stays
+linear in the number of ``y`` columns plus nonzeros.  The module solves the
+model with the configured backend and returns a structured
 :class:`ConfigurationSolution` that the placement stages consume.
 """
 
@@ -17,12 +23,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
+import numpy as np
+
 from ..core.instance import Instance
-from ..milp import LinearModel, MilpSolution, SolutionStatus
+from ..milp import LinearModel, MilpSolution, Sense, SolutionStatus
 from ..solver import get_solver_service
 from .classification import BagClasses, JobClasses, SIZE_TOL
 from .params import DerivedConstants, EptasConfig
-from .patterns import Pattern, PatternSet, size_key
+from .patterns import PatternSet, size_key
 
 __all__ = [
     "SmallClass",
@@ -108,116 +116,177 @@ def build_configuration_milp(
     *,
     config: EptasConfig,
 ) -> ConfigurationModel:
-    """Assemble the MILP (1)–(9) for the transformed instance."""
+    """Assemble the MILP (1)–(9) for the transformed instance.
+
+    Columns are ``x_0 … x_{P-1}``, then the ``y`` columns in (pattern, class)
+    order.  Rows are (1) ``machines``; (2) ``cover_p`` by (bag, size), then
+    ``cover_x`` by size; (3) ``cover_s`` per small class; (4) ``area`` per
+    pattern; (5) ``bagcap`` per (pattern, bag), bags in increasing order.
+    """
     budget = constants.budget
+    priority = bag_classes.priority
     model = LinearModel(f"eptas-{instance.name}")
     small_classes = _collect_small_classes(instance, job_classes)
+    num_patterns = len(patterns.patterns)
+    x_col = np.arange(num_patterns)
+
+    # Rows (2), one per slot type: priority (bag, size) types, then wildcard
+    # sizes.
+    cover_entries = sorted(
+        (entry for entry, _ in patterns.entry_types if not entry.is_wildcard),
+        key=lambda entry: (entry.bag, entry.size),
+    ) + sorted(
+        (entry for entry, _ in patterns.entry_types if entry.is_wildcard),
+        key=lambda entry: entry.size,
+    )
+    # Keyed by (size, bag), which is PatternEntry equality, without its
+    # Python-level hash.
+    cover_row = {(entry.size, entry.bag): row for row, entry in enumerate(cover_entries)}
+    available = dict(patterns.entry_types)
+
+    heights = np.fromiter(
+        (pattern.height for pattern in patterns.patterns), dtype=float, count=num_patterns
+    )
+    slot_pattern: list[int] = []
+    slot_row: list[int] = []
+    slot_count: list[int] = []
+    for index, pattern in enumerate(patterns.patterns):
+        for entry, count in pattern.entries:
+            slot_pattern.append(index)
+            slot_row.append(cover_row[entry.size, entry.bag])
+            slot_count.append(count)
+
+    # The priority bags each pattern uses, as (pattern, bag code) keys; only
+    # bags with small classes get a code.
+    bag_ids = sorted({small.bag for small in small_classes})
+    bag_code = {bag: code for code, bag in enumerate(bag_ids)}
+    row_code = np.array(
+        [
+            bag_code.get(entry.bag, -1)
+            if not entry.is_wildcard and entry.bag in priority
+            else -1
+            for entry in cover_entries
+        ],
+        dtype=np.int64,
+    )
+    slot_code = row_code[slot_row]
+    uses = slot_code >= 0
+    used = np.array(slot_pattern, dtype=np.int64)[uses] * len(bag_ids) + slot_code[uses]
 
     # --- x variables: machines per pattern (constraint (6)). -----------
-    x_name: dict[int, str] = {}
-    for index, pattern in enumerate(patterns.patterns):
-        name = f"x_{index}"
-        x_name[index] = name
-        # Objective: any feasible solution certifies the makespan bound, so
-        # the objective is a free practical tie-breaker.  The squared pattern
-        # height steers the solver towards *balanced* large-job placements
-        # (stacking two large jobs costs more than spreading them), which
-        # tightens the constructed schedule without affecting the guarantee.
-        model.add_variable(
-            name, integer=True, lower=0.0, objective=pattern.height * pattern.height
-        )
+    # Objective: any feasible solution certifies the makespan bound, so the
+    # objective is a free practical tie-breaker.  The squared pattern height
+    # steers the solver towards *balanced* large-job placements (stacking two
+    # large jobs costs more than spreading them), which tightens the
+    # constructed schedule without affecting the guarantee.
+    x_name = {index: f"x_{index}" for index in range(num_patterns)}
+    model.add_columns(list(x_name.values()), integer=True, objective=heights * heights)
 
     # --- y variables (constraints (7), (8), (9)). -----------------------
     # Only create y_{p, class} when the pattern leaves room for the size and
     # the pattern does not already use the bag (constraint (5) would force
     # the variable to zero anyway) — this keeps the model compact without
     # excluding any solution the Lemma-5 construction might need.
-    y_name: dict[tuple[int, int, float], str] = {}
+    class_bag = np.array([small.bag for small in small_classes], dtype=np.int64)
+    class_size = np.array([small.size for small in small_classes], dtype=float)
+    class_code = np.array([bag_code[small.bag] for small in small_classes], dtype=np.int64)
+    class_priority = np.array([small.bag in priority for small in small_classes], dtype=bool)
+    by_size = np.argsort(class_size, kind="stable")
+    # Pattern p has room for the classes by_size[:fits[p]]: one (pattern,
+    # rank) pair per such class, then sorted into (pattern, class) order.
+    fits = np.searchsorted(
+        class_size[by_size], budget - heights + SIZE_TOL, side="right"
+    )
+    y_pattern = np.repeat(x_col, fits)
+    rank = np.arange(len(y_pattern)) - np.repeat(np.cumsum(fits) - fits, fits)
+    key = np.sort(y_pattern * len(small_classes) + by_size[rank])
+    y_pattern, y_class = np.divmod(key, max(1, len(small_classes)))
+    clash = np.isin(y_pattern * len(bag_ids) + class_code[y_class], used)
+    y_pattern, y_class = y_pattern[~clash], y_class[~clash]
+    suffix = [f"{small.bag}_{small.size:.12g}" for small in small_classes]
+    y_names = [
+        f"y_{p}_{suffix[c]}" for p, c in zip(y_pattern.tolist(), y_class.tolist())
+    ]
     threshold = constants.small_integral_threshold
-    for index, pattern in enumerate(patterns.patterns):
-        headroom = budget - pattern.height + SIZE_TOL
-        for small in small_classes:
-            if small.size > headroom:
-                continue
-            if small.bag in bag_classes.priority and pattern.uses_bag(small.bag):
-                continue
-            name = f"y_{index}_{small.bag}_{small.size:.12g}"
-            y_name[(index, small.bag, small.size)] = name
-            integral = small.bag in bag_classes.priority and small.size > threshold
-            model.add_variable(name, integer=integral, lower=0.0)
+    integral = class_priority & (class_size > threshold)
+    y_columns = model.add_columns(y_names, integer=integral[y_class])
+    y_col = np.arange(y_columns.start, y_columns.stop)
+    y_name = dict(
+        zip(
+            zip(
+                y_pattern.tolist(), class_bag[y_class].tolist(), class_size[y_class].tolist()
+            ),
+            y_names,
+        )
+    )
+    ones = np.ones(len(y_col))
 
     # --- (1) at most m machines. ----------------------------------------
-    model.add_le(
-        "machines",
-        {x_name[index]: 1.0 for index in range(len(patterns.patterns))},
-        float(instance.num_machines),
+    model.add_constraints(
+        ["machines"],
+        Sense.LE,
+        [float(instance.num_machines)],
+        row=np.zeros(num_patterns, dtype=np.int64),
+        col=x_col,
+        value=np.ones(num_patterns),
     )
 
     # --- (2) cover every medium/large job. -------------------------------
-    # Priority size-restricted bags.
-    priority_requirements: dict[tuple[int, float], int] = {}
-    wildcard_requirements: dict[float, int] = {}
-    for entry, available in patterns.entry_types:
-        if entry.is_wildcard:
-            wildcard_requirements[entry.size] = available
-        else:
-            priority_requirements[(entry.bag, entry.size)] = available
-    for (bag, size), required in sorted(priority_requirements.items()):
-        coefficients: dict[str, float] = {}
-        for index, pattern in enumerate(patterns.patterns):
-            count = pattern.priority_slots().get((bag, size), 0)
-            if count:
-                coefficients[x_name[index]] = float(count)
-        model.add_ge(f"cover_p_{bag}_{size:.12g}", coefficients, float(required))
-    for size, required in sorted(wildcard_requirements.items()):
-        coefficients = {}
-        for index, pattern in enumerate(patterns.patterns):
-            count = pattern.wildcard_slots().get(size, 0)
-            if count:
-                coefficients[x_name[index]] = float(count)
-        model.add_ge(f"cover_x_{size:.12g}", coefficients, float(required))
+    model.add_constraints(
+        [
+            f"cover_x_{entry.size:.12g}"
+            if entry.is_wildcard
+            else f"cover_p_{entry.bag}_{entry.size:.12g}"
+            for entry in cover_entries
+        ],
+        Sense.GE,
+        [float(available[entry]) for entry in cover_entries],
+        row=slot_row,
+        col=slot_pattern,
+        value=slot_count,
+    )
 
     # --- (3) cover every small job. --------------------------------------
-    for small in small_classes:
-        coefficients = {
-            y_name[(index, small.bag, small.size)]: 1.0
-            for index in range(len(patterns.patterns))
-            if (index, small.bag, small.size) in y_name
-        }
-        model.add_ge(
-            f"cover_s_{small.bag}_{small.size:.12g}", coefficients, float(small.count)
-        )
+    model.add_constraints(
+        [f"cover_s_{label}" for label in suffix],
+        Sense.GE,
+        [float(small.count) for small in small_classes],
+        row=y_class,
+        col=y_col,
+        value=ones,
+    )
 
     # --- (4) area on top of a pattern fits the leftover budget. ----------
-    for index, pattern in enumerate(patterns.patterns):
-        coefficients = {}
-        for small in small_classes:
-            key = (index, small.bag, small.size)
-            if key in y_name:
-                coefficients[y_name[key]] = small.size
-        coefficients[x_name[index]] = -(budget - pattern.height)
-        model.add_le(f"area_{index}", coefficients, 0.0)
+    model.add_constraints(
+        [f"area_{index}" for index in range(num_patterns)],
+        Sense.LE,
+        np.zeros(num_patterns),
+        row=np.concatenate((y_pattern, x_col)),
+        col=np.concatenate((y_col, x_col)),
+        value=np.concatenate((class_size[y_class], -(budget - heights))),
+    )
 
     # --- (5) at most x_p small jobs of a bag on pattern p, none if the
     #          pattern already carries the bag. ---------------------------
-    # ``small_classes`` is sorted by (bag, size), so the bags come in
-    # increasing order and each bag's classes by size.
-    classes_by_bag: dict[int, list[SmallClass]] = {}
-    for small in small_classes:
-        classes_by_bag.setdefault(small.bag, []).append(small)
-    for index, pattern in enumerate(patterns.patterns):
-        for bag, classes in classes_by_bag.items():
-            keys = [
-                (index, bag, small.size)
-                for small in classes
-                if (index, bag, small.size) in y_name
-            ]
-            if not keys:
-                continue
-            coefficients = {y_name[key]: 1.0 for key in keys}
-            uses = 1 if (bag in bag_classes.priority and pattern.uses_bag(bag)) else 0
-            coefficients[x_name[index]] = -(1.0 - uses)
-            model.add_le(f"bagcap_{index}_{bag}", coefficients, 0.0)
+    # The y columns come in (pattern, bag, size) order, so each row is a run
+    # of them.  A row exists only where the pattern has a y of the bag, and
+    # no y of a priority bag the pattern uses is created: the x coefficient
+    # -(1 - uses) is always -1.
+    y_code = class_code[y_class]
+    first = np.ones(len(y_col), dtype=bool)
+    first[1:] = (y_pattern[1:] != y_pattern[:-1]) | (y_code[1:] != y_code[:-1])
+    cap_pattern = y_pattern[first]
+    model.add_constraints(
+        [
+            f"bagcap_{p}_{bag}"
+            for p, bag in zip(cap_pattern.tolist(), class_bag[y_class[first]].tolist())
+        ],
+        Sense.LE,
+        np.zeros(len(cap_pattern)),
+        row=np.concatenate((np.cumsum(first) - 1, np.arange(len(cap_pattern)))),
+        col=np.concatenate((y_col, cap_pattern)),
+        value=np.concatenate((ones, -np.ones(len(cap_pattern)))),
+    )
 
     return ConfigurationModel(
         model=model,

@@ -3,20 +3,24 @@
 The configuration MILP of Section 3, the Das–Wiese baseline, the exact
 reference solver and the LP lower bound all need to assemble sparse linear
 models with named variables.  :class:`LinearModel` collects variables and
-constraints symbolically and compiles them to the arrays expected by the
-solver backends (:mod:`repro.milp.scipy_backend` and
-:mod:`repro.milp.branch_and_bound`).
+constraints and compiles them to the arrays expected by the solver backends
+(:mod:`repro.milp.scipy_backend` and :mod:`repro.milp.branch_and_bound`).
 
-The builder keeps everything sparse: constraints are stored as
-``{variable name: coefficient}`` dictionaries and compiled into a
-:class:`scipy.sparse.csr_matrix` once, right before solving.
+The builder keeps everything sparse.  A constraint added by name
+(:meth:`LinearModel.add_constraint`) is stored as a
+``{variable name: coefficient}`` dictionary; a block of constraints added in
+bulk (:meth:`LinearModel.add_constraints`) as COO index and value arrays.
+Columns come one at a time or in bulk too.  :meth:`LinearModel.compile`
+turns both kinds into one :class:`scipy.sparse.csr_matrix` per sense group,
+once, right before solving.
 """
 
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from typing import Any, Container, Mapping, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -189,18 +193,63 @@ class MilpSolution:
         return rounded
 
 
+def _repeated(names: Sequence[str], existing: Container[str]) -> list[str]:
+    """The names that repeat within ``names`` or are already in ``existing``."""
+    counts = Counter(names)
+    return sorted(n for n, count in counts.items() if count > 1 or n in existing)
+
+
+def _per_column(label: str, given: Any, count: int, dtype: type) -> list[Any]:
+    """``given`` once per column: a scalar repeats, an array must have ``count``."""
+    array = np.asarray(given, dtype=dtype)
+    if array.ndim == 0:
+        return [array.item()] * count
+    if array.shape != (count,):
+        raise ValueError(f"{label} has shape {array.shape}; expected ({count},)")
+    return array.tolist()
+
+
+@dataclass(frozen=True, slots=True)
+class _RowBlock:
+    """Constraints added in bulk: one sense, COO entries with zeros dropped.
+
+    ``row`` indexes ``names``/``rhs``; ``col`` indexes the model's columns.
+    """
+
+    names: tuple[str, ...]
+    sense: Sense
+    rhs: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
+    value: np.ndarray
+
+
 class LinearModel:
     """Symbolic builder for mixed-integer linear programs.
 
     The objective sense is always *minimise*; negate coefficients to
     maximise.  Variable and constraint names must be unique.
+
+    Variables and constraints are added one at a time by name
+    (:meth:`add_variable`, :meth:`add_constraint`) or in bulk by index
+    (:meth:`add_columns`, :meth:`add_constraints`).  Both kinds share the
+    column order and the row order, in the order they were added, and
+    :meth:`compile` treats them alike.
     """
 
     def __init__(self, name: str = "model") -> None:
         self.name = name
-        self._variables: dict[str, Variable] = {}
-        self._constraints: list[Constraint] = []
+        # One entry per column, in insertion order.
+        self._names: list[str] = []
+        self._index: dict[str, int] = {}
+        self._lower: list[float] = []
+        self._upper: list[float] = []  # inf when unbounded
+        self._integer: list[bool] = []
+        self._objective: list[float] = []
+        # Rows in insertion order: single constraints and bulk blocks.
+        self._rows: list[Constraint | _RowBlock] = []
         self._constraint_names: set[str] = set()
+        self._num_constraints = 0
 
     # ------------------------------------------------------------------
     # Variables
@@ -215,7 +264,7 @@ class LinearModel:
         objective: float = 0.0,
     ) -> Variable:
         """Add a variable.  Re-adding an existing name raises ``ValueError``."""
-        if name in self._variables:
+        if name in self._index:
             raise ValueError(f"variable {name!r} already exists in model {self.name!r}")
         variable = Variable(
             name=name,
@@ -224,38 +273,91 @@ class LinearModel:
             vtype=VarType.INTEGER if integer else VarType.CONTINUOUS,
             objective=float(objective),
         )
-        self._variables[name] = variable
+        self._index[name] = len(self._names)
+        self._names.append(name)
+        self._lower.append(variable.lower)
+        self._upper.append(np.inf if variable.upper is None else variable.upper)
+        self._integer.append(bool(integer))
+        self._objective.append(variable.objective)
         return variable
 
-    def has_variable(self, name: str) -> bool:
-        return name in self._variables
+    def add_columns(
+        self,
+        names: Sequence[str],
+        *,
+        lower: float | np.ndarray = 0.0,
+        upper: float | np.ndarray | None = None,
+        integer: bool | np.ndarray = False,
+        objective: float | np.ndarray = 0.0,
+    ) -> range:
+        """Add one column per name; returns their column indices.
+
+        Each attribute is one value for every column or an array with one
+        entry per name.  A name that repeats, or that the model already has,
+        raises ``ValueError``, and so does an array of another length.
+        """
+        names = list(names)
+        first = len(self._names)
+        columns = range(first, first + len(names))
+        index = dict(zip(names, columns))
+        if len(index) != len(names) or not index.keys().isdisjoint(self._index):
+            raise ValueError(
+                f"variables {_repeated(names, self._index)!r} already exist in "
+                f"model {self.name!r}"
+            )
+        count = len(names)
+        lowers = _per_column("lower", lower, count, float)
+        uppers = _per_column("upper", np.inf if upper is None else upper, count, float)
+        integers = _per_column("integer", integer, count, bool)
+        objectives = _per_column("objective", objective, count, float)
+        self._index.update(index)
+        self._names.extend(names)
+        self._lower.extend(lowers)
+        self._upper.extend(uppers)
+        self._integer.extend(integers)
+        self._objective.extend(objectives)
+        return columns
 
     def set_objective_coefficient(self, name: str, coefficient: float) -> None:
         """Overwrite the objective coefficient of an existing variable."""
-        variable = self._variables[name]
-        self._variables[name] = Variable(
-            name=variable.name,
-            lower=variable.lower,
-            upper=variable.upper,
-            vtype=variable.vtype,
-            objective=float(coefficient),
-        )
+        self._objective[self._index[name]] = float(coefficient)
 
     @property
     def variables(self) -> dict[str, Variable]:
-        return dict(self._variables)
+        return {
+            name: Variable(
+                name=name,
+                lower=lower,
+                upper=None if upper == np.inf else upper,
+                vtype=VarType.INTEGER if integer else VarType.CONTINUOUS,
+                objective=objective,
+            )
+            for name, lower, upper, integer, objective in zip(
+                self._names, self._lower, self._upper, self._integer, self._objective
+            )
+        }
 
     @property
     def num_variables(self) -> int:
-        return len(self._variables)
+        return len(self._names)
 
     @property
     def num_integer_variables(self) -> int:
-        return sum(1 for v in self._variables.values() if v.is_integer)
+        return sum(self._integer)
 
     # ------------------------------------------------------------------
     # Constraints
     # ------------------------------------------------------------------
+    def _claim_constraint_names(self, names: Sequence[str]) -> None:
+        fresh = set(names)
+        if len(fresh) != len(names) or not fresh.isdisjoint(self._constraint_names):
+            raise ValueError(
+                f"constraints {_repeated(names, self._constraint_names)!r} already "
+                f"exist in model {self.name!r}"
+            )
+        self._constraint_names |= fresh
+        self._num_constraints += len(names)
+
     def add_constraint(
         self,
         name: str,
@@ -263,22 +365,23 @@ class LinearModel:
         sense: Sense,
         rhs: float,
     ) -> Constraint:
-        """Add a sparse constraint.  Unknown variable names raise ``KeyError``."""
-        if name in self._constraint_names:
-            raise ValueError(f"constraint {name!r} already exists in model {self.name!r}")
+        """Add a sparse constraint.  Unknown variable names raise ``KeyError``.
+
+        Zero coefficients are dropped.
+        """
         for var_name in coefficients:
-            if var_name not in self._variables:
+            if var_name not in self._index:
                 raise KeyError(
                     f"constraint {name!r} references unknown variable {var_name!r}"
                 )
+        self._claim_constraint_names([name])
         constraint = Constraint(
             name=name,
             coefficients={k: float(v) for k, v in coefficients.items() if v != 0.0},
             sense=sense,
             rhs=float(rhs),
         )
-        self._constraints.append(constraint)
-        self._constraint_names.add(name)
+        self._rows.append(constraint)
         return constraint
 
     def add_le(self, name: str, coefficients: Mapping[str, float], rhs: float) -> Constraint:
@@ -290,83 +393,149 @@ class LinearModel:
     def add_eq(self, name: str, coefficients: Mapping[str, float], rhs: float) -> Constraint:
         return self.add_constraint(name, coefficients, Sense.EQ, rhs)
 
+    def add_constraints(
+        self,
+        names: Sequence[str],
+        sense: Sense,
+        rhs: Sequence[float] | np.ndarray,
+        *,
+        row: Sequence[int] | np.ndarray,
+        col: Sequence[int] | np.ndarray,
+        value: Sequence[float] | np.ndarray,
+    ) -> None:
+        """Add one constraint per name, all of one sense, from COO entries.
+
+        Entry ``i`` puts ``value[i]`` at column ``col[i]`` (a column index,
+        in the order the variables were added) of the block's row
+        ``row[i]``.  Zero coefficients are dropped, as in
+        :meth:`add_constraint`.  A repeated or existing name raises
+        ``ValueError``, and so do arrays of the wrong length; an index out of
+        range raises ``IndexError``.  A (row, column) pair given twice makes
+        :meth:`compile` raise ``ValueError``.
+        """
+        names = list(names)
+        rhs_array = np.asarray(rhs, dtype=float)
+        rows = np.asarray(row, dtype=np.int64)
+        cols = np.asarray(col, dtype=np.int64)
+        values = np.asarray(value, dtype=float)
+        if rhs_array.shape != (len(names),):
+            raise ValueError(
+                f"rhs has shape {rhs_array.shape}; expected ({len(names)},)"
+            )
+        if rows.ndim != 1 or not rows.shape == cols.shape == values.shape:
+            raise ValueError(
+                f"row, col and value must be 1-d arrays of one length; got "
+                f"shapes {rows.shape}, {cols.shape} and {values.shape}"
+            )
+        for label, indices, bound in (
+            ("row", rows, len(names)),
+            ("col", cols, self.num_variables),
+        ):
+            if indices.size and (indices.min() < 0 or indices.max() >= bound):
+                raise IndexError(f"{label} index out of range [0, {bound})")
+        self._claim_constraint_names(names)
+        keep = values != 0.0
+        self._rows.append(
+            _RowBlock(
+                names=tuple(names),
+                sense=sense,
+                rhs=rhs_array,
+                row=rows[keep],
+                col=cols[keep],
+                value=values[keep],
+            )
+        )
+
+    def _expand(self, item: Constraint | _RowBlock) -> list[Constraint]:
+        """``item`` as one :class:`Constraint` per row."""
+        if isinstance(item, Constraint):
+            return [item]
+        order = np.argsort(item.row, kind="stable")
+        bounds = np.searchsorted(item.row[order], np.arange(len(item.names) + 1)).tolist()
+        cols = item.col[order].tolist()
+        values = item.value[order].tolist()
+        return [
+            Constraint(
+                name=name,
+                coefficients={
+                    self._names[c]: v
+                    for c, v in zip(cols[start:stop], values[start:stop])
+                },
+                sense=item.sense,
+                rhs=rhs,
+            )
+            for name, rhs, start, stop in zip(
+                item.names, item.rhs.tolist(), bounds[:-1], bounds[1:]
+            )
+        ]
+
     @property
     def constraints(self) -> list[Constraint]:
-        return list(self._constraints)
+        return [row for item in self._rows for row in self._expand(item)]
 
     @property
     def num_constraints(self) -> int:
-        return len(self._constraints)
+        return self._num_constraints
 
     # ------------------------------------------------------------------
     # Compilation
     # ------------------------------------------------------------------
-    def compile(self) -> CompiledModel:
-        """Compile the symbolic model into dense-index sparse matrices."""
-        names = tuple(self._variables.keys())
-        index = {name: i for i, name in enumerate(names)}
-        num_vars = len(names)
-
-        objective = np.array(
-            [self._variables[name].objective for name in names], dtype=float
-        )
-        lower = np.array([self._variables[name].lower for name in names], dtype=float)
-        upper = np.array(
-            [
-                np.inf if self._variables[name].upper is None else self._variables[name].upper
-                for name in names
-            ],
-            dtype=float,
-        )
-        integrality = np.array(
-            [1 if self._variables[name].is_integer else 0 for name in names],
-            dtype=np.int8,
-        )
-
-        ub_rows: list[int] = []
-        ub_cols: list[int] = []
-        ub_vals: list[float] = []
-        b_ub: list[float] = []
-        eq_rows: list[int] = []
-        eq_cols: list[int] = []
-        eq_vals: list[float] = []
-        b_eq: list[float] = []
-
-        for constraint in self._constraints:
-            if constraint.sense is Sense.EQ:
-                row = len(b_eq)
-                for var_name, coefficient in constraint.coefficients.items():
-                    eq_rows.append(row)
-                    eq_cols.append(index[var_name])
-                    eq_vals.append(coefficient)
-                b_eq.append(constraint.rhs)
+    def _stack(
+        self, items: list[Constraint | _RowBlock]
+    ) -> tuple[sparse.csr_matrix, np.ndarray]:
+        """One CSR matrix and rhs vector for ``items``, rows in order, GE negated."""
+        rows: list[int] = []
+        cols: list[int] = []
+        values: list[float] = []
+        blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        rhs: list[float] = []
+        negated: list[bool] = []
+        for item in items:
+            if isinstance(item, Constraint):
+                for var_name, coefficient in item.coefficients.items():
+                    rows.append(len(rhs))
+                    cols.append(self._index[var_name])
+                    values.append(coefficient)
+                rhs.append(item.rhs)
+                negated.append(item.sense is Sense.GE)
             else:
-                # GE constraints are stored negated as LE.
-                sign = 1.0 if constraint.sense is Sense.LE else -1.0
-                row = len(b_ub)
-                for var_name, coefficient in constraint.coefficients.items():
-                    ub_rows.append(row)
-                    ub_cols.append(index[var_name])
-                    ub_vals.append(sign * coefficient)
-                b_ub.append(sign * constraint.rhs)
-
-        a_ub = sparse.coo_matrix(
-            (ub_vals, (ub_rows, ub_cols)), shape=(len(b_ub), num_vars)
+                blocks.append((item.row + len(rhs), item.col, item.value))
+                rhs.extend(item.rhs.tolist())
+                negated.extend([item.sense is Sense.GE] * len(item.names))
+        single = (
+            np.array(rows, dtype=np.int64),
+            np.array(cols, dtype=np.int64),
+            np.array(values, dtype=float),
+        )
+        row, col, value = (np.concatenate(part) for part in zip(single, *blocks))
+        # GE constraints are stored negated as LE.
+        sign = np.where(np.array(negated, dtype=bool), -1.0, 1.0)
+        matrix = sparse.coo_matrix(
+            (sign[row] * value, (row, col)), shape=(len(rhs), self.num_variables)
         ).tocsr()
-        a_eq = sparse.coo_matrix(
-            (eq_vals, (eq_rows, eq_cols)), shape=(len(b_eq), num_vars)
-        ).tocsr()
+        if matrix.nnz != value.size:
+            # The conversion summed repeated entries.
+            raise ValueError(f"model {self.name!r} gives a (row, column) pair twice")
+        return matrix, sign * np.array(rhs, dtype=float)
 
+    def compile(self) -> CompiledModel:
+        """Compile the model into index-based sparse matrices.
+
+        LE and GE rows go to ``a_ub`` and EQ rows to ``a_eq``, each in the
+        order they were added.
+        """
+        a_ub, b_ub = self._stack([r for r in self._rows if r.sense is not Sense.EQ])
+        a_eq, b_eq = self._stack([r for r in self._rows if r.sense is Sense.EQ])
         return CompiledModel(
-            variable_names=names,
-            objective=objective,
-            lower=lower,
-            upper=upper,
-            integrality=integrality,
+            variable_names=tuple(self._names),
+            objective=np.array(self._objective, dtype=float),
+            lower=np.array(self._lower, dtype=float),
+            upper=np.array(self._upper, dtype=float),
+            integrality=np.array(self._integer, dtype=np.int8),
             a_ub=a_ub,
-            b_ub=np.array(b_ub, dtype=float),
+            b_ub=b_ub,
             a_eq=a_eq,
-            b_eq=np.array(b_eq, dtype=float),
+            b_eq=b_eq,
         )
 
     # ------------------------------------------------------------------
@@ -386,15 +555,17 @@ class LinearModel:
     ) -> list[str]:
         """Return human-readable descriptions of violated constraints/bounds."""
         violations: list[str] = []
-        for name, variable in self._variables.items():
+        for name, lower, upper, integer in zip(
+            self._names, self._lower, self._upper, self._integer
+        ):
             value = values.get(name, 0.0)
-            if value < variable.lower - tol:
-                violations.append(f"{name} = {value} below lower bound {variable.lower}")
-            if variable.upper is not None and value > variable.upper + tol:
-                violations.append(f"{name} = {value} above upper bound {variable.upper}")
-            if variable.is_integer and abs(value - round(value)) > tol:
+            if value < lower - tol:
+                violations.append(f"{name} = {value} below lower bound {lower}")
+            if value > upper + tol:
+                violations.append(f"{name} = {value} above upper bound {upper}")
+            if integer and abs(value - round(value)) > tol:
                 violations.append(f"{name} = {value} not integral")
-        for constraint in self._constraints:
+        for constraint in self.constraints:
             lhs = sum(
                 coefficient * values.get(var_name, 0.0)
                 for var_name, coefficient in constraint.coefficients.items()
@@ -406,6 +577,3 @@ class LinearModel:
             elif constraint.sense is Sense.EQ and abs(lhs - constraint.rhs) > tol:
                 violations.append(f"{constraint.name}: {lhs} != {constraint.rhs}")
         return violations
-
-    def variable_names(self) -> Iterable[str]:
-        return self._variables.keys()

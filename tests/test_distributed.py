@@ -625,6 +625,51 @@ class TestClientTransport:
                 case.mutate(client, {})
         assert len(server.calls(case.mutating)) == 1
 
+    @staticmethod
+    def _record_sockets(monkeypatch) -> list[socket.socket]:
+        """Keep every socket the clients' ``knock`` opens."""
+        import repro.distributed.rpc as rpc
+
+        sockets: list[socket.socket] = []
+        knock = rpc.knock
+
+        def recording_knock(*args, **kwargs):
+            sockets.append(knock(*args, **kwargs))
+            return sockets[-1]
+
+        monkeypatch.setattr(rpc, "knock", recording_knock)
+        return sockets
+
+    def test_failed_handshake_closes_the_socket(self, case, monkeypatch):
+        sockets = self._record_sockets(monkeypatch)
+        server = _ScriptedServer(_error("AuthError"))
+        try:
+            with pytest.raises(AuthError):
+                case.open(server)
+            assert [sock.fileno() for sock in sockets] == [-1]
+        finally:
+            for sock in sockets:
+                sock.close()
+            server.close()
+
+    def test_failed_set_fifo_every_closes_the_socket(self, monkeypatch):
+        sockets = self._record_sockets(monkeypatch)
+
+        def script(request: dict) -> dict:
+            if request["method"] == "set_fifo_every":
+                return _error("ValueError")(request)
+            return {"id": request["id"], "result": {"protocol": PROTOCOL_VERSION}}
+
+        server = _ScriptedServer(script)
+        try:
+            with pytest.raises(RemoteOperationError):
+                RemoteStore(server.url, fifo_every=3, timeout=5.0, retry_delay=0.01)
+            assert [sock.fileno() for sock in sockets] == [-1]
+        finally:
+            for sock in sockets:
+                sock.close()
+            server.close()
+
     def test_oversized_request_raises_frame_error_with_nothing_sent(
         self, case, serve, monkeypatch
     ):

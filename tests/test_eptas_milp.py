@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import optimize
 
 from repro.baselines import lpt_schedule
 from repro.bounds import best_lower_bound
-from repro.core import Instance
+from repro.core import Instance, Job, SolverLimitError
 from repro.eptas import (
     EptasConfig,
     build_configuration_milp,
@@ -20,7 +22,10 @@ from repro.eptas import (
     transform_instance,
     solve_configuration_milp,
 )
+from repro.eptas.classification import SIZE_TOL
+from repro.eptas.milp import SmallClass, _collect_small_classes
 from repro.generators import (
+    bag_heavy_instance,
     clustered_sizes_instance,
     figure1_adversarial_instance,
     planted_optimum_instance,
@@ -132,82 +137,200 @@ class TestModelStructure:
             assert total >= small_class.count - 1e-6
 
 
-def _reference_bagcap_rows(configuration, bag_classes) -> list[tuple[str, dict[str, float]]]:
-    """Oracle: rows (5) as the O(P*B*C) loop built them.
+def _dict_builder(instance, job_classes, bag_classes, constants, patterns):
+    """Oracle: the configuration MILP built by name, one dict per row.
 
-    For every (pattern, bag) pair it scans all small classes for the bag's.
+    Returns ``(model, small_classes, x_name, y_name)``.
     """
-    small_classes = configuration.small_classes
-    y_name, x_name = configuration.y_name, configuration.x_name
-    rows: list[tuple[str, dict[str, float]]] = []
-    bags_with_small = sorted({small.bag for small in small_classes})
-    for index, pattern in enumerate(configuration.patterns.patterns):
-        for bag in bags_with_small:
+    budget = constants.budget
+    model = LinearModel(f"eptas-{instance.name}")
+    small_classes = _collect_small_classes(instance, job_classes)
+
+    x_name: dict[int, str] = {}
+    for index, pattern in enumerate(patterns.patterns):
+        name = f"x_{index}"
+        x_name[index] = name
+        model.add_variable(
+            name, integer=True, lower=0.0, objective=pattern.height * pattern.height
+        )
+
+    y_name: dict[tuple[int, int, float], str] = {}
+    threshold = constants.small_integral_threshold
+    for index, pattern in enumerate(patterns.patterns):
+        headroom = budget - pattern.height + SIZE_TOL
+        for small in small_classes:
+            if small.size > headroom:
+                continue
+            if small.bag in bag_classes.priority and pattern.uses_bag(small.bag):
+                continue
+            name = f"y_{index}_{small.bag}_{small.size:.12g}"
+            y_name[(index, small.bag, small.size)] = name
+            integral = small.bag in bag_classes.priority and small.size > threshold
+            model.add_variable(name, integer=integral, lower=0.0)
+
+    # (1)
+    model.add_le(
+        "machines",
+        {x_name[index]: 1.0 for index in range(len(patterns.patterns))},
+        float(instance.num_machines),
+    )
+
+    # (2)
+    priority_requirements: dict[tuple[int, float], int] = {}
+    wildcard_requirements: dict[float, int] = {}
+    for entry, available in patterns.entry_types:
+        if entry.is_wildcard:
+            wildcard_requirements[entry.size] = available
+        else:
+            priority_requirements[(entry.bag, entry.size)] = available
+    for (bag, size), required in sorted(priority_requirements.items()):
+        coefficients: dict[str, float] = {}
+        for index, pattern in enumerate(patterns.patterns):
+            count = pattern.priority_slots().get((bag, size), 0)
+            if count:
+                coefficients[x_name[index]] = float(count)
+        model.add_ge(f"cover_p_{bag}_{size:.12g}", coefficients, float(required))
+    for size, required in sorted(wildcard_requirements.items()):
+        coefficients = {}
+        for index, pattern in enumerate(patterns.patterns):
+            count = pattern.wildcard_slots().get(size, 0)
+            if count:
+                coefficients[x_name[index]] = float(count)
+        model.add_ge(f"cover_x_{size:.12g}", coefficients, float(required))
+
+    # (3)
+    for small in small_classes:
+        coefficients = {
+            y_name[(index, small.bag, small.size)]: 1.0
+            for index in range(len(patterns.patterns))
+            if (index, small.bag, small.size) in y_name
+        }
+        model.add_ge(
+            f"cover_s_{small.bag}_{small.size:.12g}", coefficients, float(small.count)
+        )
+
+    # (4)
+    for index, pattern in enumerate(patterns.patterns):
+        coefficients = {}
+        for small in small_classes:
+            key = (index, small.bag, small.size)
+            if key in y_name:
+                coefficients[y_name[key]] = small.size
+        coefficients[x_name[index]] = -(budget - pattern.height)
+        model.add_le(f"area_{index}", coefficients, 0.0)
+
+    # (5)
+    classes_by_bag: dict[int, list[SmallClass]] = {}
+    for small in small_classes:
+        classes_by_bag.setdefault(small.bag, []).append(small)
+    for index, pattern in enumerate(patterns.patterns):
+        for bag, classes in classes_by_bag.items():
             keys = [
-                (index, small.bag, small.size)
-                for small in small_classes
-                if small.bag == bag and (index, small.bag, small.size) in y_name
+                (index, bag, small.size)
+                for small in classes
+                if (index, bag, small.size) in y_name
             ]
             if not keys:
                 continue
             coefficients = {y_name[key]: 1.0 for key in keys}
             uses = 1 if (bag in bag_classes.priority and pattern.uses_bag(bag)) else 0
             coefficients[x_name[index]] = -(1.0 - uses)
-            rows.append((f"bagcap_{index}_{bag}", coefficients))
-    return rows
+            model.add_le(f"bagcap_{index}_{bag}", coefficients, 0.0)
+
+    return model, small_classes, x_name, y_name
 
 
-def _rows(model: LinearModel) -> list[tuple]:
-    return [
-        (row.name, list(row.coefficients.items()), row.sense, row.rhs)
-        for row in model.constraints
-    ]
-
-
-@pytest.mark.parametrize(
-    "instance",
-    [
-        clustered_sizes_instance(seed=3).instance,
-        uniform_random_instance(num_jobs=40, num_machines=5, num_bags=8, seed=4).instance,
-        figure1_adversarial_instance(num_machines=6).instance,
-    ],
-    ids=["clustered", "uniform", "figure1"],
-)
-def test_bagcap_rows_match_the_scan_over_all_classes(instance):
-    """Rows (5) of the first-guess model equal the oracle's, and so does the compiled model."""
-    eps = 0.5
-    guess = best_lower_bound(instance).best
-    *_, bag_classes, _constants, _patterns, configuration = _prepare(
-        instance, eps=eps, guess=guess
+def _same_array(actual: np.ndarray, expected: np.ndarray) -> bool:
+    """Equal dtype, shape and bytes: -0.0 and 0.0 differ, as in a digest."""
+    return (
+        actual.dtype == expected.dtype
+        and actual.shape == expected.shape
+        and actual.tobytes() == expected.tobytes()
     )
-    model = configuration.model
-    reference = LinearModel(model.name)
-    for variable in model.variables.values():
-        reference.add_variable(
-            variable.name,
-            lower=variable.lower,
-            upper=variable.upper,
-            integer=variable.is_integer,
-            objective=variable.objective,
-        )
-    for row in model.constraints:
-        if not row.name.startswith("bagcap_"):
-            reference.add_constraint(row.name, row.coefficients, row.sense, row.rhs)
-    expected_rows = _reference_bagcap_rows(configuration, bag_classes)
-    assert expected_rows
-    for name, coefficients in expected_rows:
-        reference.add_le(name, coefficients, 0.0)
 
-    assert _rows(model) == _rows(reference)
+
+def _assert_matches_dict_builder(instance: Instance, eps: float, guess: float, cap: int = 3):
+    """The configuration model equals the oracle's, compiled arrays byte for byte."""
+    _, record, jobs, bag_classes, constants, patterns, configuration = _prepare(
+        instance, eps=eps, guess=guess, cap=cap
+    )
+    reference, small_classes, x_name, y_name = _dict_builder(
+        record.transformed, jobs, bag_classes, constants, patterns
+    )
+    assert configuration.small_classes == small_classes
+    assert configuration.x_name == x_name
+    assert configuration.y_name == y_name
+    model = configuration.model
+    assert model.summary() == reference.summary()
+    assert [
+        (row.name, row.sense, row.rhs, row.coefficients) for row in model.constraints
+    ] == [(row.name, row.sense, row.rhs, row.coefficients) for row in reference.constraints]
     compiled, expected = model.compile(), reference.compile()
     assert compiled.variable_names == expected.variable_names
     for field in ("objective", "lower", "upper", "integrality", "b_ub", "b_eq"):
-        assert np.array_equal(getattr(compiled, field), getattr(expected, field)), field
+        assert _same_array(getattr(compiled, field), getattr(expected, field)), field
     for field in ("a_ub", "a_eq"):
         matrix, wanted = getattr(compiled, field), getattr(expected, field)
-        assert matrix.shape == wanted.shape
+        assert matrix.shape == wanted.shape, field
         for part in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(matrix, part), getattr(wanted, part)), (field, part)
+            assert _same_array(getattr(matrix, part), getattr(wanted, part)), (field, part)
+
+
+@pytest.mark.parametrize(
+    ("instance", "eps"),
+    [
+        (clustered_sizes_instance(seed=3).instance, 0.5),
+        (
+            uniform_random_instance(num_jobs=40, num_machines=5, num_bags=8, seed=4).instance,
+            0.5,
+        ),
+        (figure1_adversarial_instance(num_machines=6).instance, 0.5),
+        (figure1_adversarial_instance(num_machines=200).instance, 0.25),
+        (planted_optimum_instance(num_machines=8, seed=0).instance, 0.25),
+        (
+            bag_heavy_instance(num_machines=4, num_full_bags=2, extra_jobs=6, seed=1).instance,
+            0.5,
+        ),
+    ],
+    ids=["clustered", "uniform", "figure1", "figure1-m200", "planted-eps0.25", "bag-heavy"],
+)
+def test_configuration_model_matches_the_dict_builder(instance, eps):
+    """The first-guess model equals the one built by name, rows (1)-(5) included."""
+    _assert_matches_dict_builder(instance, eps, best_lower_bound(instance).best)
+
+
+@st.composite
+def _small_instances(draw) -> Instance:
+    machines = draw(st.integers(2, 5))
+    size = st.one_of(st.just(0.0), st.floats(0.001, 1.0))
+    bags = draw(
+        st.lists(st.lists(size, min_size=1, max_size=machines), min_size=1, max_size=5)
+    )
+    jobs = [
+        Job(id=len(bags) * position + bag, size=value, bag=bag)
+        for bag, sizes in enumerate(bags)
+        for position, value in enumerate(sizes)
+    ]
+    return Instance(jobs, machines, name="drawn")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    instance=_small_instances(),
+    eps=st.sampled_from([0.5, 0.25]),
+    factor=st.floats(0.6, 1.6),
+    cap=st.integers(1, 3),
+)
+def test_configuration_model_matches_the_dict_builder_on_drawn_instances(
+    instance, eps, factor, cap
+):
+    """Drawn sizes include 0 (zero area coefficients) and priority caps of 1-3."""
+    lower = best_lower_bound(instance).best
+    assume(lower > 0)
+    try:
+        _assert_matches_dict_builder(instance, eps, lower * factor, cap=cap)
+    except SolverLimitError:
+        assume(False)
 
 
 def test_lp_answered_first_guess_is_a_milp_optimum():
