@@ -20,7 +20,6 @@ incident behind each):
 ``telemetry-json``    telemetry dataclass fields and metric values JSON-safe
 ``claim-pairing``     ``claim_next`` callers must complete/fail/reclaim
 ``dispatch-except``   server dispatch must re-raise or reply with a typed error
-``roster-parity``     CLI solver table and service roster must agree
 ``store-thread``      ``check_same_thread=False`` stores need a serializer
 ====================  ====================================================
 
@@ -105,12 +104,11 @@ class ModuleContext:
 
 @dataclass(frozen=True)
 class LintRule:
-    """A named check: per-module, or project-wide (cross-module)."""
+    """A named check, run on one module at a time."""
 
     id: str
     summary: str
-    check_module: Callable[[ModuleContext], Iterator[Finding]] | None = None
-    check_project: Callable[[Sequence[ModuleContext]], Iterator[Finding]] | None = None
+    check_module: Callable[[ModuleContext], Iterator[Finding]]
 
 
 def _walk_with_stack(tree: ast.AST) -> Iterator[tuple[ast.AST, list[ast.AST]]]:
@@ -771,66 +769,6 @@ def _check_store_thread(ctx: ModuleContext) -> Iterator[Finding]:
             )
 
 
-# ----------------------------------------------------------------------
-# roster-parity (project-wide)
-# ----------------------------------------------------------------------
-def _module_dict_keys(ctx: ModuleContext, name: str) -> tuple[set[str], int] | None:
-    for node in ast.walk(ctx.tree):
-        if isinstance(node, ast.Assign):
-            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
-        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-            targets = [node.target.id]
-        else:
-            continue
-        if name in targets and isinstance(getattr(node, "value", None), ast.Dict):
-            return _dict_str_keys(node.value), node.lineno
-    return None
-
-
-def _check_roster_parity(contexts: Sequence[ModuleContext]) -> Iterator[Finding]:
-    """The CLI ``SOLVERS`` table and the service ``SOLVER_ROSTER`` must agree.
-
-    A solver registered in one but not the other is reachable from
-    ``repro solve`` but rejected by the service (or vice versa) — silent
-    drift between two entry points to the same capability.
-    """
-    cli: tuple[ModuleContext, set[str], int] | None = None
-    roster: tuple[ModuleContext, set[str], int] | None = None
-    for ctx in contexts:
-        found = _module_dict_keys(ctx, "SOLVERS")
-        if found is not None and cli is None:
-            cli = (ctx, found[0], found[1])
-        found = _module_dict_keys(ctx, "SOLVER_ROSTER")
-        if found is not None and roster is None:
-            roster = (ctx, found[0], found[1])
-    if cli is None or roster is None:
-        return
-    cli_ctx, cli_keys, cli_line = cli
-    roster_ctx, roster_keys, roster_line = roster
-    for missing in sorted(cli_keys - roster_keys):
-        yield Finding(
-            rule="roster-parity",
-            path=roster_ctx.relpath,
-            line=roster_line,
-            col=1,
-            message=(
-                f"solver {missing!r} is in the CLI SOLVERS table but missing "
-                "from SOLVER_ROSTER: the scheduling service would reject it"
-            ),
-        )
-    for missing in sorted(roster_keys - cli_keys):
-        yield Finding(
-            rule="roster-parity",
-            path=cli_ctx.relpath,
-            line=cli_line,
-            col=1,
-            message=(
-                f"solver {missing!r} is in SOLVER_ROSTER but missing from "
-                "the CLI SOLVERS table: `repro solve` cannot reach it"
-            ),
-        )
-
-
 RULES: tuple[LintRule, ...] = (
     LintRule("wire-op-id", "request payloads must thread an op id", _check_wire_op_id),
     LintRule(
@@ -874,11 +812,6 @@ RULES: tuple[LintRule, ...] = (
         _check_dispatch_except,
     ),
     LintRule(
-        "roster-parity",
-        "CLI solver table and service roster must agree",
-        check_project=_check_roster_parity,
-    ),
-    LintRule(
         "store-thread",
         "check_same_thread=False stores need a declared serializer",
         _check_store_thread,
@@ -917,20 +850,13 @@ def lint_paths(paths: Sequence[Path], *, root: Path | None = None) -> list[Findi
         for ctx in (_load_context(path, root) for path in iter_python_files(paths))
         if ctx is not None
     ]
-    findings: list[Finding] = []
-    by_path = {ctx.relpath: ctx for ctx in contexts}
-    for rule in RULES:
-        produced: list[Finding] = []
-        if rule.check_module is not None:
-            for ctx in contexts:
-                produced.extend(rule.check_module(ctx))
-        if rule.check_project is not None:
-            produced.extend(rule.check_project(contexts))
-        for finding in produced:
-            ctx = by_path.get(finding.path)
-            if ctx is not None and ctx.suppressed(finding.rule, finding.line):
-                continue
-            findings.append(finding)
+    findings = [
+        finding
+        for rule in RULES
+        for ctx in contexts
+        for finding in rule.check_module(ctx)
+        if not ctx.suppressed(finding.rule, finding.line)
+    ]
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings
 

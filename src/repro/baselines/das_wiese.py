@@ -182,9 +182,10 @@ def _try_build_schedule(
         return None
 
     # Materialise machines from configuration multiplicities.
+    values = solution.values
     machine_configs: list[tuple[int, ...]] = []
     for index, (counts, _) in enumerate(configurations):
-        multiplicity = int(round(solution.value(f"x_{index}")))
+        multiplicity = int(round(values.get(f"x_{index}", 0.0)))
         machine_configs.extend([counts] * multiplicity)
     machine_configs = machine_configs[: instance.num_machines]
     while len(machine_configs) < instance.num_machines:

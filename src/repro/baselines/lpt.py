@@ -106,8 +106,8 @@ def bag_lpt(
     }
     assignment: dict[int, Hashable] = {}
     # Ties in load are broken by the machine's string form.  Python's sort is
-    # stable, so sorting this name order by load alone gives that order.
-    by_name = sorted(machine_list, key=str)
+    # stable, so sorting this label order by load alone gives that order.
+    by_label = sorted(machine_list, key=str)
     for bag_index, bag in enumerate(bags):
         if len(bag) > len(machine_list):
             raise AlgorithmError(
@@ -117,7 +117,7 @@ def bag_lpt(
         # Largest job onto least loaded machine, 2nd largest onto 2nd least
         # loaded, and so on (ties broken deterministically by identifier).
         sorted_jobs = sorted(bag, key=lambda job: (-job.size, job.id))
-        sorted_machines = sorted(by_name, key=loads.__getitem__)
+        sorted_machines = sorted(by_label, key=loads.__getitem__)
         for job, machine in zip(sorted_jobs, sorted_machines):
             assignment[job.id] = machine
             loads[machine] += job.size

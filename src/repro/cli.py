@@ -19,37 +19,17 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .baselines import (
-    coloring_schedule,
-    das_wiese_schedule,
-    first_fit_schedule,
-    greedy_schedule,
-    local_search_schedule,
-    lpt_schedule,
-)
 from .bounds import best_lower_bound
 from .core import Instance, SolverResult
-from .eptas import eptas_schedule, theory_constants_report
-from .exact import exact_schedule
+from .eptas import theory_constants_report
 from .experiments import EXPERIMENTS, run_experiment
 from .experiments.tables import ExperimentTable
 from .generators import FAMILIES, generate
+from .solvers import SOLVER_ROSTER
 
-__all__ = ["main", "build_parser", "SOLVERS"]
-
-
-SOLVERS: dict[str, Callable[..., SolverResult]] = {
-    "greedy": lambda instance, eps: greedy_schedule(instance),
-    "first-fit": lambda instance, eps: first_fit_schedule(instance),
-    "lpt": lambda instance, eps: lpt_schedule(instance),
-    "local-search": lambda instance, eps: local_search_schedule(instance),
-    "coloring": lambda instance, eps: coloring_schedule(instance),
-    "das-wiese": lambda instance, eps: das_wiese_schedule(instance, eps=eps),
-    "eptas": lambda instance, eps: eptas_schedule(instance, eps=eps),
-    "exact": lambda instance, eps: exact_schedule(instance),
-}
+__all__ = ["main", "build_parser"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,14 +48,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="solve an instance with one solver")
     solve.add_argument("instance", type=Path, help="instance JSON file")
-    solve.add_argument("--solver", choices=sorted(SOLVERS), default="eptas")
+    solve.add_argument("--solver", choices=sorted(SOLVER_ROSTER), default="eptas")
     solve.add_argument("--eps", type=float, default=0.25)
     solve.add_argument("--output", "-o", type=Path, default=None, help="schedule JSON path")
 
     compare = sub.add_parser("compare", help="run several solvers on one instance")
     compare.add_argument("instance", type=Path)
     compare.add_argument(
-        "--solvers", nargs="+", choices=sorted(SOLVERS), default=["greedy", "lpt", "eptas"]
+        "--solvers", nargs="+", choices=sorted(SOLVER_ROSTER), default=["greedy", "lpt", "eptas"]
     )
     compare.add_argument("--eps", type=float, default=0.25)
 
@@ -330,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     orch_submit.add_argument(
         "--solver",
-        choices=sorted(SOLVERS),
+        choices=sorted(SOLVER_ROSTER),
         default="lpt",
         help="solver to request (default: lpt)",
     )
@@ -611,7 +591,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     instance = _load_instance(args.instance)
-    result = SOLVERS[args.solver](instance, args.eps)
+    result = SOLVER_ROSTER[args.solver].run(instance, args.eps)
     _print_result(result)
     if args.output is not None:
         result.schedule.save(args.output)
@@ -624,7 +604,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     table = ExperimentTable("compare", f"solver comparison on {instance.name}")
     bounds = best_lower_bound(instance)
     for name in args.solvers:
-        result = SOLVERS[name](instance, args.eps)
+        result = SOLVER_ROSTER[name].run(instance, args.eps)
         table.add_row(
             {
                 "solver": name,

@@ -24,11 +24,13 @@ from .transformation import (
     transform_instance,
 )
 from .patterns import (
+    JobTable,
     Pattern,
     PatternEntry,
     PatternSet,
     collect_entry_types,
     enumerate_patterns,
+    group_jobs,
 )
 from .milp import (
     ConfigurationModel,
@@ -50,6 +52,7 @@ __all__ = [
     "DerivedConstants",
     "EptasConfig",
     "JobClasses",
+    "JobTable",
     "LargePlacement",
     "Pattern",
     "PatternEntry",
@@ -67,6 +70,7 @@ __all__ = [
     "enumerate_patterns",
     "eptas_schedule",
     "forward_transform_schedule",
+    "group_jobs",
     "normalise_eps",
     "place_large_and_medium",
     "place_small_jobs",

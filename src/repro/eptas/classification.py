@@ -93,15 +93,6 @@ class JobClasses:
             return "medium"
         return "small"
 
-    def is_large_size(self, size: float) -> bool:
-        return size >= self.large_threshold - SIZE_TOL
-
-    def is_medium_size(self, size: float) -> bool:
-        return self.medium_threshold - SIZE_TOL <= size < self.large_threshold - SIZE_TOL * self.large_threshold
-
-    def is_small_size(self, size: float) -> bool:
-        return size < self.medium_threshold - SIZE_TOL * self.medium_threshold
-
     def summary(self) -> dict[str, float | int]:
         return {
             "k": self.k,
@@ -148,9 +139,6 @@ class BagClasses:
     size_orderings: Mapping[float, tuple[int, ...]]
     b_prime: int
     constants: DerivedConstants
-
-    def is_priority(self, bag: int) -> bool:
-        return bag in self.priority
 
     def summary(self) -> dict[str, int]:
         return {

@@ -7,8 +7,8 @@
    upper bound;
 2. for each guess: scale to ``OPT = 1``, round sizes geometrically, classify
    jobs and bags (Lemma 1, Definition 2), transform the instance
-   (Section 2.2), enumerate patterns, build and solve the configuration MILP
-   (Section 3);
+   (Section 2.2), group its jobs once by (bag, size) for every later stage,
+   enumerate patterns, build and solve the configuration MILP (Section 3);
 3. when the MILP is feasible: place large/medium jobs (Lemma 7), place small
    jobs (Section 4), repair residual conflicts (Lemma 11), re-insert the
    removed medium jobs (Lemma 3) and revert the transformation (Lemma 4);
@@ -46,7 +46,7 @@ from .classification import classify_bags, classify_jobs
 from .large_jobs import place_large_and_medium
 from .milp import build_configuration_milp, solve_configuration_milp
 from .params import EptasConfig
-from .patterns import collect_entry_types, enumerate_patterns
+from .patterns import collect_entry_types, enumerate_patterns, group_jobs
 from .repair import resolve_conflicts
 from .rounding import scale_and_round
 from .small_jobs import place_small_jobs
@@ -126,7 +126,9 @@ def solve_for_guess(
     transformed_job_classes = classify_jobs(transformed, eps, k=job_classes.k)
     constants = bag_classes.constants
 
-    entry_types = collect_entry_types(transformed, transformed_job_classes, bag_classes)
+    # Every later stage reads this one grouping of the transformed jobs.
+    table = group_jobs(transformed, transformed_job_classes, bag_classes)
+    entry_types = collect_entry_types(table)
     patterns = enumerate_patterns(
         entry_types,
         budget=constants.budget,
@@ -137,7 +139,7 @@ def solve_for_guess(
 
     configuration = build_configuration_milp(
         transformed,
-        transformed_job_classes,
+        table,
         bag_classes,
         constants,
         patterns,
@@ -157,9 +159,7 @@ def solve_for_guess(
     if not solution.feasible:
         return None, report
 
-    placement = place_large_and_medium(
-        transformed, transformed_job_classes, bag_classes, patterns, solution
-    )
+    placement = place_large_and_medium(transformed, table, patterns, solution)
     report.large_swaps = placement.swaps
     report.details["large_fallback_moves"] = placement.fallback_moves
 
@@ -168,14 +168,11 @@ def solve_for_guess(
         transformed_job_classes,
         bag_classes,
         constants,
-        patterns,
+        table,
         solution,
         placement,
     )
     report.details.update(small_diag.to_dict())
-
-    if config.validate_intermediate:
-        placement.schedule.validate(require_complete=False)
 
     repair_diag = resolve_conflicts(
         transformed, placement.schedule, transformed_job_classes, placement.origin
@@ -221,7 +218,7 @@ def eptas_schedule(
         if instance.num_jobs == 0:
             return Schedule(instance, {})
 
-        bounds = best_lower_bound(instance, use_lp=config.use_lp_lower_bound)
+        bounds = best_lower_bound(instance)
         lower = bounds.best
         greedy = greedy_assign(
             instance, sorted(instance.jobs, key=lambda job: (-job.size, job.id))
@@ -238,9 +235,7 @@ def eptas_schedule(
         if lower <= 0:
             lower = min(upper, 1e-9) or 1e-9
         low, high = lower, max(upper, lower)
-        tolerance = config.binary_search_tol
-        if tolerance is None:
-            tolerance = config.eps / 8
+        tolerance = config.eps / 8
         # Always test the lower bound itself first: on many instances the
         # optimum equals the bound and a single MILP solve finishes the job.
         guess = low

@@ -10,6 +10,10 @@ conflict is repaired by swapping the job with a same-size job on another
 machine — the paper's Lemma 7 shows a swap partner always exists under the
 theory constants, and a defensive relocation keeps the schedule feasible in
 any case.
+
+The job pools are the medium and large groups of the guess's
+:class:`~repro.eptas.patterns.JobTable`; this stage does not group jobs
+itself.
 """
 
 from __future__ import annotations
@@ -19,9 +23,8 @@ from dataclasses import dataclass, field
 from ..core.errors import AlgorithmError
 from ..core.instance import Instance
 from ..core.schedule import Schedule
-from .classification import BagClasses, JobClasses
 from .milp import ConfigurationSolution
-from .patterns import PatternSet, size_key
+from .patterns import JobTable, PatternSet, size_key
 
 __all__ = ["LargePlacement", "place_large_and_medium"]
 
@@ -45,22 +48,18 @@ class LargePlacement:
     fallback_moves: int = 0
     unfilled_slots: int = 0
 
-    def machines_of_pattern(self, pattern_index: int) -> list[int]:
-        return [
-            machine
-            for machine, index in enumerate(self.machine_pattern)
-            if index == pattern_index
-        ]
-
 
 def place_large_and_medium(
     instance: Instance,
-    job_classes: JobClasses,
-    bag_classes: BagClasses,
+    table: JobTable,
     patterns: PatternSet,
     solution: ConfigurationSolution,
 ) -> LargePlacement:
-    """Materialise machines from the MILP and place all medium/large jobs."""
+    """Materialise machines from the MILP and place all medium/large jobs.
+
+    The jobs come from the guess's :class:`~repro.eptas.patterns.JobTable`;
+    every slot takes the smallest job id left of its kind.
+    """
     num_machines = instance.num_machines
 
     # ------------------------------------------------------------------
@@ -90,23 +89,14 @@ def place_large_and_medium(
     )
 
     # ------------------------------------------------------------------
-    # 2. Job pools.
+    # 2. Job pools: the table's groups, reversed so pop() takes the
+    #    smallest id.
     # ------------------------------------------------------------------
-    priority_pool: dict[tuple[int, float], list[int]] = {}
-    wildcard_pool: dict[float, dict[int, list[int]]] = {}  # size -> bag -> job ids
-    for job in instance.jobs:
-        if job.id in job_classes.small:
-            continue
-        key = size_key(job.size)
-        if job.bag in bag_classes.priority:
-            priority_pool.setdefault((job.bag, key), []).append(job.id)
-        else:
-            wildcard_pool.setdefault(key, {}).setdefault(job.bag, []).append(job.id)
-    for pool in priority_pool.values():
-        pool.sort(reverse=True)
-    for per_bag in wildcard_pool.values():
-        for pool in per_bag.values():
-            pool.sort(reverse=True)
+    priority_pool = {key: list(reversed(ids)) for key, ids in table.priority.items()}
+    wildcard_pool = {  # size -> bag -> job ids
+        size: {bag: list(reversed(ids)) for bag, ids in per_bag.items()}
+        for size, per_bag in table.wildcard.items()
+    }
 
     def assign(job_id: int, machine: int) -> None:
         schedule.assign(job_id, machine)

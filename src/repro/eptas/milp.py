@@ -13,27 +13,30 @@ COO blocks, handed to :class:`repro.milp.LinearModel` in bulk
 (:meth:`~repro.milp.LinearModel.add_columns`,
 :meth:`~repro.milp.LinearModel.add_constraints`).  Nothing is built per
 pattern and class pair beyond the ``y`` columns themselves, so memory stays
-linear in the number of ``y`` columns plus nonzeros.  The module solves the
-model with the configured backend and returns a structured
-:class:`ConfigurationSolution` that the placement stages consume.
+linear in the number of ``y`` columns plus nonzeros.  The small classes are
+the guess's :class:`~repro.eptas.patterns.JobTable` classes, in its order.
+
+The module solves the model with the configured backend and reads the
+solution back by column index: ``x_p`` is column ``p`` and the ``y``
+columns follow in the order of :attr:`ConfigurationModel.y_pattern` and
+:attr:`ConfigurationModel.y_class`.  The structured
+:class:`ConfigurationSolution` is what the placement stages consume.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
 
 from ..core.instance import Instance
 from ..milp import LinearModel, MilpSolution, Sense, SolutionStatus
 from ..solver import get_solver_service
-from .classification import BagClasses, JobClasses, SIZE_TOL
+from .classification import BagClasses, SIZE_TOL
 from .params import DerivedConstants, EptasConfig
-from .patterns import PatternSet, size_key
+from .patterns import JobTable, PatternSet, SmallClass
 
 __all__ = [
-    "SmallClass",
     "ConfigurationModel",
     "ConfigurationSolution",
     "build_configuration_milp",
@@ -42,30 +45,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class SmallClass:
-    """A size-restricted bag of small jobs: bag index, size, member job ids."""
-
-    bag: int
-    size: float
-    job_ids: tuple[int, ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.job_ids)
-
-
 @dataclass(slots=True)
 class ConfigurationModel:
-    """The assembled MILP plus the bookkeeping needed to interpret solutions."""
+    """The assembled MILP plus the bookkeeping needed to interpret solutions.
+
+    Column ``p`` is ``x_p``; column ``len(patterns) + i`` is the ``y`` of
+    pattern ``y_pattern[i]`` and small class ``y_class[i]``.
+    """
 
     model: LinearModel
     patterns: PatternSet
     small_classes: tuple[SmallClass, ...]
     budget: float
-    # Variable-name helpers.
-    x_name: Mapping[int, str]
-    y_name: Mapping[tuple[int, int, float], str]
+    y_pattern: np.ndarray
+    y_class: np.ndarray
 
     def summary(self) -> dict[str, int | float]:
         data = dict(self.model.summary())
@@ -79,37 +72,22 @@ class ConfigurationSolution:
     """Interpreted MILP solution.
 
     ``pattern_machines[p]`` is the number of machines assigned pattern index
-    ``p``; ``small_assignment[(p, bag, size)]`` the (possibly fractional)
-    number of small jobs of that class placed on top of pattern ``p``.
+    ``p``; ``small_assignment[c]`` lists the ``(p, value)`` pairs, patterns
+    ascending, that place a (possibly fractional) number of jobs of small
+    class ``c`` on top of pattern ``p``.
     """
 
     feasible: bool
     status: SolutionStatus
     pattern_machines: dict[int, int] = field(default_factory=dict)
-    small_assignment: dict[tuple[int, int, float], float] = field(default_factory=dict)
+    small_assignment: list[list[tuple[int, float]]] = field(default_factory=list)
     objective: float = 0.0
-    model_summary: dict[str, int | float] = field(default_factory=dict)
     milp_diagnostics: dict[str, object] = field(default_factory=dict)
-
-
-def _collect_small_classes(
-    instance: Instance, job_classes: JobClasses
-) -> tuple[SmallClass, ...]:
-    """Group the small jobs by (bag, size)."""
-    groups: dict[tuple[int, float], list[int]] = {}
-    for job in instance.jobs:
-        if job.id not in job_classes.small:
-            continue
-        groups.setdefault((job.bag, size_key(job.size)), []).append(job.id)
-    return tuple(
-        SmallClass(bag=bag, size=size, job_ids=tuple(sorted(ids)))
-        for (bag, size), ids in sorted(groups.items())
-    )
 
 
 def build_configuration_milp(
     instance: Instance,
-    job_classes: JobClasses,
+    table: JobTable,
     bag_classes: BagClasses,
     constants: DerivedConstants,
     patterns: PatternSet,
@@ -118,15 +96,16 @@ def build_configuration_milp(
 ) -> ConfigurationModel:
     """Assemble the MILP (1)–(9) for the transformed instance.
 
-    Columns are ``x_0 … x_{P-1}``, then the ``y`` columns in (pattern, class)
-    order.  Rows are (1) ``machines``; (2) ``cover_p`` by (bag, size), then
-    ``cover_x`` by size; (3) ``cover_s`` per small class; (4) ``area`` per
-    pattern; (5) ``bagcap`` per (pattern, bag), bags in increasing order.
+    The small classes are ``table.small``.  Columns are ``x_0 … x_{P-1}``,
+    then the ``y`` columns in (pattern, class) order.  Rows are (1)
+    ``machines``; (2) ``cover_p`` by (bag, size), then ``cover_x`` by size;
+    (3) ``cover_s`` per small class; (4) ``area`` per pattern; (5)
+    ``bagcap`` per (pattern, bag), bags in increasing order.
     """
     budget = constants.budget
     priority = bag_classes.priority
     model = LinearModel(f"eptas-{instance.name}")
-    small_classes = _collect_small_classes(instance, job_classes)
+    small_classes = table.small
     num_patterns = len(patterns.patterns)
     x_col = np.arange(num_patterns)
 
@@ -179,8 +158,11 @@ def build_configuration_milp(
     # steers the solver towards *balanced* large-job placements (stacking two
     # large jobs costs more than spreading them), which tightens the
     # constructed schedule without affecting the guarantee.
-    x_name = {index: f"x_{index}" for index in range(num_patterns)}
-    model.add_columns(list(x_name.values()), integer=True, objective=heights * heights)
+    model.add_columns(
+        [f"x_{index}" for index in range(num_patterns)],
+        integer=True,
+        objective=heights * heights,
+    )
 
     # --- y variables (constraints (7), (8), (9)). -----------------------
     # Only create y_{p, class} when the pattern leaves room for the size and
@@ -204,21 +186,13 @@ def build_configuration_milp(
     clash = np.isin(y_pattern * len(bag_ids) + class_code[y_class], used)
     y_pattern, y_class = y_pattern[~clash], y_class[~clash]
     suffix = [f"{small.bag}_{small.size:.12g}" for small in small_classes]
-    y_names = [
+    y_labels = [
         f"y_{p}_{suffix[c]}" for p, c in zip(y_pattern.tolist(), y_class.tolist())
     ]
     threshold = constants.small_integral_threshold
     integral = class_priority & (class_size > threshold)
-    y_columns = model.add_columns(y_names, integer=integral[y_class])
+    y_columns = model.add_columns(y_labels, integer=integral[y_class])
     y_col = np.arange(y_columns.start, y_columns.stop)
-    y_name = dict(
-        zip(
-            zip(
-                y_pattern.tolist(), class_bag[y_class].tolist(), class_size[y_class].tolist()
-            ),
-            y_names,
-        )
-    )
     ones = np.ones(len(y_col))
 
     # --- (1) at most m machines. ----------------------------------------
@@ -293,8 +267,8 @@ def build_configuration_milp(
         patterns=patterns,
         small_classes=small_classes,
         budget=budget,
-        x_name=x_name,
-        y_name=y_name,
+        y_pattern=y_pattern,
+        y_class=y_class,
     )
 
 
@@ -302,35 +276,35 @@ def interpret_milp_solution(
     configuration: ConfigurationModel, solution: MilpSolution
 ) -> ConfigurationSolution:
     """Turn a raw backend solution into the structured configuration view."""
-    summary = configuration.summary()
     diagnostics = dict(solution.diagnostics)
     if solution.telemetry is not None:
         diagnostics["telemetry"] = solution.telemetry.to_dict()
     if solution.status not in (SolutionStatus.OPTIMAL, SolutionStatus.FEASIBLE):
         return ConfigurationSolution(
-            feasible=False,
-            status=solution.status,
-            model_summary=summary,
-            milp_diagnostics=diagnostics,
+            feasible=False, status=solution.status, milp_diagnostics=diagnostics
         )
 
-    pattern_machines: dict[int, int] = {}
-    for index, name in configuration.x_name.items():
-        value = int(round(solution.value(name)))
-        if value > 0:
-            pattern_machines[index] = value
-    small_assignment: dict[tuple[int, int, float], float] = {}
-    for key, name in configuration.y_name.items():
-        value = solution.value(name)
-        if value > 1e-9:
-            small_assignment[key] = float(value)
+    num_patterns = len(configuration.patterns.patterns)
+    machines = np.rint(solution.x[:num_patterns]).astype(np.int64)
+    used = np.flatnonzero(machines > 0)
+    y = solution.x[num_patterns:]
+    placed = np.flatnonzero(y > 1e-9)
+    small_assignment: list[list[tuple[int, float]]] = [
+        [] for _ in configuration.small_classes
+    ]
+    # The y columns come in (pattern, class) order: patterns ascend per class.
+    for pattern, small, value in zip(
+        configuration.y_pattern[placed].tolist(),
+        configuration.y_class[placed].tolist(),
+        y[placed].tolist(),
+    ):
+        small_assignment[small].append((pattern, value))
     return ConfigurationSolution(
         feasible=True,
         status=solution.status,
-        pattern_machines=pattern_machines,
+        pattern_machines=dict(zip(used.tolist(), machines[used].tolist())),
         small_assignment=small_assignment,
         objective=solution.objective,
-        model_summary=summary,
         milp_diagnostics=diagnostics,
     )
 

@@ -88,14 +88,8 @@ class EptasConfig:
         unknown backend fails immediately instead of deep inside the first
         solve after transformation work has already been spent.
     max_search_iterations:
-        Cap on the dual-approximation binary search length.
-    binary_search_tol:
-        Relative width at which the binary search stops (defaults to
-        ``eps / 8`` when ``None``).
-    validate_intermediate:
-        Validate intermediate partial schedules (slower; on for tests).
-    use_lp_lower_bound:
-        Also compute the LP relaxation lower bound for the initial bracket.
+        Cap on the dual-approximation binary search length; the search also
+        stops once its bracket is narrower than a factor ``1 + eps / 8``.
     """
 
     eps: float = 0.5
@@ -106,9 +100,6 @@ class EptasConfig:
     milp_time_limit: float | None = 60.0
     mip_rel_gap: float = 0.0
     max_search_iterations: int = 40
-    binary_search_tol: float | None = None
-    validate_intermediate: bool = False
-    use_lp_lower_bound: bool = False
 
     def __post_init__(self) -> None:
         # Fail fast: coerce + validate the backend spec against the registry

@@ -11,6 +11,11 @@ most ``q`` slots.
 The enumerator below additionally prunes patterns that could never be used
 because a slot type would need more jobs than the instance possesses; this
 pruning never removes patterns needed by the Lemma-5 feasibility argument.
+
+The slot types come from the :class:`JobTable` that :func:`group_jobs`
+builds once per guess: every job of the transformed instance keyed by its
+(bag, size).  The configuration MILP and both placement stages read the same
+table, so no later stage groups jobs again.
 """
 
 from __future__ import annotations
@@ -26,7 +31,10 @@ __all__ = [
     "PatternEntry",
     "Pattern",
     "PatternSet",
+    "SmallClass",
+    "JobTable",
     "size_key",
+    "group_jobs",
     "collect_entry_types",
     "enumerate_patterns",
 ]
@@ -38,6 +46,38 @@ WILDCARD_BAG = -1
 def size_key(size: float) -> float:
     """Canonical float key for a (rounded) size, robust to tiny FP noise."""
     return round(float(size), 12)
+
+
+@dataclass(frozen=True, slots=True)
+class SmallClass:
+    """A size-restricted bag of small jobs: bag index, size, member job ids."""
+
+    bag: int
+    size: float
+    job_ids: tuple[int, ...]
+
+    @property
+    def count(self) -> int:
+        return len(self.job_ids)
+
+
+@dataclass(frozen=True, slots=True)
+class JobTable:
+    """The jobs of a transformed instance, grouped once per guess.
+
+    Sizes are :func:`size_key` values and job ids ascend within every group.
+
+    * ``priority[(bag, size)]``: the medium and large jobs of a priority bag;
+    * ``wildcard[size][bag]``: the medium and large jobs of a non-priority
+      bag (after the transformation only companion bags hold them);
+    * ``small``: the size-restricted bags of small jobs, sorted by
+      (bag, size).  A class's index here is its index in the configuration
+      MILP.
+    """
+
+    priority: dict[tuple[int, float], tuple[int, ...]]
+    wildcard: dict[float, dict[int, tuple[int, ...]]]
+    small: tuple[SmallClass, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,11 +159,41 @@ class PatternSet:
         }
 
 
-def collect_entry_types(
-    instance: Instance,
-    job_classes: JobClasses,
-    bag_classes: BagClasses,
-) -> list[tuple[PatternEntry, int]]:
+def group_jobs(
+    instance: Instance, job_classes: JobClasses, bag_classes: BagClasses
+) -> JobTable:
+    """Key every job of the transformed instance once, by its :func:`size_key`.
+
+    This is the one grouping of a guess: the entry types, the configuration
+    MILP and both placement stages read it.
+    """
+    small_ids = job_classes.small
+    priority_bags = bag_classes.priority
+    priority: dict[tuple[int, float], list[int]] = {}
+    wildcard: dict[float, dict[int, list[int]]] = {}
+    small: dict[tuple[int, float], list[int]] = {}
+    for job in instance.jobs:
+        size = size_key(job.size)
+        if job.id in small_ids:
+            small.setdefault((job.bag, size), []).append(job.id)
+        elif job.bag in priority_bags:
+            priority.setdefault((job.bag, size), []).append(job.id)
+        else:
+            wildcard.setdefault(size, {}).setdefault(job.bag, []).append(job.id)
+    return JobTable(
+        priority={key: tuple(sorted(ids)) for key, ids in priority.items()},
+        wildcard={
+            size: {bag: tuple(sorted(ids)) for bag, ids in per_bag.items()}
+            for size, per_bag in wildcard.items()
+        },
+        small=tuple(
+            SmallClass(bag=bag, size=size, job_ids=tuple(sorted(ids)))
+            for (bag, size), ids in sorted(small.items())
+        ),
+    )
+
+
+def collect_entry_types(table: JobTable) -> list[tuple[PatternEntry, int]]:
     """Build the slot-type universe of the transformed instance.
 
     * one entry per (priority bag, distinct medium-or-large size present in
@@ -132,28 +202,16 @@ def collect_entry_types(
       bags (after the transformation these are exactly the companion bags),
       available count = total number of such jobs.
     """
-    priority_counts: dict[tuple[int, float], int] = {}
-    wildcard_counts: dict[float, int] = {}
-    for job in instance.jobs:
-        if job.id in job_classes.small:
-            continue
-        key_size = size_key(job.size)
-        if job.bag in bag_classes.priority:
-            priority_counts[(job.bag, key_size)] = (
-                priority_counts.get((job.bag, key_size), 0) + 1
-            )
-        else:
-            # After the transformation non-priority bags hold no medium jobs;
-            # defensive inclusion keeps the enumerator correct even when it
-            # is used on untransformed instances (e.g. in unit tests).
-            wildcard_counts[key_size] = wildcard_counts.get(key_size, 0) + 1
-
-    entry_types: list[tuple[PatternEntry, int]] = []
-    for (bag, size), count in sorted(priority_counts.items()):
-        entry_types.append((PatternEntry(size=size, bag=bag), count))
-    for size, count in sorted(wildcard_counts.items()):
-        entry_types.append((PatternEntry(size=size, bag=WILDCARD_BAG), count))
+    entry_types = [
+        (PatternEntry(size=size, bag=bag), len(ids))
+        for (bag, size), ids in table.priority.items()
+    ]
+    entry_types.extend(
+        (PatternEntry(size=size, bag=WILDCARD_BAG), sum(map(len, per_bag.values())))
+        for size, per_bag in table.wildcard.items()
+    )
     # Large slots first makes the DFS prune earlier (capacity fills faster).
+    # No two entries share (size, bag), so this sort alone fixes the order.
     entry_types.sort(key=lambda item: (-item[0].size, item[0].bag))
     return entry_types
 

@@ -15,6 +15,10 @@ Two different mechanisms are used, mirroring the paper:
   with bag-LPT and then serve as slots for the real fractionally-assigned
   jobs (Lemma 10).
 
+The small classes and their job ids come from the guess's
+:class:`~repro.eptas.patterns.JobTable`; the ``y`` values of class ``c`` are
+read as ``solution.small_assignment[c]``, by the class's index.
+
 Every step keeps the bag constraint *within the transformed instance*; the
 only conflicts that can remain afterwards are between priority small jobs
 and large jobs that were moved by the Lemma-7 swap, and those are repaired
@@ -34,7 +38,7 @@ from .classification import BagClasses, JobClasses
 from .large_jobs import LargePlacement
 from .milp import ConfigurationSolution
 from .params import DerivedConstants
-from .patterns import PatternSet, size_key
+from .patterns import JobTable
 
 __all__ = ["SmallPlacementDiagnostics", "place_small_jobs"]
 
@@ -99,11 +103,15 @@ def place_small_jobs(
     job_classes: JobClasses,
     bag_classes: BagClasses,
     constants: DerivedConstants,
-    patterns: PatternSet,
+    table: JobTable,
     solution: ConfigurationSolution,
     placement: LargePlacement,
 ) -> SmallPlacementDiagnostics:
-    """Place every small job of the transformed instance (mutates the schedule)."""
+    """Place every small job of the transformed instance (mutates the schedule).
+
+    ``table.small`` must be the small classes of the configuration model
+    that ``solution`` solves.
+    """
     eps = job_classes.eps
     schedule = placement.schedule
     diagnostics = SmallPlacementDiagnostics()
@@ -114,15 +122,6 @@ def place_small_jobs(
         machine_bags[machine].add(instance.job(job_id).bag)
         loads[machine] += instance.job(job_id).size
 
-    small_jobs_by_class: dict[tuple[int, float], list[Job]] = {}
-    for job in instance.jobs:
-        if job.id in job_classes.small:
-            small_jobs_by_class.setdefault(
-                (job.bag, size_key(job.size)), []
-            ).append(job)
-    for jobs in small_jobs_by_class.values():
-        jobs.sort(key=lambda job: job.id)
-
     # ------------------------------------------------------------------
     # A. Interpret the y variables of priority bags.
     # ------------------------------------------------------------------
@@ -130,19 +129,13 @@ def place_small_jobs(
     allocations: dict[tuple[int, int], _PatternBagAllocation] = {}
     remaining_priority: dict[int, list[Job]] = {}
 
-    priority_classes = sorted(
-        key for key in small_jobs_by_class if key[0] in bag_classes.priority
-    )
-    for bag, size in priority_classes:
-        jobs = list(small_jobs_by_class[(bag, size)])
-        entries = sorted(
-            (
-                (pattern_index, value)
-                for (pattern_index, y_bag, y_size), value in solution.small_assignment.items()
-                if y_bag == bag and abs(y_size - size) <= 1e-12
-            ),
-            key=lambda item: item[0],
-        )
+    # The classes come in (bag, size) order, their y values in pattern order.
+    for small, entries in zip(table.small, solution.small_assignment, strict=True):
+        bag, size = small.bag, small.size
+        if bag not in bag_classes.priority:
+            continue
+        job_ids = small.job_ids
+        taken = 0
         # Full units first (the MILP enforces integrality for the larger
         # priority sizes, so most of the mass is integral already).
         for pattern_index, value in entries:
@@ -151,14 +144,16 @@ def place_small_jobs(
             allocation = allocations.setdefault(
                 (pattern_index, bag), _PatternBagAllocation()
             )
-            take = min(full_units, len(jobs))
-            for _ in range(take):
-                allocation.full_job_ids.append(jobs.pop(0).id)
+            take = min(full_units, len(job_ids) - taken)
+            allocation.full_job_ids.extend(job_ids[taken : taken + take])
+            taken += take
             residual = value - full_units
             if residual > 1e-9:
                 allocation.fractional_area += residual * size
-        if jobs:
-            remaining_priority.setdefault(bag, []).extend(jobs)
+        if taken < len(job_ids):
+            remaining_priority.setdefault(bag, []).extend(
+                instance.job(job_id) for job_id in job_ids[taken:]
+            )
 
     # ------------------------------------------------------------------
     # B. Group machines by rounded height (pattern load + reserved area).
@@ -314,13 +309,16 @@ def place_small_jobs(
     # ------------------------------------------------------------------
     # E. Safety net: any small job that slipped through every path above
     #    (e.g. a priority class the MILP over-covered with patterns whose
-    #    machines were never materialised) is placed greedily.
+    #    machines were never materialised) is placed greedily, classes in
+    #    (bag, size) order.
     # ------------------------------------------------------------------
-    for (bag, _size), jobs in small_jobs_by_class.items():
-        for job in jobs:
-            if job.id in schedule:
+    for small in table.small:
+        for job_id in small.job_ids:
+            if job_id in schedule:
                 continue
-            _assign_feasible_fallback(instance, schedule, machine_bags, loads, job)
+            _assign_feasible_fallback(
+                instance, schedule, machine_bags, loads, instance.job(job_id)
+            )
             diagnostics.priority_fallback_jobs += 1
 
     return diagnostics

@@ -130,12 +130,13 @@ def exact_milp_schedule(
             raise InfeasibleModelError(
                 f"exact MILP for {instance.name!r} returned status {solution.status.value}"
             )
+        values = solution.values
         schedule = Schedule(instance, allow_partial=True)
         for job in instance.jobs:
             assigned_machine: int | None = None
             best_value = 0.5
             for machine in range(instance.num_machines):
-                value = solution.value(f"x_{job.id}_{machine}")
+                value = values.get(f"x_{job.id}_{machine}", 0.0)
                 if value > best_value:
                     best_value = value
                     assigned_machine = machine

@@ -109,12 +109,14 @@ def solve_with_branch_and_bound(
     root_relaxation = relax(root)
     diagnostics: dict[str, Any] = {"backend": "own-branch-and-bound"}
 
+    names = compiled.variable_names
+
     if root_relaxation.status is SolutionStatus.INFEASIBLE:
         diagnostics.update({"nodes": 1, "lp_solves": lp_solves})
         return MilpSolution(
             status=SolutionStatus.INFEASIBLE,
             objective=float("inf"),
-            values={},
+            names=names,
             diagnostics=diagnostics,
         )
     if root_relaxation.status is SolutionStatus.UNBOUNDED:
@@ -122,12 +124,12 @@ def solve_with_branch_and_bound(
         return MilpSolution(
             status=SolutionStatus.UNBOUNDED,
             objective=float("-inf"),
-            values={},
+            names=names,
             diagnostics=diagnostics,
         )
 
     best_objective = math.inf
-    best_values: dict[str, float] | None = None
+    best_x: np.ndarray | None = None
     nodes_explored = 0
     hit_limit = False
 
@@ -151,20 +153,17 @@ def solve_with_branch_and_bound(
             hit_limit = True
             break
 
-        values_vector = np.array(
-            [relaxation.values.get(name, 0.0) for name in compiled.variable_names]
-        )
         branch_index = _most_fractional(
-            values_vector, integer_indices, config.integrality_tol
+            relaxation.x, integer_indices, config.integrality_tol
         )
         if branch_index is None:
             # Integral solution: candidate incumbent.
             if relaxation.objective < best_objective - config.objective_tol:
                 best_objective = relaxation.objective
-                best_values = dict(relaxation.values)
+                best_x = relaxation.x
             continue
 
-        value = values_vector[branch_index]
+        value = relaxation.x[branch_index]
         floor_value = math.floor(value + config.integrality_tol)
         ceil_value = floor_value + 1
 
@@ -200,7 +199,7 @@ def solve_with_branch_and_bound(
         }
     )
 
-    if best_values is None:
+    if best_x is None:
         if hit_limit:
             if config.raise_on_limit:
                 raise SolverLimitError(
@@ -210,13 +209,13 @@ def solve_with_branch_and_bound(
             return MilpSolution(
                 status=SolutionStatus.LIMIT,
                 objective=float("inf"),
-                values={},
+                names=names,
                 diagnostics=diagnostics,
             )
         return MilpSolution(
             status=SolutionStatus.INFEASIBLE,
             objective=float("inf"),
-            values={},
+            names=names,
             diagnostics=diagnostics,
         )
 
@@ -224,6 +223,7 @@ def solve_with_branch_and_bound(
     return MilpSolution(
         status=status,
         objective=best_objective,
-        values=best_values,
+        x=best_x,
+        names=names,
         diagnostics=diagnostics,
     )

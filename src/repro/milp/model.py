@@ -165,11 +165,18 @@ class SolveTelemetry:
 
 @dataclass(slots=True)
 class MilpSolution:
-    """Solution of a (MI)LP model."""
+    """Solution of a (MI)LP model.
+
+    ``x`` holds the point, one value per column in the model's column order,
+    and is empty when the solve found none; ``names`` are the columns' names.
+    Readers that know their columns index ``x``; :attr:`values` and
+    :meth:`value` are by-name views derived from it.
+    """
 
     status: SolutionStatus
     objective: float
-    values: dict[str, float] = field(default_factory=dict)
+    x: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    names: tuple[str, ...] = ()
     diagnostics: dict[str, Any] = field(default_factory=dict)
     telemetry: SolveTelemetry | None = None
 
@@ -177,7 +184,13 @@ class MilpSolution:
     def is_feasible(self) -> bool:
         return self.status in (SolutionStatus.OPTIMAL, SolutionStatus.FEASIBLE)
 
+    @property
+    def values(self) -> dict[str, float]:
+        """Mapping ``name -> value``; empty without a point.  Built per call."""
+        return dict(zip(self.names, self.x.tolist()))
+
     def value(self, name: str, default: float = 0.0) -> float:
+        """One value by name (builds :attr:`values`: read that once for many)."""
         return self.values.get(name, default)
 
     def integral_values(self, *, tol: float = 1e-6) -> dict[str, int]:

@@ -4,8 +4,8 @@ The paper assumes an exact fixed-dimension MILP oracle (Kannan/Lenstra).  We
 substitute scipy's HiGHS interface, :func:`scipy.optimize.milp`, for
 mixed-integer models and, without integrality, for LP relaxations.  The
 backend is exact on the models this library produces and returns a
-:class:`~repro.milp.model.MilpSolution` in terms of the symbolic variable
-names.
+:class:`~repro.milp.model.MilpSolution` holding HiGHS's value array in the
+model's column order, with the column names beside it.
 
 A model with integer columns is solved LP first.  When the LP optimum is
 integral it is returned as the MILP optimum: it is feasible for the MILP and
@@ -81,14 +81,12 @@ def _solution_from_values(
     values: np.ndarray | None,
     diagnostics: dict[str, Any],
 ) -> MilpSolution:
-    mapping: dict[str, float] = {}
-    if values is not None:
-        mapping = {
-            name: float(value)
-            for name, value in zip(compiled.variable_names, values)
-        }
     return MilpSolution(
-        status=status, objective=objective, values=mapping, diagnostics=diagnostics
+        status=status,
+        objective=objective,
+        x=np.zeros(0) if values is None else values,
+        names=compiled.variable_names,
+        diagnostics=diagnostics,
     )
 
 
@@ -147,7 +145,7 @@ def solve_with_scipy(
     """
     compiled = _compiled(model)
     if compiled.num_variables == 0:
-        return MilpSolution(status=SolutionStatus.OPTIMAL, objective=0.0, values={})
+        return MilpSolution(status=SolutionStatus.OPTIMAL, objective=0.0)
 
     constraints = _build_constraints(compiled)
     bounds = optimize.Bounds(compiled.lower, compiled.upper)
@@ -226,7 +224,7 @@ def solve_lp_relaxation(
     """
     compiled = _compiled(model)
     if compiled.num_variables == 0:
-        return MilpSolution(status=SolutionStatus.OPTIMAL, objective=0.0, values={})
+        return MilpSolution(status=SolutionStatus.OPTIMAL, objective=0.0)
 
     lower = compiled.lower.copy()
     upper = compiled.upper.copy()

@@ -12,6 +12,7 @@ inline through the current :class:`~repro.solver.SolverService`.  See
 ``docs/scheduling-service.md``.
 """
 
+from ..solvers import SOLVER_ROSTER
 from .client import ScheduleClient, ScheduleConnectionError
 from .requests import (
     DEFAULT_EPS,
@@ -20,7 +21,6 @@ from .requests import (
     SCHEDULE_RPC_METHODS,
     SERVICE_EXPERIMENT,
     SERVICE_TELEMETRY_KEY,
-    SOLVER_ROSTER,
     AdmissionError,
     ScheduleRequest,
     cost_experiment,

@@ -9,34 +9,22 @@ service shares cache entries with grid runs where the rosters overlap),
 the journal row parameters persisted into the ``service`` experiment
 namespace, and inline execution (:func:`execute_request`).
 
-The solver roster mirrors the CLI's ``repro solve`` table: every solver
-takes ``(instance, eps)``; combinatorial solvers ignore ``eps`` and omit it
-from their cache keys, MILP-backed solvers fold the backend-registry
-fingerprint in so a scipy upgrade never replays stale results.
+The solvers are :data:`repro.solvers.SOLVER_ROSTER`, the roster ``repro
+solve`` runs too: combinatorial solvers omit ``eps`` from their cache keys,
+MILP-backed solvers fold the backend-registry fingerprint in so a scipy
+upgrade never replays stale results.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from dataclasses import dataclass
+from typing import Any, Mapping
 
-from ..baselines import (
-    coloring_schedule,
-    das_wiese_schedule,
-    first_fit_schedule,
-    greedy_schedule,
-    local_search_schedule,
-    lpt_schedule,
-)
-from ..baselines.das_wiese import DasWieseConfig
 from ..core.errors import ReproError
 from ..core.instance import Instance
-from ..core.result import SolverResult
-from ..eptas import eptas_schedule
-from ..eptas.params import EptasConfig
-from ..exact import ExactMilpConfig, exact_schedule
 from ..orchestration.cache import cache_key, summarise_result
+from ..solvers import SOLVER_ROSTER
 
 __all__ = [
     "AdmissionError",
@@ -46,7 +34,6 @@ __all__ = [
     "SCHEDULE_RPC_METHODS",
     "SERVICE_EXPERIMENT",
     "SERVICE_TELEMETRY_KEY",
-    "SOLVER_ROSTER",
     "ScheduleRequest",
     "cost_experiment",
     "execute_request",
@@ -70,38 +57,6 @@ DEFAULT_EPS = 0.25
 
 class AdmissionError(ReproError):
     """Request rejected at admission: expected cost exceeds the budget."""
-
-
-@dataclass(frozen=True)
-class _RosterEntry:
-    """One servable solver: how to run it and how to key its cache entries."""
-
-    run: Callable[[Instance, float], SolverResult]
-    uses_eps: bool = False
-    backend: Callable[[float], Any] | None = field(default=None)
-
-
-SOLVER_ROSTER: dict[str, _RosterEntry] = {
-    "greedy": _RosterEntry(lambda instance, eps: greedy_schedule(instance)),
-    "first-fit": _RosterEntry(lambda instance, eps: first_fit_schedule(instance)),
-    "lpt": _RosterEntry(lambda instance, eps: lpt_schedule(instance)),
-    "local-search": _RosterEntry(lambda instance, eps: local_search_schedule(instance)),
-    "coloring": _RosterEntry(lambda instance, eps: coloring_schedule(instance)),
-    "das-wiese": _RosterEntry(
-        lambda instance, eps: das_wiese_schedule(instance, eps=eps),
-        uses_eps=True,
-        backend=lambda eps: DasWieseConfig(eps=eps).backend_spec,
-    ),
-    "eptas": _RosterEntry(
-        lambda instance, eps: eptas_schedule(instance, eps=eps),
-        uses_eps=True,
-        backend=lambda eps: EptasConfig(eps=eps).backend_spec,
-    ),
-    "exact": _RosterEntry(
-        lambda instance, eps: exact_schedule(instance),
-        backend=lambda eps: ExactMilpConfig().backend_spec,
-    ),
-}
 
 
 def cost_experiment(solver: str) -> str:

@@ -6,9 +6,10 @@ import json
 
 import pytest
 
-from repro.cli import SOLVERS, build_parser, main
+from repro.cli import build_parser, main
 from repro.core import Instance
 from repro.generators import uniform_random_instance
+from repro.solvers import SOLVER_ROSTER
 
 
 @pytest.fixture
@@ -37,7 +38,7 @@ class TestParser:
 
     def test_solver_registry_is_complete(self):
         assert {"greedy", "lpt", "coloring", "das-wiese", "eptas", "exact", "first-fit"} <= set(
-            SOLVERS
+            SOLVER_ROSTER
         )
 
 

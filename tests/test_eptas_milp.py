@@ -18,12 +18,19 @@ from repro.eptas import (
     classify_jobs,
     collect_entry_types,
     enumerate_patterns,
+    group_jobs,
     scale_and_round,
     transform_instance,
     solve_configuration_milp,
 )
 from repro.eptas.classification import SIZE_TOL
-from repro.eptas.milp import SmallClass, _collect_small_classes
+from repro.eptas.milp import interpret_milp_solution
+from repro.eptas.patterns import (
+    WILDCARD_BAG,
+    PatternEntry,
+    SmallClass,
+    size_key,
+)
 from repro.generators import (
     bag_heavy_instance,
     clustered_sizes_instance,
@@ -31,7 +38,7 @@ from repro.generators import (
     planted_optimum_instance,
     uniform_random_instance,
 )
-from repro.milp import LinearModel, SolutionStatus, solve_with_scipy
+from repro.milp import LinearModel, MilpSolution, SolutionStatus, solve_with_scipy
 
 
 def _prepare(instance: Instance, eps: float = 0.25, guess: float | None = None, cap: int = 3):
@@ -48,7 +55,8 @@ def _prepare(instance: Instance, eps: float = 0.25, guess: float | None = None, 
     record = transform_instance(working, job_classes, bag_classes)
     transformed_jobs = classify_jobs(record.transformed, config.eps, k=job_classes.k)
     constants = bag_classes.constants
-    entry_types = collect_entry_types(record.transformed, transformed_jobs, bag_classes)
+    table = group_jobs(record.transformed, transformed_jobs, bag_classes)
+    entry_types = collect_entry_types(table)
     patterns = enumerate_patterns(
         entry_types,
         budget=constants.budget,
@@ -56,7 +64,7 @@ def _prepare(instance: Instance, eps: float = 0.25, guess: float | None = None, 
         max_patterns=config.max_patterns,
     )
     model = build_configuration_milp(
-        record.transformed, transformed_jobs, bag_classes, constants, patterns, config=config
+        record.transformed, table, bag_classes, constants, patterns, config=config
     )
     return config, record, transformed_jobs, bag_classes, constants, patterns, model
 
@@ -77,7 +85,8 @@ class TestModelStructure:
             num_jobs=18, num_machines=4, num_bags=6, seed=3
         ).instance
         _, record, transformed_jobs, bag_classes, constants, patterns, model = _prepare(instance)
-        for (pattern_index, bag, size), name in model.y_name.items():
+        for pattern_index, small in zip(model.y_pattern.tolist(), model.y_class.tolist()):
+            bag, size = model.small_classes[small].bag, model.small_classes[small].size
             pattern = patterns.patterns[pattern_index]
             assert size <= constants.budget - pattern.height + 1e-9
             if bag in bag_classes.priority:
@@ -111,10 +120,11 @@ class TestModelStructure:
         assert solution.feasible
         # aggregate per (pattern, bag): sum_s y <= x_p
         per_pattern_bag: dict[tuple[int, int], float] = {}
-        for (pattern_index, bag, _size), value in solution.small_assignment.items():
-            per_pattern_bag[(pattern_index, bag)] = (
-                per_pattern_bag.get((pattern_index, bag), 0.0) + value
-            )
+        for small, entries in zip(model.small_classes, solution.small_assignment):
+            for pattern_index, value in entries:
+                per_pattern_bag[(pattern_index, small.bag)] = (
+                    per_pattern_bag.get((pattern_index, small.bag), 0.0) + value
+                )
         for (pattern_index, bag), total in per_pattern_bag.items():
             machines = solution.pattern_machines.get(pattern_index, 0)
             assert total <= machines + 1e-6
@@ -130,11 +140,102 @@ class TestModelStructure:
         assert solution.feasible
         # every small job is covered by y variables (constraint (3))
         covered: dict[tuple[int, float], float] = {}
-        for (pattern_index, bag, size), value in solution.small_assignment.items():
-            covered[(bag, size)] = covered.get((bag, size), 0.0) + value
+        for small, entries in zip(model.small_classes, solution.small_assignment):
+            for _pattern_index, value in entries:
+                covered[(small.bag, small.size)] = (
+                    covered.get((small.bag, small.size), 0.0) + value
+                )
         for small_class in model.small_classes:
             total = covered.get((small_class.bag, small_class.size), 0.0)
             assert total >= small_class.count - 1e-6
+
+
+# ----------------------------------------------------------------------
+# Oracles: the per-stage job groupings and the name-keyed readback that the
+# job table and the column-index readback replaced.
+# ----------------------------------------------------------------------
+def _collect_small_classes(instance, job_classes):
+    """Oracle: the configuration builder's walk, small jobs by (bag, size)."""
+    groups: dict[tuple[int, float], list[int]] = {}
+    for job in instance.jobs:
+        if job.id not in job_classes.small:
+            continue
+        groups.setdefault((job.bag, size_key(job.size)), []).append(job.id)
+    return tuple(
+        SmallClass(bag=bag, size=size, job_ids=tuple(sorted(ids)))
+        for (bag, size), ids in sorted(groups.items())
+    )
+
+
+def _collect_entry_types(instance, job_classes, bag_classes):
+    """Oracle: ``collect_entry_types``' walk over every job."""
+    priority_counts: dict[tuple[int, float], int] = {}
+    wildcard_counts: dict[float, int] = {}
+    for job in instance.jobs:
+        if job.id in job_classes.small:
+            continue
+        key_size = size_key(job.size)
+        if job.bag in bag_classes.priority:
+            priority_counts[(job.bag, key_size)] = (
+                priority_counts.get((job.bag, key_size), 0) + 1
+            )
+        else:
+            wildcard_counts[key_size] = wildcard_counts.get(key_size, 0) + 1
+    entry_types = [
+        (PatternEntry(size=size, bag=bag), count)
+        for (bag, size), count in sorted(priority_counts.items())
+    ]
+    for size, count in sorted(wildcard_counts.items()):
+        entry_types.append((PatternEntry(size=size, bag=WILDCARD_BAG), count))
+    entry_types.sort(key=lambda item: (-item[0].size, item[0].bag))
+    return entry_types
+
+
+def _large_job_pools(instance, job_classes, bag_classes):
+    """Oracle: ``place_large_and_medium``'s pools, reverse-sorted to pop the smallest id."""
+    priority_pool: dict[tuple[int, float], list[int]] = {}
+    wildcard_pool: dict[float, dict[int, list[int]]] = {}
+    for job in instance.jobs:
+        if job.id in job_classes.small:
+            continue
+        key = size_key(job.size)
+        if job.bag in bag_classes.priority:
+            priority_pool.setdefault((job.bag, key), []).append(job.id)
+        else:
+            wildcard_pool.setdefault(key, {}).setdefault(job.bag, []).append(job.id)
+    for pool in priority_pool.values():
+        pool.sort(reverse=True)
+    for per_bag in wildcard_pool.values():
+        for pool in per_bag.values():
+            pool.sort(reverse=True)
+    return priority_pool, wildcard_pool
+
+
+def _small_jobs_by_class(instance, job_classes):
+    """Oracle: ``place_small_jobs``' walk, small jobs by (bag, size), ids ascending."""
+    groups: dict[tuple[int, float], list[Job]] = {}
+    for job in instance.jobs:
+        if job.id in job_classes.small:
+            groups.setdefault((job.bag, size_key(job.size)), []).append(job)
+    for jobs in groups.values():
+        jobs.sort(key=lambda job: job.id)
+    return groups
+
+
+def _interpret_by_name(x_name, y_name, solution):
+    """Oracle: the name-keyed readback, ``small_assignment`` keyed by (p, bag, size)."""
+    values = solution.values
+    pattern_machines: dict[int, int] = {}
+    for index, name in x_name.items():
+        value = int(round(values.get(name, 0.0)))
+        if value > 0:
+            pattern_machines[index] = value
+    small_assignment: dict[tuple[int, int, float], float] = {}
+    for key, name in y_name.items():
+        value = values.get(name, 0.0)
+        if value > 1e-9:
+            small_assignment[key] = float(value)
+    return pattern_machines, small_assignment
 
 
 def _dict_builder(instance, job_classes, bag_classes, constants, patterns):
@@ -249,17 +350,64 @@ def _same_array(actual: np.ndarray, expected: np.ndarray) -> bool:
     )
 
 
+def _assert_table_matches_the_walks(transformed, jobs, bag_classes, table):
+    """The job table holds what each stage's own walk over the jobs grouped."""
+    assert table.small == _collect_small_classes(transformed, jobs)
+    assert collect_entry_types(table) == _collect_entry_types(transformed, jobs, bag_classes)
+    priority_pool, wildcard_pool = _large_job_pools(transformed, jobs, bag_classes)
+    assert {key: list(reversed(ids)) for key, ids in table.priority.items()} == priority_pool
+    assert {
+        size: {bag: list(reversed(ids)) for bag, ids in per_bag.items()}
+        for size, per_bag in table.wildcard.items()
+    } == wildcard_pool
+    assert {
+        (small.bag, small.size): [transformed.job(job_id) for job_id in small.job_ids]
+        for small in table.small
+    } == _small_jobs_by_class(transformed, jobs)
+
+
+def _assert_readback_matches_the_names(configuration, x_name, y_name):
+    """Reading by column index gives what the names gave, for a drawn point."""
+    compiled = configuration.model.compile()
+    rng = np.random.default_rng(compiled.num_variables)
+    x = rng.choice(
+        [0.0, 0.0, 1e-10, 0.4, 0.5, 1.0, 1.5, 2.5, 2.9999999999], size=compiled.num_variables
+    )
+    solution = MilpSolution(
+        status=SolutionStatus.OPTIMAL, objective=0.0, x=x, names=compiled.variable_names
+    )
+    interpreted = interpret_milp_solution(configuration, solution)
+    pattern_machines, small_assignment = _interpret_by_name(x_name, y_name, solution)
+    assert interpreted.pattern_machines == pattern_machines
+    assert len(interpreted.small_assignment) == len(configuration.small_classes)
+    for small, entries in zip(configuration.small_classes, interpreted.small_assignment):
+        # The scan small-job placement ran over the name-keyed entries.
+        assert entries == sorted(
+            (
+                (pattern_index, value)
+                for (pattern_index, y_bag, y_size), value in small_assignment.items()
+                if y_bag == small.bag and abs(y_size - small.size) <= 1e-12
+            ),
+            key=lambda item: item[0],
+        )
+    assert sum(map(len, interpreted.small_assignment)) == len(small_assignment)
+
+
 def _assert_matches_dict_builder(instance: Instance, eps: float, guess: float, cap: int = 3):
-    """The configuration model equals the oracle's, compiled arrays byte for byte."""
+    """The configuration model equals the oracle's, compiled arrays byte for byte.
+
+    The job table, the entry types, the large-job pools and the column-index
+    readback match the walks and the name-keyed readback they replaced.
+    """
     _, record, jobs, bag_classes, constants, patterns, configuration = _prepare(
         instance, eps=eps, guess=guess, cap=cap
     )
+    table = group_jobs(record.transformed, jobs, bag_classes)
+    _assert_table_matches_the_walks(record.transformed, jobs, bag_classes, table)
     reference, small_classes, x_name, y_name = _dict_builder(
         record.transformed, jobs, bag_classes, constants, patterns
     )
     assert configuration.small_classes == small_classes
-    assert configuration.x_name == x_name
-    assert configuration.y_name == y_name
     model = configuration.model
     assert model.summary() == reference.summary()
     assert [
@@ -267,6 +415,16 @@ def _assert_matches_dict_builder(instance: Instance, eps: float, guess: float, c
     ] == [(row.name, row.sense, row.rhs, row.coefficients) for row in reference.constraints]
     compiled, expected = model.compile(), reference.compile()
     assert compiled.variable_names == expected.variable_names
+    # Column p is x_p; the y columns follow in y_pattern/y_class order.
+    num_patterns = len(patterns.patterns)
+    assert compiled.variable_names[:num_patterns] == tuple(x_name.values())
+    assert [
+        (pattern_index, small_classes[small].bag, small_classes[small].size)
+        for pattern_index, small in zip(
+            configuration.y_pattern.tolist(), configuration.y_class.tolist()
+        )
+    ] == list(y_name)
+    assert compiled.variable_names[num_patterns:] == tuple(y_name.values())
     for field in ("objective", "lower", "upper", "integrality", "b_ub", "b_eq"):
         assert _same_array(getattr(compiled, field), getattr(expected, field)), field
     for field in ("a_ub", "a_eq"):
@@ -274,6 +432,7 @@ def _assert_matches_dict_builder(instance: Instance, eps: float, guess: float, c
         assert matrix.shape == wanted.shape, field
         for part in ("indptr", "indices", "data"):
             assert _same_array(getattr(matrix, part), getattr(wanted, part)), (field, part)
+    _assert_readback_matches_the_names(configuration, x_name, y_name)
 
 
 @pytest.mark.parametrize(
@@ -295,7 +454,8 @@ def _assert_matches_dict_builder(instance: Instance, eps: float, guess: float, c
     ids=["clustered", "uniform", "figure1", "figure1-m200", "planted-eps0.25", "bag-heavy"],
 )
 def test_configuration_model_matches_the_dict_builder(instance, eps):
-    """The first-guess model equals the one built by name, rows (1)-(5) included."""
+    """The first-guess model equals the one built by name, rows (1)-(5) included;
+    the job table and the readback match the walks and names they replaced."""
     _assert_matches_dict_builder(instance, eps, best_lower_bound(instance).best)
 
 

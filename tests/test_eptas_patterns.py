@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bounds import best_lower_bound
-from repro.core import Instance
+from repro.core import Instance, Job
 from repro.core.errors import SolverLimitError
 from repro.eptas import (
     EptasConfig,
@@ -15,6 +15,7 @@ from repro.eptas import (
     classify_jobs,
     collect_entry_types,
     enumerate_patterns,
+    group_jobs,
     scale_and_round,
     transform_instance,
 )
@@ -178,7 +179,9 @@ def _library_entry_types(instance: Instance, eps: float):
     )
     record = transform_instance(working, job_classes, bag_classes)
     transformed_jobs = classify_jobs(record.transformed, config.eps, k=job_classes.k)
-    entry_types = collect_entry_types(record.transformed, transformed_jobs, bag_classes)
+    entry_types = collect_entry_types(
+        group_jobs(record.transformed, transformed_jobs, bag_classes)
+    )
     return entry_types, bag_classes.constants
 
 
@@ -311,7 +314,7 @@ class TestCollectEntryTypes:
         instance = Instance.from_sizes(sizes, bags, num_machines=4)
         job_classes = classify_jobs(instance, 0.5, k=1)
         bag_classes = classify_bags(instance, job_classes, practical_priority_cap=1)
-        entry_types = collect_entry_types(instance, job_classes, bag_classes)
+        entry_types = collect_entry_types(group_jobs(instance, job_classes, bag_classes))
         wildcard = [(e, c) for e, c in entry_types if e.is_wildcard]
         priority = [(e, c) for e, c in entry_types if not e.is_wildcard]
         assert len(priority) == 1
@@ -323,7 +326,7 @@ class TestCollectEntryTypes:
         instance = Instance.from_sizes([0.5, 0.01, 0.02], bags=[0, 0, 1], num_machines=2)
         job_classes = classify_jobs(instance, 0.5, k=1)
         bag_classes = classify_bags(instance, job_classes, practical_priority_cap=2)
-        entry_types = collect_entry_types(instance, job_classes, bag_classes)
+        entry_types = collect_entry_types(group_jobs(instance, job_classes, bag_classes))
         assert all(entry.size >= 0.25 for entry, _ in entry_types)
 
     def test_entries_sorted_large_first(self):
@@ -332,6 +335,35 @@ class TestCollectEntryTypes:
         )
         job_classes = classify_jobs(instance, 0.5, k=1)
         bag_classes = classify_bags(instance, job_classes, practical_priority_cap=5)
-        entry_types = collect_entry_types(instance, job_classes, bag_classes)
+        entry_types = collect_entry_types(group_jobs(instance, job_classes, bag_classes))
         sizes = [entry.size for entry, _ in entry_types]
         assert sizes == sorted(sizes, reverse=True)
+
+
+class TestGroupJobs:
+    def test_ids_ascend_within_every_group_whatever_the_job_order(self):
+        # Jobs listed with descending ids: bag 0 is priority (three large jobs
+        # of one size), bags 1 and 2 are not, and every bag has small jobs.
+        sizes = [0.02, 0.5, 0.02, 0.5, 0.5, 0.5, 0.5, 0.5, 0.02, 0.03, 0.02]
+        bags = [2, 2, 1, 1, 1, 0, 0, 0, 0, 0, 0]
+        jobs = [
+            Job(id=len(sizes) - 1 - index, size=size, bag=bag)
+            for index, (size, bag) in enumerate(zip(sizes, bags))
+        ]
+        instance = Instance(jobs, num_machines=6)
+        job_classes = classify_jobs(instance, 0.5, k=1)
+        bag_classes = classify_bags(instance, job_classes, practical_priority_cap=1)
+        assert bag_classes.priority == {0}
+        table = group_jobs(instance, job_classes, bag_classes)
+        assert table.priority == {(0, 0.5): (3, 4, 5)}
+        assert table.wildcard == {0.5: {2: (9,), 1: (6, 7)}}
+        assert [(small.bag, small.size, small.job_ids) for small in table.small] == [
+            (0, 0.02, (0, 2)),
+            (0, 0.03, (1,)),
+            (1, 0.02, (8,)),
+            (2, 0.02, (10,)),
+        ]
+        assert collect_entry_types(table) == [
+            (PatternEntry(size=0.5, bag=WILDCARD_BAG), 3),
+            (PatternEntry(size=0.5, bag=0), 3),
+        ]

@@ -6,14 +6,16 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines import lpt_schedule
-from repro.core import Instance, Schedule
+from repro.core import Instance, Job, Schedule
 from repro.eptas import (
+    ConfigurationSolution,
     EptasConfig,
     build_configuration_milp,
     classify_bags,
     classify_jobs,
     collect_entry_types,
     enumerate_patterns,
+    group_jobs,
     place_large_and_medium,
     place_small_jobs,
     resolve_conflicts,
@@ -22,6 +24,7 @@ from repro.eptas import (
     transform_instance,
 )
 from repro.generators import figure1_adversarial_instance, uniform_random_instance
+from repro.milp import SolutionStatus
 
 
 def _full_pipeline(instance: Instance, eps: float = 0.25, guess: float | None = None):
@@ -38,7 +41,8 @@ def _full_pipeline(instance: Instance, eps: float = 0.25, guess: float | None = 
     record = transform_instance(working, job_classes, bag_classes)
     transformed_jobs = classify_jobs(record.transformed, config.eps, k=job_classes.k)
     constants = bag_classes.constants
-    entry_types = collect_entry_types(record.transformed, transformed_jobs, bag_classes)
+    table = group_jobs(record.transformed, transformed_jobs, bag_classes)
+    entry_types = collect_entry_types(table)
     patterns = enumerate_patterns(
         entry_types,
         budget=constants.budget,
@@ -46,20 +50,18 @@ def _full_pipeline(instance: Instance, eps: float = 0.25, guess: float | None = 
         max_patterns=config.max_patterns,
     )
     model = build_configuration_milp(
-        record.transformed, transformed_jobs, bag_classes, constants, patterns, config=config
+        record.transformed, table, bag_classes, constants, patterns, config=config
     )
     solution = solve_configuration_milp(model, config=config)
     assert solution.feasible
-    placement = place_large_and_medium(
-        record.transformed, transformed_jobs, bag_classes, patterns, solution
-    )
+    placement = place_large_and_medium(record.transformed, table, patterns, solution)
     return (
         config,
         record,
         transformed_jobs,
         bag_classes,
         constants,
-        patterns,
+        table,
         solution,
         placement,
     )
@@ -93,6 +95,32 @@ class TestLargeJobPlacement:
             assert job.bag in bag_classes.priority
             assert 0 <= machine < record.transformed.num_machines
 
+    def test_slots_take_the_smallest_id_left(self):
+        # Bag 0 (priority) and bag 1 (not) hold two 0.5-jobs each, listed
+        # with descending ids; both machines run one slot of each kind.
+        jobs = [
+            Job(id=3, size=0.5, bag=0),
+            Job(id=1, size=0.5, bag=0),
+            Job(id=2, size=0.5, bag=1),
+            Job(id=0, size=0.5, bag=1),
+        ]
+        instance = Instance(jobs, num_machines=2)
+        job_classes = classify_jobs(instance, 0.5, k=1)
+        bag_classes = classify_bags(instance, job_classes, practical_priority_cap=1)
+        assert bag_classes.priority == {0}
+        table = group_jobs(instance, job_classes, bag_classes)
+        patterns = enumerate_patterns(collect_entry_types(table), budget=1.0, max_slots=2)
+        (both,) = [
+            index
+            for index, pattern in enumerate(patterns.patterns)
+            if pattern.uses_bag(0) and pattern.wildcard_slots() == {0.5: 1}
+        ]
+        solution = ConfigurationSolution(
+            feasible=True, status=SolutionStatus.OPTIMAL, pattern_machines={both: 2}
+        )
+        placement = place_large_and_medium(instance, table, patterns, solution)
+        assert dict(placement.schedule.assignment) == {1: 0, 0: 0, 3: 1, 2: 1}
+
     def test_loads_do_not_exceed_budget_after_large_placement(self):
         instance = figure1_adversarial_instance(num_machines=6).instance
         (config, record, *_rest, placement) = _full_pipeline(instance, guess=1.0)
@@ -112,7 +140,7 @@ class TestSmallJobPlacement:
             transformed_jobs,
             bag_classes,
             constants,
-            patterns,
+            table,
             solution,
             placement,
         ) = _full_pipeline(instance)
@@ -121,7 +149,7 @@ class TestSmallJobPlacement:
             transformed_jobs,
             bag_classes,
             constants,
-            patterns,
+            table,
             solution,
             placement,
         )
@@ -147,7 +175,7 @@ class TestSmallJobPlacement:
             transformed_jobs,
             bag_classes,
             constants,
-            patterns,
+            table,
             solution,
             placement,
         ) = _full_pipeline(instance, guess=1.0)
@@ -156,7 +184,7 @@ class TestSmallJobPlacement:
             transformed_jobs,
             bag_classes,
             constants,
-            patterns,
+            table,
             solution,
             placement,
         )

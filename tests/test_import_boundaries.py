@@ -20,7 +20,7 @@ def test_algorithms_load_no_infrastructure():
     # A fresh interpreter: this test process has imported everything already.
     code = (
         "import json, sys\n"
-        "import repro.eptas, repro.exact, repro.baselines\n"
+        "import repro.eptas, repro.exact, repro.baselines, repro.solvers\n"
         "print(json.dumps(sorted(sys.modules)))\n"
     )
     done = subprocess.run(

@@ -240,19 +240,41 @@ class TestBulkInput:
 class TestMilpSolution:
     def test_integral_values(self):
         solution = MilpSolution(
-            status=SolutionStatus.OPTIMAL, objective=1.0, values={"x": 2.0000000001}
+            status=SolutionStatus.OPTIMAL,
+            objective=1.0,
+            x=np.array([2.0000000001]),
+            names=("x",),
         )
         assert solution.integral_values() == {"x": 2}
         assert solution.is_feasible
 
     def test_integral_values_rejects_fractional(self):
         solution = MilpSolution(
-            status=SolutionStatus.OPTIMAL, objective=1.0, values={"x": 2.5}
+            status=SolutionStatus.OPTIMAL, objective=1.0, x=np.array([2.5]), names=("x",)
         )
         with pytest.raises(InfeasibleModelError):
             solution.integral_values()
 
     def test_value_default(self):
-        solution = MilpSolution(status=SolutionStatus.OPTIMAL, objective=0.0, values={})
+        solution = MilpSolution(status=SolutionStatus.OPTIMAL, objective=0.0)
         assert solution.value("missing") == 0.0
         assert solution.value("missing", 3.0) == 3.0
+
+    def test_values_are_the_column_array_by_name(self):
+        solution = MilpSolution(
+            status=SolutionStatus.OPTIMAL,
+            objective=1.0,
+            x=np.array([1.0, 2.5]),
+            names=("a", "b"),
+        )
+        assert solution.values == {"a": 1.0, "b": 2.5}
+        assert solution.value("b") == 2.5
+        assert solution.value("c") == 0.0
+
+    def test_solution_without_a_point(self):
+        solution = MilpSolution(
+            status=SolutionStatus.INFEASIBLE, objective=float("inf"), names=("x",)
+        )
+        assert solution.x.size == 0
+        assert solution.values == {}
+        assert solution.value("x") == 0.0
