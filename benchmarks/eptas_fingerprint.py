@@ -6,9 +6,11 @@ Usage, from the root of a checkout::
 
 For every instance of the three workloads of ``eptas_bench/workloads.py`` it
 prints the makespan's ``repr``, the sha256 of the sorted assignment and one
-sha256 per configuration MILP solved in the call.  A change that must leave
-schedules and models byte-identical is checked by fingerprinting both sides
-with this one script and comparing the output::
+line per configuration MILP solved in the call: its sha256, then its column,
+row and nonzero counts (``milp <sha256> cols=20 rows=25 nnz=76``).  A change
+that must leave schedules and models byte-identical is checked by
+fingerprinting both sides with this one script and comparing the output; a
+change that alters a model on purpose shows in the diff how its shape moved::
 
     PYTHONPATH=/path/to/old/src python3 benchmarks/eptas_fingerprint.py --seed 1 > old.txt
     PYTHONPATH=src python3 benchmarks/eptas_fingerprint.py --seed 1 > new.txt
@@ -53,21 +55,26 @@ def model_digest(compiled: CompiledModel) -> str:
     return digest.hexdigest()
 
 
+def model_shape(compiled: CompiledModel) -> str:
+    nnz = compiled.a_ub.nnz + compiled.a_eq.nnz
+    return f"cols={compiled.num_variables} rows={compiled.num_constraints} nnz={nnz}"
+
+
 def assignment_digest(assignment: dict[int, int]) -> str:
     text = ",".join(f"{job_id}:{machine}" for job_id, machine in sorted(assignment.items()))
     return hashlib.sha256(text.encode()).hexdigest()
 
 
 class _HashingService(SolverService):
-    """Inline solver service that records the digest of every model it solves."""
+    """Inline solver service that records every solved model's digest and shape."""
 
     def __init__(self) -> None:
         super().__init__()
-        self.digests: list[str] = []
+        self.models: list[str] = []
 
     def solve(self, model: LinearModel | CompiledModel, **kwargs: Any) -> Any:
         compiled = model.compile() if isinstance(model, LinearModel) else model
-        self.digests.append(model_digest(compiled))
+        self.models.append(f"{model_digest(compiled)} {model_shape(compiled)}")
         return super().solve(compiled, **kwargs)
 
 
@@ -86,8 +93,8 @@ def main(argv: list[str]) -> int:
                 f"{workload_name} {spec.name} makespan={result.makespan!r} "
                 f"assignment={assignment_digest(result.schedule.assignment)}"
             )
-            for digest in service.digests:
-                print(f"  milp {digest}")
+            for line in service.models:
+                print(f"  milp {line}")
     return 0
 
 

@@ -138,12 +138,7 @@ def solve_for_guess(
     report.num_patterns = len(patterns)
 
     configuration = build_configuration_milp(
-        transformed,
-        table,
-        bag_classes,
-        constants,
-        patterns,
-        config=config,
+        transformed, table, bag_classes, constants, patterns
     )
     summary = configuration.summary()
     report.integer_variables = int(summary.get("integer_variables", 0))

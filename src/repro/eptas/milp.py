@@ -8,13 +8,24 @@ priority bags with size above ``eps**(2k+11)`` are integral — all other
 independent of the number of bags (the paper's core idea).
 
 The model is derived from index arrays: the ``x`` columns, the ``y``
-columns that pass the headroom and priority-bag filters, and rows (1)–(5) as
-COO blocks, handed to :class:`repro.milp.LinearModel` in bulk
+columns that pass the headroom, priority-bag and zero-size filters, and rows
+(1)–(5) as COO blocks, handed to :class:`repro.milp.LinearModel` in bulk
 (:meth:`~repro.milp.LinearModel.add_columns`,
 :meth:`~repro.milp.LinearModel.add_constraints`).  Nothing is built per
 pattern and class pair beyond the ``y`` columns themselves, so memory stays
 linear in the number of ``y`` columns plus nonzeros.  The small classes are
 the guess's :class:`~repro.eptas.patterns.JobTable` classes, in its order.
+
+A non-priority class of size 0 (in practice the fillers that the
+transformation leaves for a bag without small jobs) gets no ``y`` column and
+no cover row (3).  Its columns would carry no area and, through rows (5),
+ask only for one machine per job of its bag, which the empty pattern
+supplies at no cost because no bag has more than ``m`` jobs: the smaller
+model is feasible exactly when the full one is and has the same optimal
+objective.  The class keeps its index in
+:attr:`ConfigurationModel.small_classes`, with an empty
+``small_assignment``; small-job placement places its jobs with the other
+non-priority jobs, without reading ``y``.
 
 The module solves the model with the configured backend and reads the
 solution back by column index: ``x_p`` is column ``p`` and the ``y``
@@ -56,7 +67,6 @@ class ConfigurationModel:
     model: LinearModel
     patterns: PatternSet
     small_classes: tuple[SmallClass, ...]
-    budget: float
     y_pattern: np.ndarray
     y_class: np.ndarray
 
@@ -91,15 +101,14 @@ def build_configuration_milp(
     bag_classes: BagClasses,
     constants: DerivedConstants,
     patterns: PatternSet,
-    *,
-    config: EptasConfig,
 ) -> ConfigurationModel:
     """Assemble the MILP (1)–(9) for the transformed instance.
 
     The small classes are ``table.small``.  Columns are ``x_0 … x_{P-1}``,
     then the ``y`` columns in (pattern, class) order.  Rows are (1)
     ``machines``; (2) ``cover_p`` by (bag, size), then ``cover_x`` by size;
-    (3) ``cover_s`` per small class; (4) ``area`` per pattern; (5)
+    (3) ``cover_s`` per small class that has ``y`` columns (all but the
+    non-priority classes of size 0); (4) ``area`` per pattern; (5)
     ``bagcap`` per (pattern, bag), bags in increasing order.
     """
     budget = constants.budget
@@ -173,7 +182,10 @@ def build_configuration_milp(
     class_size = np.array([small.size for small in small_classes], dtype=float)
     class_code = np.array([bag_code[small.bag] for small in small_classes], dtype=np.int64)
     class_priority = np.array([small.bag in priority for small in small_classes], dtype=bool)
-    by_size = np.argsort(class_size, kind="stable")
+    # Non-priority classes of size 0 get no y column and no cover row; the
+    # module docstring says why the optimum is unchanged.
+    has_y = class_priority | (class_size != 0.0)
+    by_size = np.flatnonzero(has_y)[np.argsort(class_size[has_y], kind="stable")]
     # Pattern p has room for the classes by_size[:fits[p]]: one (pattern,
     # rank) pair per such class, then sorted into (pattern, class) order.
     fits = np.searchsorted(
@@ -220,12 +232,13 @@ def build_configuration_milp(
         value=slot_count,
     )
 
-    # --- (3) cover every small job. --------------------------------------
+    # --- (3) cover every small job of a class with y columns. ------------
+    cover_s_row = np.cumsum(has_y) - 1
     model.add_constraints(
-        [f"cover_s_{label}" for label in suffix],
+        [f"cover_s_{label}" for label, kept in zip(suffix, has_y) if kept],
         Sense.GE,
-        [float(small.count) for small in small_classes],
-        row=y_class,
+        [float(small.count) for small, kept in zip(small_classes, has_y) if kept],
+        row=cover_s_row[y_class],
         col=y_col,
         value=ones,
     )
@@ -266,7 +279,6 @@ def build_configuration_milp(
         model=model,
         patterns=patterns,
         small_classes=small_classes,
-        budget=budget,
         y_pattern=y_pattern,
         y_class=y_class,
     )

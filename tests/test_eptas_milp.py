@@ -64,9 +64,20 @@ def _prepare(instance: Instance, eps: float = 0.25, guess: float | None = None, 
         max_patterns=config.max_patterns,
     )
     model = build_configuration_milp(
-        record.transformed, table, bag_classes, constants, patterns, config=config
+        record.transformed, table, bag_classes, constants, patterns
     )
     return config, record, transformed_jobs, bag_classes, constants, patterns, model
+
+
+# Instances with non-priority classes of size 0 at their first guess (eps 1/2).
+_ZERO_SIZE_INSTANCES = pytest.mark.parametrize(
+    "instance",
+    [
+        figure1_adversarial_instance(num_machines=6).instance,
+        bag_heavy_instance(num_machines=4, num_full_bags=2, extra_jobs=6, seed=1).instance,
+    ],
+    ids=["figure1", "bag-heavy"],
+)
 
 
 class TestModelStructure:
@@ -91,6 +102,39 @@ class TestModelStructure:
             assert size <= constants.budget - pattern.height + 1e-9
             if bag in bag_classes.priority:
                 assert not pattern.uses_bag(bag)
+
+    @_ZERO_SIZE_INSTANCES
+    def test_zero_size_non_priority_classes_get_no_y_column(self, instance):
+        config, _, _, bag_classes, _, _, model = _prepare(
+            instance, eps=0.5, guess=best_lower_bound(instance).best
+        )
+        zero_size = [
+            index
+            for index, small in enumerate(model.small_classes)
+            if small.size == 0.0 and small.bag not in bag_classes.priority
+        ]
+        assert zero_size
+        assert not np.isin(model.y_class, zero_size).any()
+        solution = solve_configuration_milp(model, config=config)
+        assert solution.feasible
+        assert all(solution.small_assignment[index] == [] for index in zero_size)
+
+    def test_figure1_m200_model_has_only_x_columns(self):
+        instance = figure1_adversarial_instance(num_machines=200).instance
+        *_, model = _prepare(instance, eps=0.25, guess=best_lower_bound(instance).best)
+        summary = model.summary()
+        assert (summary["variables"], summary["constraints"]) == (20, 25)
+        assert summary["continuous_variables"] == 0
+
+    def test_priority_cap_one_first_guess_has_one_column_per_pattern(self):
+        """The first-guess model of ``test_priority_cap_one``, built but not solved."""
+        instance = uniform_random_instance(
+            num_jobs=24, num_machines=4, num_bags=8, seed=7
+        ).instance
+        *_, patterns, model = _prepare(
+            instance, eps=0.25, guess=best_lower_bound(instance).best, cap=1
+        )
+        assert len(patterns) == model.summary()["variables"] == 25_154
 
     def test_feasible_when_guess_is_achievable(self):
         generated = figure1_adversarial_instance(num_machines=4)
@@ -238,14 +282,21 @@ def _interpret_by_name(x_name, y_name, solution):
     return pattern_machines, small_assignment
 
 
-def _dict_builder(instance, job_classes, bag_classes, constants, patterns):
+def _dict_builder(
+    instance, job_classes, bag_classes, constants, patterns, *, keep_zero_size=False
+):
     """Oracle: the configuration MILP built by name, one dict per row.
 
+    A non-priority class of size 0 gets no ``y`` and no ``cover_s`` row,
+    unless ``keep_zero_size`` asks for the full model that gives it both.
     Returns ``(model, small_classes, x_name, y_name)``.
     """
     budget = constants.budget
     model = LinearModel(f"eptas-{instance.name}")
     small_classes = _collect_small_classes(instance, job_classes)
+
+    def has_y(small):
+        return keep_zero_size or small.size != 0.0 or small.bag in bag_classes.priority
 
     x_name: dict[int, str] = {}
     for index, pattern in enumerate(patterns.patterns):
@@ -260,7 +311,7 @@ def _dict_builder(instance, job_classes, bag_classes, constants, patterns):
     for index, pattern in enumerate(patterns.patterns):
         headroom = budget - pattern.height + SIZE_TOL
         for small in small_classes:
-            if small.size > headroom:
+            if not has_y(small) or small.size > headroom:
                 continue
             if small.bag in bag_classes.priority and pattern.uses_bag(small.bag):
                 continue
@@ -300,7 +351,7 @@ def _dict_builder(instance, job_classes, bag_classes, constants, patterns):
         model.add_ge(f"cover_x_{size:.12g}", coefficients, float(required))
 
     # (3)
-    for small in small_classes:
+    for small in filter(has_y, small_classes):
         coefficients = {
             y_name[(index, small.bag, small.size)]: 1.0
             for index in range(len(patterns.patterns))
@@ -435,7 +486,7 @@ def _assert_matches_dict_builder(instance: Instance, eps: float, guess: float, c
     _assert_readback_matches_the_names(configuration, x_name, y_name)
 
 
-@pytest.mark.parametrize(
+_FIRST_GUESS_INSTANCES = pytest.mark.parametrize(
     ("instance", "eps"),
     [
         (clustered_sizes_instance(seed=3).instance, 0.5),
@@ -453,6 +504,9 @@ def _assert_matches_dict_builder(instance: Instance, eps: float, guess: float, c
     ],
     ids=["clustered", "uniform", "figure1", "figure1-m200", "planted-eps0.25", "bag-heavy"],
 )
+
+
+@_FIRST_GUESS_INSTANCES
 def test_configuration_model_matches_the_dict_builder(instance, eps):
     """The first-guess model equals the one built by name, rows (1)-(5) included;
     the job table and the readback match the walks and names they replaced."""
@@ -493,6 +547,74 @@ def test_configuration_model_matches_the_dict_builder_on_drawn_instances(
         assume(False)
 
 
+def _scipy_milp(model: LinearModel, *, relax: bool = False):
+    """``scipy.optimize.milp`` on the compiled model, or on its LP relaxation."""
+    compiled = model.compile()
+    return optimize.milp(
+        c=compiled.objective,
+        constraints=[
+            optimize.LinearConstraint(compiled.a_ub, -np.inf, compiled.b_ub),
+            optimize.LinearConstraint(compiled.a_eq, compiled.b_eq, compiled.b_eq),
+        ],
+        integrality=None if relax else compiled.integrality,
+        bounds=optimize.Bounds(compiled.lower, compiled.upper),
+    )
+
+
+def _assert_same_optimum(model: LinearModel, full: LinearModel, *, relax: bool) -> None:
+    """Equal scipy status, and equal objectives (relative 1e-9) when optimal."""
+    result, expected = _scipy_milp(model, relax=relax), _scipy_milp(full, relax=relax)
+    assert result.status == expected.status
+    if expected.status == 0:
+        assert result.fun == pytest.approx(expected.fun, rel=1e-9, abs=1e-12)
+
+
+def _model_and_full_model(instance: Instance, eps: float, guess: float, cap: int = 3):
+    """The builder's model and the oracle's model with the non-priority
+    size-0 classes kept."""
+    _, record, jobs, bag_classes, constants, patterns, configuration = _prepare(
+        instance, eps=eps, guess=guess, cap=cap
+    )
+    full, *_ = _dict_builder(
+        record.transformed, jobs, bag_classes, constants, patterns, keep_zero_size=True
+    )
+    return configuration.model, full
+
+
+@_FIRST_GUESS_INSTANCES
+def test_dropping_zero_size_classes_keeps_the_lp_optimum(instance, eps):
+    """Without the non-priority size-0 classes the first guess's LP relaxation
+    ends as it does with them, at the same objective."""
+    model, full = _model_and_full_model(instance, eps, best_lower_bound(instance).best)
+    _assert_same_optimum(model, full, relax=True)
+
+
+@_ZERO_SIZE_INSTANCES
+def test_dropping_zero_size_classes_keeps_the_milp_optimum(instance):
+    model, full = _model_and_full_model(instance, 0.5, best_lower_bound(instance).best)
+    assert model.summary()["variables"] < full.summary()["variables"]
+    _assert_same_optimum(model, full, relax=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    instance=_small_instances(),
+    eps=st.sampled_from([0.5, 0.25]),
+    factor=st.floats(0.6, 1.6),
+    cap=st.integers(1, 3),
+)
+def test_dropping_zero_size_classes_keeps_the_lp_optimum_on_drawn_instances(
+    instance, eps, factor, cap
+):
+    lower = best_lower_bound(instance).best
+    assume(lower > 0)
+    try:
+        model, full = _model_and_full_model(instance, eps, lower * factor, cap=cap)
+    except SolverLimitError:
+        assume(False)
+    _assert_same_optimum(model, full, relax=True)
+
+
 def test_lp_answered_first_guess_is_a_milp_optimum():
     """The first guess's LP optimum is integral, feasible and as good as HiGHS's MILP."""
     instance = planted_optimum_instance(num_machines=4, seed=1).instance
@@ -504,15 +626,6 @@ def test_lp_answered_first_guess_is_a_milp_optimum():
     assert solution.diagnostics["lp_relaxation"] == "integral"
     assert model.check_solution(solution.values) == []
 
-    compiled = model.compile()
-    direct = optimize.milp(
-        c=compiled.objective,
-        constraints=[
-            optimize.LinearConstraint(compiled.a_ub, -np.inf, compiled.b_ub),
-            optimize.LinearConstraint(compiled.a_eq, compiled.b_eq, compiled.b_eq),
-        ],
-        integrality=compiled.integrality,
-        bounds=optimize.Bounds(compiled.lower, compiled.upper),
-    )
+    direct = _scipy_milp(model)
     assert direct.status == 0
     assert solution.objective == pytest.approx(direct.fun, abs=1e-9)

@@ -50,7 +50,7 @@ def _full_pipeline(instance: Instance, eps: float = 0.25, guess: float | None = 
         max_patterns=config.max_patterns,
     )
     model = build_configuration_milp(
-        record.transformed, table, bag_classes, constants, patterns, config=config
+        record.transformed, table, bag_classes, constants, patterns
     )
     solution = solve_configuration_milp(model, config=config)
     assert solution.feasible
