@@ -4,13 +4,16 @@ Usage, from the root of a checkout::
 
     PYTHONPATH=src python3 benchmarks/eptas_fingerprint.py --seed 1 [--size smoke]
 
-For every instance of the three workloads of ``eptas_bench/workloads.py`` it
-prints the makespan's ``repr``, the sha256 of the sorted assignment and one
-line per configuration MILP solved in the call: its sha256, then its column,
-row and nonzero counts (``milp <sha256> cols=20 rows=25 nnz=76``).  A change
-that must leave schedules and models byte-identical is checked by
-fingerprinting both sides with this one script and comparing the output; a
-change that alters a model on purpose shows in the diff how its shape moved::
+It first prints one ``backend <fingerprint>`` line per builtin MILP backend
+(``scipy``, ``bnb``, ``lp``): the backend's cache identity, which keys every
+stored MILP-backed result.  Then, for every instance of the three workloads
+of ``eptas_bench/workloads.py``, it prints the makespan's ``repr``, the
+sha256 of the sorted assignment and one line per configuration MILP solved
+in the call: its sha256, then its column, row and nonzero counts
+(``milp <sha256> cols=20 rows=25 nnz=76``).  A change that must leave cache
+identity, schedules and models byte-identical is checked by fingerprinting
+both sides with this one script and comparing the output; a change that
+alters a model on purpose shows in the diff how its shape moved::
 
     PYTHONPATH=/path/to/old/src python3 benchmarks/eptas_fingerprint.py --seed 1 > old.txt
     PYTHONPATH=src python3 benchmarks/eptas_fingerprint.py --seed 1 > new.txt
@@ -37,6 +40,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "eptas_bench"))
 
 from repro.eptas import eptas_schedule  # noqa: E402
 from repro.milp.model import CompiledModel, LinearModel  # noqa: E402
+from repro.solver import backend_fingerprint  # noqa: E402
 from repro.solver.service import SolverService, service_scope  # noqa: E402
 from workloads import WORKLOADS, build_instance  # noqa: E402
 
@@ -83,6 +87,8 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--size", choices=("full", "smoke"), default="full")
     args = parser.parse_args(argv)
+    for backend in ("scipy", "bnb", "lp"):
+        print(f"backend {backend_fingerprint(backend)}")
     for workload_name, workload in WORKLOADS.items():
         specs = workload.smoke if args.size == "smoke" else workload.specs
         for spec in specs:

@@ -46,8 +46,7 @@ __all__ = ["das_wiese_schedule", "DasWieseConfig"]
 class DasWieseConfig:
     """Tuning knobs of the Das–Wiese-style baseline.
 
-    ``milp_backend`` is validated against the solver-backend registry at
-    construction (see :mod:`repro.solver`).
+    ``milp_backend`` is validated at construction (see :mod:`repro.solver`).
     """
 
     eps: float = 0.25

@@ -326,9 +326,6 @@ def solve_configuration_milp(
 ) -> ConfigurationSolution:
     """Solve the configuration MILP through the current solver service."""
     solution = get_solver_service().solve(
-        configuration.model,
-        spec=config.backend_spec,
-        time_limit=config.milp_time_limit,
-        mip_rel_gap=config.mip_rel_gap,
+        configuration.model, spec=config.backend_spec, time_limit=config.milp_time_limit
     )
     return interpret_milp_solution(configuration, solution)

@@ -81,11 +81,11 @@ class EptasConfig:
     max_patterns:
         Hard limit on the number of enumerated machine configurations; the
         driver raises :class:`~repro.core.errors.SolverLimitError` beyond it.
-    milp_backend / milp_time_limit / mip_rel_gap:
+    milp_backend / milp_time_limit:
         Passed to the :class:`repro.solver.SolverService`.  ``milp_backend``
         accepts a backend name or a :class:`repro.solver.BackendSpec` and is
-        validated against the backend registry *at construction*, so an
-        unknown backend fails immediately instead of deep inside the first
+        validated *at construction*, so an unknown backend or an option it
+        does not read fails immediately instead of deep inside the first
         solve after transformation work has already been spent.
     max_search_iterations:
         Cap on the dual-approximation binary search length; the search also
@@ -98,13 +98,11 @@ class EptasConfig:
     max_patterns: int = 50_000
     milp_backend: str | BackendSpec = "scipy"
     milp_time_limit: float | None = 60.0
-    mip_rel_gap: float = 0.0
     max_search_iterations: int = 40
 
     def __post_init__(self) -> None:
-        # Fail fast: coerce + validate the backend spec against the registry
-        # now, not inside the first solve (the dataclass is frozen, hence
-        # object.__setattr__).
+        # Fail fast: coerce + validate the backend spec now, not inside the
+        # first solve (the dataclass is frozen, hence object.__setattr__).
         object.__setattr__(self, "milp_backend", BackendSpec.coerce(self.milp_backend))
 
     @property
@@ -125,7 +123,6 @@ class EptasConfig:
             "max_patterns": self.max_patterns,
             "milp_backend": self.backend_spec.to_dict(),
             "milp_time_limit": self.milp_time_limit,
-            "mip_rel_gap": self.mip_rel_gap,
             "max_search_iterations": self.max_search_iterations,
         }
 

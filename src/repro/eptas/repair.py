@@ -68,6 +68,9 @@ def resolve_conflicts(
     that has no job of the bag.
     """
     diagnostics = RepairDiagnostics()
+    conflicts = schedule.conflicts()
+    if not conflicts:
+        return diagnostics
     machine_bags = _machine_bag_map(instance, schedule)
     loads = schedule.loads().tolist()
 
@@ -77,7 +80,6 @@ def resolve_conflicts(
     safety = instance.num_jobs * 2 + 10
     while safety > 0:
         safety -= 1
-        conflicts = schedule.conflicts()
         if not conflicts:
             break
         conflict = conflicts[0]
@@ -139,6 +141,7 @@ def resolve_conflicts(
             for job_id, assigned in schedule.assignment.items()
             if assigned == machine
         }
+        conflicts = schedule.conflicts()
     else:  # pragma: no cover - defensive
         raise AlgorithmError("conflict repair did not terminate")
 

@@ -4,17 +4,11 @@ from __future__ import annotations
 
 from ..core.instance import Instance
 from ..core.result import SolverResult
-from .assignment_milp import (
-    ExactConfig,
-    ExactMilpConfig,
-    build_assignment_model,
-    exact_milp_schedule,
-)
+from .assignment_milp import ExactMilpConfig, build_assignment_model, exact_milp_schedule
 from .brute_force import BruteForceConfig, brute_force_optimum, brute_force_schedule
 
 __all__ = [
     "BruteForceConfig",
-    "ExactConfig",
     "ExactMilpConfig",
     "brute_force_optimum",
     "brute_force_schedule",

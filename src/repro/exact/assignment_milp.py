@@ -24,7 +24,6 @@ from ..milp import LinearModel, SolutionStatus
 from ..solver import BackendSpec, get_solver_service
 
 __all__ = [
-    "ExactConfig",
     "ExactMilpConfig",
     "exact_milp_schedule",
     "build_assignment_model",
@@ -35,15 +34,14 @@ __all__ = [
 class ExactMilpConfig:
     """Options of the exact assignment MILP.
 
-    ``backend`` accepts a registered backend name or a
-    :class:`repro.solver.BackendSpec`; it is validated at construction so an
-    unknown backend fails before any model is built.
+    ``backend`` accepts a backend name or a :class:`repro.solver.BackendSpec`;
+    it is validated at construction so an unknown backend fails before any
+    model is built.
     """
 
     backend: str | BackendSpec = "scipy"
     time_limit: float | None = 120.0
     symmetry_breaking: bool = True
-    mip_rel_gap: float = 0.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "backend", BackendSpec.coerce(self.backend))
@@ -52,11 +50,6 @@ class ExactMilpConfig:
     def backend_spec(self) -> BackendSpec:
         assert isinstance(self.backend, BackendSpec)
         return self.backend
-
-
-# The name the solver-service layer (and the issue tracker) uses; the
-# historical ``ExactMilpConfig`` stays as the canonical definition.
-ExactConfig = ExactMilpConfig
 
 
 def build_assignment_model(
@@ -118,10 +111,7 @@ def exact_milp_schedule(
         )
         diagnostics.update(model.summary())
         solution = get_solver_service().solve(
-            model,
-            spec=config.backend_spec,
-            time_limit=config.time_limit,
-            mip_rel_gap=config.mip_rel_gap,
+            model, spec=config.backend_spec, time_limit=config.time_limit
         )
         diagnostics["milp_status"] = solution.status.value
         if solution.telemetry is not None:

@@ -5,6 +5,8 @@ reference solver and the LP lower bound all need to assemble sparse linear
 models with named variables.  :class:`LinearModel` collects variables and
 constraints and compiles them to the arrays expected by the solver backends
 (:mod:`repro.milp.scipy_backend` and :mod:`repro.milp.branch_and_bound`).
+Outside the tests a model reaches them only through
+:meth:`repro.solver.SolverService.solve`.
 
 The builder keeps everything sparse.  A constraint added by name
 (:meth:`LinearModel.add_constraint`) is stored as a
@@ -127,26 +129,14 @@ class SolveTelemetry:
 
     Every solve that goes through :class:`repro.solver.SolverService`
     carries one of these: wall time, terminal status and the backend
-    *fingerprint* (name + version + option digest, the cache identity from
-    the registry).
-
-    Solves run inline, so ``solve_s`` equals ``wall_time``, ``queue_wait_s``
-    is 0 and ``pooled``, ``server_pid``, ``wire_s`` and ``endpoint`` keep
-    their defaults.  The fields stay because results stored by earlier
-    versions, which could route solves to subprocess or remote solver
-    servers, carry them.
+    *fingerprint* (name + version + option digest, the cache identity of
+    :func:`repro.solver.backend_fingerprint`).
     """
 
     backend: str
     fingerprint: str
     wall_time: float
     status: str
-    pooled: bool = False
-    server_pid: int | None = None
-    queue_wait_s: float | None = None
-    solve_s: float | None = None
-    wire_s: float | None = None
-    endpoint: str | None = None
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -154,12 +144,6 @@ class SolveTelemetry:
             "fingerprint": self.fingerprint,
             "wall_time": self.wall_time,
             "status": self.status,
-            "pooled": self.pooled,
-            "server_pid": self.server_pid,
-            "queue_wait_s": self.queue_wait_s,
-            "solve_s": self.solve_s,
-            "wire_s": self.wire_s,
-            "endpoint": self.endpoint,
         }
 
 

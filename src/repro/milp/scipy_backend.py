@@ -128,15 +128,12 @@ def solve_with_scipy(
     model: LinearModel | CompiledModel,
     *,
     time_limit: float | None = None,
-    mip_rel_gap: float = 0.0,
     node_limit: int | None = None,
 ) -> MilpSolution:
     """Solve a mixed-integer linear model with HiGHS, LP relaxation first.
 
-    ``mip_rel_gap`` keeps HiGHS exact by default (gap ``0``); a small
-    positive gap can be passed for large experiment models where a certified
-    near-optimal configuration solution is sufficient (the EPTAS analysis
-    only needs a feasible configuration solution of value at most ``T``).
+    The MILP runs with ``mip_rel_gap=0``, so ``OPTIMAL`` is exact; HiGHS's
+    own default gap is ``1e-4``.
 
     ``time_limit`` bounds the LP and the MILP together: the MILP gets what
     the LP left.  ``node_limit`` applies to the MILP only.  The diagnostics
@@ -192,7 +189,7 @@ def solve_with_scipy(
                     ),
                 )
 
-    options: dict[str, Any] = {"mip_rel_gap": mip_rel_gap}
+    options: dict[str, Any] = {"mip_rel_gap": 0.0}
     if milp_time_limit is not None:
         options["time_limit"] = float(milp_time_limit)
     if node_limit is not None:

@@ -5,7 +5,7 @@ backend fingerprint)``: the digest covers the job multiset (ids, sizes,
 bags) and the machine count — *not* the instance name, so renamed but
 identical instances share cache entries.  For solvers that go through the
 MILP service, callers pass the :class:`repro.solver.BackendSpec` and the
-key includes the registry-emitted fingerprint (backend name + version +
+key includes the backend fingerprint (backend name + version +
 option digest), so a scipy upgrade or a solver-option change never reuses
 stale cached results.  Payloads are small JSON summaries (makespan, wall time, optimality
 flag, diagnostics, optional solver-specific extras) — never full schedules —
@@ -96,7 +96,7 @@ def cache_key(
     """Cache key for one solver invocation on one instance.
 
     ``backend`` (a name or :class:`repro.solver.BackendSpec`) adds the
-    registry fingerprint to the key for MILP-backed solvers; combinatorial
+    backend fingerprint to the key for MILP-backed solvers; combinatorial
     solvers (LPT, greedy, …) omit it so their entries survive backend
     upgrades they cannot be affected by.
     """

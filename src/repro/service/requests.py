@@ -11,7 +11,7 @@ namespace, and inline execution (:func:`execute_request`).
 
 The solvers are :data:`repro.solvers.SOLVER_ROSTER`, the roster ``repro
 solve`` runs too: combinatorial solvers omit ``eps`` from their cache keys,
-MILP-backed solvers fold the backend-registry fingerprint in so a scipy
+MILP-backed solvers fold the backend fingerprint in so a scipy
 upgrade never replays stale results.
 """
 

@@ -1,90 +1,115 @@
-"""Pluggable MILP backend registry.
+"""The three MILP backends and validated references to them.
 
-Every solve in the repository goes through a :class:`BackendSpec` — a
-validated ``(name, options)`` pair — resolved against a process-global
-registry of :class:`SolverBackend` implementations.  This replaces the old
-``if backend == "scipy": ...`` string dispatch that used to live in
-:func:`repro.milp.solve_model`: new backends (a Gurobi shim, a remote
-solver, a chaos backend for tests) plug in via :func:`register_backend`
-without touching any call site.
+The backends are a closed table keyed by name:
 
-The registry also emits the **backend fingerprint** used by the
-orchestration result cache: ``name@version+digest12(options)``.  The
-fingerprint changes when the backend implementation version changes (e.g. a
-scipy upgrade) or when any solver option changes, so cached results are
-never silently reused across a solver change.
+* ``scipy`` — HiGHS via :func:`repro.milp.scipy_backend.solve_with_scipy`,
+  LP relaxation first; the default exact oracle.  Reads ``node_limit``.
+* ``bnb`` — the repository's own LP-based branch and bound
+  (:func:`repro.milp.branch_and_bound.solve_with_branch_and_bound`), which
+  cross-checks HiGHS.  Reads the fields of
+  :class:`~repro.milp.branch_and_bound.BranchAndBoundConfig`.
+* ``lp`` — the LP relaxation only, for lower bounds and diagnostics.  Reads
+  no option.
+
+Every solve names its backend with a :class:`BackendSpec`, a validated
+``(name, options)`` pair.  A spec that names another backend, or an option
+its backend does not read, raises ``ValueError`` when it is made: a typo
+fails at configuration time rather than inside the first solve, and no
+option can change the cache identity without reaching the solver.
+
+The module also emits the **backend fingerprint** used by the orchestration
+result cache: ``name@version+digest12(options)``.  The fingerprint changes
+when the backend's version changes (e.g. a scipy upgrade) or when any
+solver option changes, so cached results are never silently reused across
+a solver change.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
-from typing import Any, Mapping, Protocol, runtime_checkable
+from dataclasses import dataclass, fields
+from typing import Any, Callable, Mapping
 
-from ..milp.model import CompiledModel, LinearModel, MilpSolution
+import scipy
 
-__all__ = [
-    "BackendSpec",
-    "SolverBackend",
-    "available_backends",
-    "backend_fingerprint",
-    "register_backend",
-    "resolve_backend",
-    "unregister_backend",
-]
+from .. import __version__
+from ..milp.branch_and_bound import BranchAndBoundConfig, solve_with_branch_and_bound
+from ..milp.model import CompiledModel, MilpSolution
+from ..milp.scipy_backend import solve_lp_relaxation, solve_with_scipy
+
+__all__ = ["BackendSpec", "backend_fingerprint"]
 
 
-@runtime_checkable
-class SolverBackend(Protocol):
-    """The contract a pluggable MILP backend implements.
+@dataclass(frozen=True, slots=True)
+class _Backend:
+    """One builtin backend: its cache version, the options it reads, its solve."""
 
-    ``name`` is the registry key; ``version`` feeds the cache fingerprint
-    (bump it whenever results could change for the same model).  ``solve``
-    receives an already-compiled model plus the per-solve limits and the
-    spec's option mapping, and returns a :class:`MilpSolution`.
-    """
-
-    name: str
-
-    @property
-    def version(self) -> str: ...
-
-    def solve(
-        self,
-        model: CompiledModel,
-        *,
-        time_limit: float | None,
-        mip_rel_gap: float,
-        options: Mapping[str, Any],
-    ) -> MilpSolution: ...
+    version: str
+    options: frozenset[str]
+    solve: Callable[[CompiledModel, float | None, Mapping[str, Any]], MilpSolution]
 
 
-_REGISTRY: dict[str, SolverBackend] = {}
+def _solve_scipy(
+    model: CompiledModel, time_limit: float | None, options: Mapping[str, Any]
+) -> MilpSolution:
+    return solve_with_scipy(model, time_limit=time_limit, node_limit=options.get("node_limit"))
 
 
-def _canonical_options(options: Mapping[str, Any]) -> tuple[tuple[str, Any], ...]:
-    return tuple(sorted(options.items()))
+def _solve_bnb(
+    model: CompiledModel, time_limit: float | None, options: Mapping[str, Any]
+) -> MilpSolution:
+    config = dict(options)
+    if time_limit is not None:
+        config.setdefault("time_limit", time_limit)
+    return solve_with_branch_and_bound(model, BranchAndBoundConfig(**config) if config else None)
+
+
+def _solve_lp(
+    model: CompiledModel, time_limit: float | None, options: Mapping[str, Any]
+) -> MilpSolution:
+    return solve_lp_relaxation(model, time_limit=time_limit)
+
+
+_BACKENDS: dict[str, _Backend] = {
+    # The scipy marker names the solve path: LP relaxation first, which can
+    # return a different optimal vertex than a MILP-only solve.
+    "scipy": _Backend(f"{scipy.__version__}+lp-first", frozenset({"node_limit"}), _solve_scipy),
+    "bnb": _Backend(
+        __version__, frozenset(f.name for f in fields(BranchAndBoundConfig)), _solve_bnb
+    ),
+    "lp": _Backend(scipy.__version__, frozenset(), _solve_lp),
+}
 
 
 @dataclass(frozen=True, slots=True)
 class BackendSpec:
-    """A validated reference to a registered backend plus its options.
+    """A validated reference to a builtin backend plus its options.
 
-    Construct via :meth:`coerce` (accepts a bare name string, a mapping, or
-    an existing spec) or :meth:`make`; both validate the backend name
-    against the registry immediately, so a typo fails at *configuration
-    construction* time rather than deep inside the first solve.
+    Every spec is checked against the backend table when it is constructed,
+    directly, by :meth:`make` or by :meth:`coerce`, which accepts a bare name
+    string, a mapping, or an existing spec.
     """
 
     name: str
     options: tuple[tuple[str, Any], ...] = ()
 
+    def __post_init__(self) -> None:
+        backend = _BACKENDS.get(self.name)
+        if backend is None:
+            raise ValueError(
+                f"unknown MILP backend {self.name!r}; available: {sorted(_BACKENDS)}"
+            )
+        unread = sorted(key for key, _ in self.options if key not in backend.options)
+        if unread:
+            raise ValueError(
+                f"MILP backend {self.name!r} does not read option(s) {unread}; "
+                f"it reads {sorted(backend.options)}"
+            )
+
     @classmethod
     def make(cls, name: str, **options: Any) -> "BackendSpec":
-        spec = cls(name=str(name), options=_canonical_options(options))
-        resolve_backend(spec.name)  # fail fast on unknown names
-        return spec
+        return cls(name=str(name), options=tuple(sorted(options.items())))
 
     @classmethod
     def coerce(cls, value: "BackendSpec | str | Mapping[str, Any]") -> "BackendSpec":
@@ -95,7 +120,6 @@ class BackendSpec:
         :meth:`to_dict`, so specs round-trip through grid parameter dicts).
         """
         if isinstance(value, BackendSpec):
-            resolve_backend(value.name)
             return value
         if isinstance(value, str):
             return cls.make(value)
@@ -109,10 +133,10 @@ class BackendSpec:
             "expected a backend name, a mapping or a BackendSpec"
         )
 
-    def with_options(self, **options: Any) -> "BackendSpec":
-        merged = dict(self.options)
-        merged.update(options)
-        return BackendSpec(name=self.name, options=_canonical_options(merged))
+    @property
+    def backend(self) -> _Backend:
+        """The table entry this spec names."""
+        return _BACKENDS[self.name]
 
     def options_dict(self) -> dict[str, Any]:
         return dict(self.options)
@@ -128,146 +152,10 @@ class BackendSpec:
         return backend_fingerprint(self)
 
 
-def register_backend(backend: SolverBackend, *, replace: bool = False) -> SolverBackend:
-    """Add a backend to the registry.
-
-    Re-registering an existing name raises unless ``replace=True`` — this
-    protects the builtin backends from accidental shadowing while still
-    letting tests swap in instrumented doubles deliberately.
-    """
-    name = backend.name
-    if not replace and name in _REGISTRY:
-        raise ValueError(f"backend {name!r} is already registered (pass replace=True)")
-    _REGISTRY[name] = backend
-    return backend
-
-
-def unregister_backend(name: str) -> None:
-    """Remove a backend (no-op when absent).  Mostly for test cleanup."""
-    _REGISTRY.pop(name, None)
-
-
-def resolve_backend(name: str) -> SolverBackend:
-    """Look a backend up by name; unknown names raise ``ValueError``."""
-    _ensure_builtins()
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown MILP backend {name!r}; available: {sorted(_REGISTRY)}"
-        ) from None
-
-
-def available_backends() -> list[str]:
-    _ensure_builtins()
-    return sorted(_REGISTRY)
-
-
 def backend_fingerprint(spec: "BackendSpec | str") -> str:
     """``name@version+digest12(options)`` — the cache identity of a backend."""
     if isinstance(spec, str):
         spec = BackendSpec.make(spec)
-    backend = resolve_backend(spec.name)
     blob = json.dumps(spec.options_dict(), sort_keys=True, separators=(",", ":"), default=str)
     digest = hashlib.sha256(blob.encode()).hexdigest()[:12]
-    return f"{spec.name}@{backend.version}+{digest}"
-
-
-# ----------------------------------------------------------------------
-# Builtin backends
-# ----------------------------------------------------------------------
-def _compiled(model: LinearModel | CompiledModel) -> CompiledModel:
-    return model.compile() if isinstance(model, LinearModel) else model
-
-
-class _ScipyBackend:
-    """HiGHS via :func:`scipy.optimize.milp` (the default exact oracle)."""
-
-    name = "scipy"
-
-    @property
-    def version(self) -> str:
-        import scipy
-
-        # The marker names the solve path: LP relaxation first, which can
-        # return a different optimal vertex than a MILP-only solve.
-        return f"{scipy.__version__}+lp-first"
-
-    def solve(
-        self,
-        model: CompiledModel,
-        *,
-        time_limit: float | None,
-        mip_rel_gap: float,
-        options: Mapping[str, Any],
-    ) -> MilpSolution:
-        from ..milp.scipy_backend import solve_with_scipy
-
-        return solve_with_scipy(
-            _compiled(model),
-            time_limit=time_limit,
-            mip_rel_gap=mip_rel_gap,
-            node_limit=options.get("node_limit"),
-        )
-
-
-class _BranchAndBoundBackend:
-    """The repo's own LP-based branch and bound (cross-checks HiGHS)."""
-
-    name = "bnb"
-
-    @property
-    def version(self) -> str:
-        from .. import __version__
-
-        return __version__
-
-    def solve(
-        self,
-        model: CompiledModel,
-        *,
-        time_limit: float | None,
-        mip_rel_gap: float,
-        options: Mapping[str, Any],
-    ) -> MilpSolution:
-        from ..milp.branch_and_bound import BranchAndBoundConfig, solve_with_branch_and_bound
-
-        known = {f for f in BranchAndBoundConfig.__dataclass_fields__}
-        config_kwargs = {key: value for key, value in options.items() if key in known}
-        if time_limit is not None and "time_limit" not in config_kwargs:
-            config_kwargs["time_limit"] = time_limit
-        config = BranchAndBoundConfig(**config_kwargs) if config_kwargs else None
-        return solve_with_branch_and_bound(_compiled(model), config)
-
-
-class _LpRelaxationBackend:
-    """LP relaxation only — used for lower bounds and diagnostics."""
-
-    name = "lp"
-
-    @property
-    def version(self) -> str:
-        import scipy
-
-        return scipy.__version__
-
-    def solve(
-        self,
-        model: CompiledModel,
-        *,
-        time_limit: float | None,
-        mip_rel_gap: float,
-        options: Mapping[str, Any],
-    ) -> MilpSolution:
-        from ..milp.scipy_backend import solve_lp_relaxation
-
-        return solve_lp_relaxation(_compiled(model), time_limit=time_limit)
-
-
-def _ensure_builtins() -> None:
-    for cls in (_ScipyBackend, _BranchAndBoundBackend, _LpRelaxationBackend):
-        if cls.name not in _REGISTRY:
-            _REGISTRY[cls.name] = cls()
-
-
-_ensure_builtins()
+    return f"{spec.name}@{spec.backend.version}+{digest}"

@@ -1,9 +1,10 @@
 """SolverService: the single facade every MILP call site goes through.
 
-The service resolves a :class:`~repro.solver.registry.BackendSpec` against
-the backend registry, runs the solve inline, and attaches uniform
-:class:`~repro.milp.model.SolveTelemetry` (wall time, status, backend
-fingerprint) to every returned :class:`~repro.milp.model.MilpSolution`.
+The service takes a :class:`~repro.solver.registry.BackendSpec` naming one
+of the three builtin backends, compiles the model once, runs the solve
+inline, and attaches uniform :class:`~repro.milp.model.SolveTelemetry`
+(wall time, status, backend fingerprint) to every returned
+:class:`~repro.milp.model.MilpSolution`.
 
 A process-global *current service* lets a caller substitute its own service
 without threading it through every config object: :func:`service_scope`
@@ -20,15 +21,18 @@ from contextlib import contextmanager
 from typing import Any, Iterator
 
 from ..milp.model import LinearModel, CompiledModel, MilpSolution, SolveTelemetry
-from .registry import BackendSpec, backend_fingerprint, resolve_backend
+from .registry import BackendSpec, backend_fingerprint
 
 __all__ = ["SolverService", "get_solver_service", "service_scope"]
 
 
 class SolverService:
-    """Facade over the backend registry that counts what it solves."""
+    """Facade over the builtin backends that counts what it solves."""
 
     def __init__(self) -> None:
+        # ``solve_s`` always equals ``wall_time``, since every solve runs
+        # inline; the key stays because stored ``_solver_telemetry`` rows
+        # and their rollups carry it.
         self._stats: dict[str, Any] = {
             "solves": 0,
             "wall_time": 0.0,
@@ -36,48 +40,32 @@ class SolverService:
             "backends": {},
         }
 
-    # ------------------------------------------------------------------
-    # Solving
-    # ------------------------------------------------------------------
     def solve(
         self,
         model: LinearModel | CompiledModel,
         *,
         spec: BackendSpec | str = "scipy",
         time_limit: float | None = None,
-        mip_rel_gap: float = 0.0,
     ) -> MilpSolution:
         """Solve one model inline in this process."""
         backend_spec = BackendSpec.coerce(spec)
         started = time.perf_counter()
-        backend = resolve_backend(backend_spec.name)
         compiled = model.compile() if isinstance(model, LinearModel) else model
-        solution = backend.solve(
-            compiled,
-            time_limit=time_limit,
-            mip_rel_gap=mip_rel_gap,
-            options=backend_spec.options_dict(),
-        )
-        self._finish(solution, backend_spec, time.perf_counter() - started)
-        return solution
-
-    def _finish(self, solution: MilpSolution, spec: BackendSpec, wall_time: float) -> None:
-        # The solve ran in this very call, so its wall clock *is* the solve
-        # time and nothing ever queued or crossed a wire.
-        fingerprint = backend_fingerprint(spec)
+        solution = backend_spec.backend.solve(compiled, time_limit, backend_spec.options_dict())
+        wall_time = time.perf_counter() - started
+        fingerprint = backend_fingerprint(backend_spec)
         solution.telemetry = SolveTelemetry(
-            backend=spec.name,
+            backend=backend_spec.name,
             fingerprint=fingerprint,
-            wall_time=float(wall_time),
+            wall_time=wall_time,
             status=solution.status.value,
-            queue_wait_s=0.0,
-            solve_s=float(wall_time),
         )
         self._stats["solves"] += 1
-        self._stats["wall_time"] += float(wall_time)
-        self._stats["solve_s"] += float(wall_time)
+        self._stats["wall_time"] += wall_time
+        self._stats["solve_s"] += wall_time
         per_backend = self._stats["backends"]
         per_backend[fingerprint] = per_backend.get(fingerprint, 0) + 1
+        return solution
 
     # ------------------------------------------------------------------
     # Telemetry counters (per process, per service)

@@ -3,7 +3,7 @@ the scheduling service can run, under one name each.
 
 Every entry runs as ``(instance, eps)``; combinatorial solvers ignore
 ``eps``.  ``uses_eps`` and ``backend`` tell the service how to key its cache
-entries: ``eps`` only where the solver consumes it, and the backend-registry
+entries: ``eps`` only where the solver consumes it, and the backend
 fingerprint for MILP-backed solvers, so a scipy upgrade never replays stale
 results.
 

@@ -21,10 +21,10 @@ from repro.milp import (
     SolutionStatus,
     scipy_backend,
     solve_lp_relaxation,
-    solve_model,
     solve_with_branch_and_bound,
     solve_with_scipy,
 )
+from repro.solver import get_solver_service
 
 
 def _knapsack_model(values, weights, capacity) -> LinearModel:
@@ -122,9 +122,10 @@ class TestSolveModelDispatch:
         model = LinearModel()
         model.add_variable("x", integer=True, objective=1.0)
         model.add_ge("c", {"x": 1.0}, 1.5)
-        assert solve_model(model, backend="scipy").value("x") == pytest.approx(2.0)
-        assert solve_model(model, backend="bnb").value("x") == pytest.approx(2.0)
-        assert solve_model(model, backend="lp").value("x") == pytest.approx(1.5)
+        service = get_solver_service()
+        assert service.solve(model, spec="scipy").value("x") == pytest.approx(2.0)
+        assert service.solve(model, spec="bnb").value("x") == pytest.approx(2.0)
+        assert service.solve(model, spec="lp").value("x") == pytest.approx(1.5)
 
     def test_lp_backend_honours_the_time_limit(self):
         # Two columns: HiGHS presolve solves a one-column model before it
@@ -133,12 +134,13 @@ class TestSolveModelDispatch:
         model.add_variable("x", objective=1.0)
         model.add_variable("y", objective=1.0)
         model.add_ge("c", {"x": 1.0, "y": 1.0}, 1.5)
-        assert solve_model(model, backend="lp", time_limit=0.0).status is SolutionStatus.LIMIT
-        assert solve_model(model, backend="lp").status is SolutionStatus.OPTIMAL
+        service = get_solver_service()
+        assert service.solve(model, spec="lp", time_limit=0.0).status is SolutionStatus.LIMIT
+        assert service.solve(model, spec="lp").status is SolutionStatus.OPTIMAL
 
     def test_unknown_backend(self):
-        with pytest.raises(ValueError):
-            solve_model(LinearModel(), backend="gurobi")
+        with pytest.raises(ValueError, match="unknown MILP backend 'gurobi'"):
+            get_solver_service().solve(LinearModel(), spec="gurobi")
 
 
 @pytest.fixture
@@ -207,6 +209,8 @@ class TestLpFirst:
         assert lp_options == {"time_limit": 50.0}
         assert milp_options["time_limit"] == 50.0 - solution.diagnostics["lp_s"]
         assert milp_options["node_limit"] == 7
+        # HiGHS's default gap is 1e-4: OPTIMAL is exact only with gap 0.
+        assert milp_options["mip_rel_gap"] == 0.0
 
     def test_an_exhausted_budget_returns_limit(self, milp_calls, monkeypatch):
         clock = iter([0.0, 2.0])

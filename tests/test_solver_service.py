@@ -1,29 +1,34 @@
-"""Tests for the solver registry, BackendSpec validation and the service.
+"""Tests for the backend table, BackendSpec validation and the service.
 
-The registry round-trip (``register_backend`` → ``solve_model``) and the
-fail-fast backend validation on ``EptasConfig`` / ``ExactConfig`` /
-``DasWieseConfig`` are the contract every higher layer now relies on.
+The fail-fast backend validation on ``EptasConfig`` / ``ExactMilpConfig`` /
+``DasWieseConfig``, the backends' fingerprints and substitution through
+``service_scope`` are the contract every higher layer now relies on.
 """
 
 from __future__ import annotations
 
-import pytest
+import re
 
-from repro.baselines.das_wiese import DasWieseConfig
-from repro.eptas import EptasConfig
-from repro.exact import ExactConfig, ExactMilpConfig
+import pytest
+import scipy
+
+import repro
+from repro.baselines.das_wiese import DasWieseConfig, das_wiese_schedule
+from repro.eptas import EptasConfig, eptas_schedule
+from repro.exact import ExactMilpConfig, exact_milp_schedule
 from repro.generators import uniform_random_instance
-from repro.milp import LinearModel, MilpSolution, SolutionStatus, solve_model
+from repro.milp import LinearModel
 from repro.orchestration.cache import cache_key
 from repro.solver import (
     BackendSpec,
-    available_backends,
+    SolverService,
     backend_fingerprint,
     get_solver_service,
-    register_backend,
-    resolve_backend,
-    unregister_backend,
+    service_scope,
 )
+
+# sha256 of the canonical JSON of no options, "{}", cut to 12 hex digits.
+_NO_OPTIONS = "44136fa355b3"
 
 
 def _model(target: float = 1.5) -> LinearModel:
@@ -33,43 +38,19 @@ def _model(target: float = 1.5) -> LinearModel:
     return model
 
 
-class ConstantBackend:
-    """Registry round-trip double: returns a fixed objective."""
-
-    name = "constant"
-    version = "3"
-
-    def solve(self, model, *, time_limit, mip_rel_gap, options):
-        return MilpSolution(
-            status=SolutionStatus.OPTIMAL, objective=float(options.get("value", 123.0))
-        )
-
-
 class TestRegistry:
     def test_builtins_present(self):
-        assert {"scipy", "bnb", "lp"} <= set(available_backends())
-
-    def test_register_roundtrip_through_solve_model(self):
-        register_backend(ConstantBackend(), replace=True)
-        try:
-            solution = solve_model(_model(), backend="constant")
-            assert solution.objective == 123.0
-            spec = BackendSpec.make("constant", value=7.0)
-            assert solve_model(_model(), backend=spec).objective == 7.0
-        finally:
-            unregister_backend("constant")
-
-    def test_duplicate_registration_rejected(self):
-        register_backend(ConstantBackend(), replace=True)
-        try:
-            with pytest.raises(ValueError, match="already registered"):
-                register_backend(ConstantBackend())
-        finally:
-            unregister_backend("constant")
+        # The fingerprints are the result cache's identity of each backend:
+        # a change here makes every stored result miss.
+        scipy_version = scipy.__version__
+        assert backend_fingerprint("scipy") == f"scipy@{scipy_version}+lp-first+{_NO_OPTIONS}"
+        assert backend_fingerprint("bnb") == f"bnb@{repro.__version__}+{_NO_OPTIONS}"
+        assert backend_fingerprint("lp") == f"lp@{scipy_version}+{_NO_OPTIONS}"
 
     def test_resolve_unknown_backend(self):
-        with pytest.raises(ValueError, match="unknown MILP backend"):
-            resolve_backend("gurobi")
+        message = "unknown MILP backend 'gurobi'; available: ['bnb', 'lp', 'scipy']"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            BackendSpec.make("gurobi")
 
 
 class TestBackendSpec:
@@ -92,14 +73,29 @@ class TestBackendSpec:
         base = backend_fingerprint("bnb")
         assert base.startswith("bnb@")
         assert backend_fingerprint(BackendSpec.make("bnb")) == base
-        assert backend_fingerprint(BackendSpec.make("bnb", max_nodes=10)) != base
+        assert (
+            backend_fingerprint(BackendSpec.make("bnb", max_nodes=10))
+            == f"bnb@{repro.__version__}+0116854e531d"
+        )
         assert backend_fingerprint("scipy") != base
+
+    def test_unread_option_fails_at_construction(self):
+        # HiGHS never sees an option the scipy backend does not forward, so
+        # accepting one would only mint a new cache identity.
+        with pytest.raises(ValueError, match=re.escape("does not read option(s) ['presolve']")):
+            BackendSpec.make("scipy", presolve=False)
+        with pytest.raises(ValueError, match="max_nodes"):
+            BackendSpec.coerce({"name": "scipy", "options": {"max_nodes": 5}})
+        with pytest.raises(ValueError, match="node_limit"):
+            BackendSpec(name="lp", options=(("node_limit", 1),))
+        with pytest.raises(ValueError, match="presolve"):
+            EptasConfig(milp_backend={"name": "scipy", "options": {"presolve": False}})
+        assert BackendSpec.make("bnb", max_nodes=5).options_dict() == {"max_nodes": 5}
+        assert BackendSpec.make("scipy", node_limit=5).options_dict() == {"node_limit": 5}
 
     def test_scipy_fingerprint_names_the_lp_first_path(self):
         # Results stored by the MILP-only solve path (version = scipy's own)
         # must miss: LP-first can return a different optimal vertex.
-        import scipy
-
         fingerprint = backend_fingerprint("scipy")
         options_digest = fingerprint.rsplit("+", 1)[1]
         assert fingerprint != f"scipy@{scipy.__version__}+{options_digest}"
@@ -119,9 +115,6 @@ class TestFailFastConfigs:
         with pytest.raises(ValueError, match="unknown MILP backend"):
             factory()
 
-    def test_exact_config_alias(self):
-        assert ExactConfig is ExactMilpConfig
-
     def test_valid_specs_are_normalised(self):
         config = EptasConfig(milp_backend="bnb")
         assert isinstance(config.milp_backend, BackendSpec)
@@ -138,8 +131,13 @@ class TestServiceTelemetry:
         assert solution.telemetry.backend == "scipy"
         assert solution.telemetry.fingerprint == backend_fingerprint("scipy")
         assert solution.telemetry.status == "optimal"
-        assert not solution.telemetry.pooled
         assert solution.telemetry.wall_time >= 0.0
+        assert solution.telemetry.to_dict().keys() == {
+            "backend",
+            "fingerprint",
+            "wall_time",
+            "status",
+        }
 
     def test_stats_delta(self):
         service = get_solver_service()
@@ -149,6 +147,46 @@ class TestServiceTelemetry:
         assert delta.keys() == {"solves", "wall_time", "solve_s", "backends"}
         assert delta["solves"] == 1
         assert delta["backends"] == {backend_fingerprint("scipy"): 1}
+
+
+class _RecordingService(SolverService):
+    """A substitute service: records each solve's spec and time limit."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.calls: list[tuple[BackendSpec | str, float | None]] = []
+
+    def solve(self, model, *, spec="scipy", time_limit=None):
+        self.calls.append((spec, time_limit))
+        return super().solve(model, spec=spec, time_limit=time_limit)
+
+
+class TestServiceScope:
+    def test_every_milp_reaches_the_scoped_service(self):
+        instance = uniform_random_instance(
+            num_jobs=8, num_machines=3, num_bags=4, seed=0
+        ).instance
+        eptas = EptasConfig(eps=0.5, milp_time_limit=17.0)
+        exact = ExactMilpConfig(backend="bnb", time_limit=23.0)
+        das_wiese = DasWieseConfig(eps=0.5, milp_time_limit=29.0)
+        default = get_solver_service()
+        before = default.stats()
+        service = _RecordingService()
+        with service_scope(service):
+            assert get_solver_service() is service
+            eptas_schedule(instance, config=eptas)
+            eptas_calls = list(service.calls)
+            exact_milp_schedule(instance, config=exact)
+            exact_calls = service.calls[len(eptas_calls) :]
+            das_wiese_schedule(instance, eps=0.5, config=das_wiese)
+            das_wiese_calls = service.calls[len(eptas_calls) + len(exact_calls) :]
+        assert get_solver_service() is default
+        assert default.stats_delta(before)["solves"] == 0
+
+        assert eptas_calls and set(eptas_calls) == {(eptas.backend_spec, 17.0)}
+        assert exact_calls == [(BackendSpec.make("bnb"), 23.0)]
+        assert das_wiese_calls and set(das_wiese_calls) == {(das_wiese.backend_spec, 29.0)}
+        assert service.stats()["solves"] == len(service.calls)
 
 
 class TestCacheFingerprint:
