@@ -7,10 +7,15 @@ Usage, from the root of a checkout::
 It first prints one ``backend <fingerprint>`` line per builtin MILP backend
 (``scipy``, ``bnb``, ``lp``): the backend's cache identity, which keys every
 stored MILP-backed result.  Then, for every instance of the three workloads
-of ``eptas_bench/workloads.py``, it prints the makespan's ``repr``, the
-sha256 of the sorted assignment and one line per configuration MILP solved
-in the call: its sha256, then its column, row and nonzero counts
-(``milp <sha256> cols=20 rows=25 nnz=76``).  A change that must leave cache
+of ``eptas_bench/workloads.py``, it prints the makespan's ``repr`` and the
+sha256 of the sorted assignment; one line per guess the search tried, with
+the guess's ``repr``, its pattern count and how it ended: the MILP status,
+or the message of the limit or error that stopped it
+(``attempt guess=3.88 patterns=0 limit=pattern enumeration exceeded ...``);
+and one line per configuration MILP solved in the call: its sha256, then
+its column, row and nonzero counts (``milp <sha256> cols=20 rows=25
+nnz=76``).  A guess stopped by the pattern cap solves no MILP, so only its
+attempt line shows a changed cap decision.  A change that must leave cache
 identity, schedules and models byte-identical is checked by fingerprinting
 both sides with this one script and comparing the output; a change that
 alters a model on purpose shows in the diff how its shape moved::
@@ -64,6 +69,14 @@ def model_shape(compiled: CompiledModel) -> str:
     return f"cols={compiled.num_variables} rows={compiled.num_constraints} nnz={nnz}"
 
 
+def attempt_line(attempt: dict[str, Any]) -> str:
+    """One guess of the search: its ``repr``, pattern count and outcome."""
+    outcome = next(
+        f"{key}={attempt[key]}" for key in ("milp_status", "limit", "error") if key in attempt
+    )
+    return f"attempt guess={attempt['guess']!r} patterns={attempt['num_patterns']} {outcome}"
+
+
 def assignment_digest(assignment: dict[int, int]) -> str:
     text = ",".join(f"{job_id}:{machine}" for job_id, machine in sorted(assignment.items()))
     return hashlib.sha256(text.encode()).hexdigest()
@@ -99,6 +112,8 @@ def main(argv: list[str]) -> int:
                 f"{workload_name} {spec.name} makespan={result.makespan!r} "
                 f"assignment={assignment_digest(result.schedule.assignment)}"
             )
+            for attempt in result.diagnostics["attempts"]:
+                print(f"  {attempt_line(attempt)}")
             for line in service.models:
                 print(f"  milp {line}")
     return 0

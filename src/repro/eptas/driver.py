@@ -255,9 +255,10 @@ def eptas_schedule(
                 )
             attempts.append(report.to_dict())
             if schedule is not None:
-                if schedule.makespan() < best_makespan - 1e-12:
+                # solve_for_guess set report.makespan to this schedule's makespan.
+                if report.makespan < best_makespan - 1e-12:
                     best_schedule = schedule
-                    best_makespan = schedule.makespan()
+                    best_makespan = report.makespan
                     best_attempt = attempts[-1]
                 high = min(high, guess)
                 if guess <= low * (1.0 + 1e-12):

@@ -12,6 +12,13 @@ The enumerator below additionally prunes patterns that could never be used
 because a slot type would need more jobs than the instance possesses; this
 pruning never removes patterns needed by the Lemma-5 feasibility argument.
 
+It counts the patterns before it builds any.  The count is memoised: the
+patterns below a depth-first node depend only on its entry index, height,
+slot count and the used priority bags that still have an entry ahead, so a
+repeated node state adds its stored subtree count in one step.  A call past
+``max_patterns`` therefore raises after work bounded by the cap, not by the
+number of patterns.
+
 The slot types come from the :class:`JobTable` that :func:`group_jobs`
 builds once per guess: every job of the transformed instance keyed by its
 (bag, size).  The configuration MILP and both placement stages read the same
@@ -21,9 +28,9 @@ table, so no later stage groups jobs again.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable, Iterator
 
-from ..core.errors import SolverLimitError
+from ..core.errors import AlgorithmError, SolverLimitError
 from ..core.instance import Instance
 from .classification import BagClasses, JobClasses, SIZE_TOL
 
@@ -216,50 +223,106 @@ def collect_entry_types(table: JobTable) -> list[tuple[PatternEntry, int]]:
     return entry_types
 
 
-def _walk_patterns(
-    entries: list[tuple[PatternEntry, int]],
-    capacity: float,
-    max_slots: int,
-    emit: Callable[[list[tuple[PatternEntry, int]], float, int], None],
-) -> None:
-    """Visit every valid pattern depth-first: ``emit(stack, height, slots)``.
+class _PatternRules:
+    """The pattern rules over the entry types that have jobs.
 
-    ``stack`` holds the pattern's ``(entry, count)`` pairs in entry order.  It
-    is pushed and popped as the walk descends, so ``emit`` copies what it
-    keeps.
+    Both walks of :func:`enumerate_patterns` expand a depth-first node
+    through :meth:`children`, so the capacity test, the slot cap, one slot
+    per priority bag and the wildcard multiplicity are stated once, and
+    every height is summed in the same order.  Each priority bag gets one
+    bit of an int mask; a wildcard entry has bit 0.
     """
-    usable = [
-        (entry, entry.size, entry.bag, entry.is_wildcard, available)
-        for entry, available in entries
-        if available > 0
-    ]
-    stack: list[tuple[PatternEntry, int]] = []
 
-    def recurse(start: int, height: float, slots: int, used_bags: frozenset[int]) -> None:
-        emit(stack, height, slots)
-        if slots >= max_slots:
+    __slots__ = ("entries", "slot_types", "capacity", "max_slots", "later_bags")
+
+    def __init__(
+        self, entries: list[tuple[PatternEntry, int]], capacity: float, max_slots: int
+    ) -> None:
+        usable = [(entry, available) for entry, available in entries if available > 0]
+        bits: dict[int, int] = {}
+        self.entries = [entry for entry, _ in usable]
+        self.slot_types = [
+            (
+                entry.size,
+                0 if entry.is_wildcard else bits.setdefault(entry.bag, 1 << len(bits)),
+                available,
+            )
+            for entry, available in usable
+        ]
+        self.capacity = capacity
+        self.max_slots = max_slots
+        # later_bags[i]: the bits of the priority bags with an entry at index >= i.
+        self.later_bags = [0] * (len(usable) + 1)
+        for index in reversed(range(len(usable))):
+            self.later_bags[index] = self.later_bags[index + 1] | self.slot_types[index][1]
+
+    def children(
+        self, start: int, height: float, slots: int, used: int
+    ) -> Iterator[tuple[int, int, float, int, int]]:
+        """Yield ``(index, taken, height, slots, used)`` per child, in visit order.
+
+        A child takes ``taken`` copies of entry ``index``; its own children
+        start at ``index + 1``.
+        """
+        if slots >= self.max_slots:
             return
-        for index in range(start, len(usable)):
-            entry, size, bag, wildcard, available = usable[index]
+        capacity = self.capacity
+        for index in range(start, len(self.slot_types)):
+            size, bit, available = self.slot_types[index]
             if height + size > capacity:
                 continue
-            if wildcard:
+            if not bit:
                 # Take 1..limit copies of the wildcard slot.
-                limit = min(available, max_slots - slots)
+                limit = min(available, self.max_slots - slots)
                 taken = 0
                 added_height = 0.0
                 while taken < limit and height + added_height + size <= capacity:
                     taken += 1
                     added_height += size
-                    stack.append((entry, taken))
-                    recurse(index + 1, height + added_height, slots + taken, used_bags)
-                    stack.pop()
-            elif bag not in used_bags:
-                stack.append((entry, 1))
-                recurse(index + 1, height + size, slots + 1, used_bags | {bag})
-                stack.pop()
+                    yield index, taken, height + added_height, slots + taken, used
+            elif not used & bit:
+                yield index, 1, height + size, slots + 1, used | bit
 
-    recurse(0, 0.0, 0, frozenset())
+
+def _count_patterns(rules: _PatternRules, max_patterns: int) -> int:
+    """The number of patterns, or :class:`SolverLimitError` past ``max_patterns``.
+
+    The patterns below a node depend only on its entry index, height, slots
+    and the used priority bags that still have an entry at or after that
+    index.  Each distinct node state is expanded once; a repeated state adds
+    its stored subtree count.  The count stops as soon as its running total
+    passes ``max_patterns``.  A state is stored only when its subtree is
+    counted within the cap, and each stored state added 1 of its own to the
+    total, so the memo holds at most ``max_patterns`` states.
+    """
+    later_bags = rules.later_bags
+    children = rules.children
+    memo: dict[tuple[int, float, int, int], int] = {}
+    total = 0
+
+    def visit(start: int, height: float, slots: int, used: int) -> None:
+        nonlocal total
+        key = (start, height, slots, used & later_bags[start])
+        stored = memo.get(key)
+        if stored is None:
+            before = total
+            total += 1
+            if total <= max_patterns:
+                for index, _, child_height, child_slots, child_used in children(
+                    start, height, slots, used
+                ):
+                    visit(index + 1, child_height, child_slots, child_used)
+                memo[key] = total - before
+        else:
+            total += stored
+        if total > max_patterns:
+            raise SolverLimitError(
+                f"pattern enumeration exceeded max_patterns={max_patterns}; "
+                "increase the limit or use a larger eps"
+            )
+
+    visit(0, 0.0, 0, 0)
+    return total
 
 
 def enumerate_patterns(
@@ -276,35 +339,35 @@ def enumerate_patterns(
     number of available jobs of that size (and up to ``max_slots``).  The
     empty pattern is always included (machines may carry only small jobs).
 
-    The patterns are counted first, by a walk that builds none of them, and
-    :class:`SolverLimitError` is raised when more than ``max_patterns`` would
-    be produced: no pattern is built past the cap.  Only then does a second
-    walk build them.  Both walks visit the patterns in the same depth-first
-    order, and that order fixes the column order of the configuration MILP.
+    The patterns are counted first, by a memoised walk that builds none of
+    them (see :func:`_count_patterns`), and :class:`SolverLimitError` is
+    raised when more than ``max_patterns`` would be produced: no pattern is
+    built past the cap.  Only then does a depth-first walk build them, in
+    the order that fixes the column order of the configuration MILP.  Both
+    walks apply the same rules with the same float additions, so the count
+    is exact; a build that yields another number raises
+    :class:`AlgorithmError`.
     """
     entries = list(entry_types)
-    capacity = budget + SIZE_TOL
-    count = 0
-
-    def count_pattern(stack: object, height: float, slots: int) -> None:
-        nonlocal count
-        count += 1
-        if count > max_patterns:
-            raise SolverLimitError(
-                f"pattern enumeration exceeded max_patterns={max_patterns}; "
-                "increase the limit or use a larger eps"
-            )
-
-    _walk_patterns(entries, capacity, max_slots, count_pattern)
+    rules = _PatternRules(entries, budget + SIZE_TOL, max_slots)
+    count = _count_patterns(rules, max_patterns)
     patterns: list[Pattern] = []
-    _walk_patterns(
-        entries,
-        capacity,
-        max_slots,
-        lambda stack, height, slots: patterns.append(
-            Pattern(entries=tuple(stack), height=height, num_slots=slots)
-        ),
-    )
+    stack: list[tuple[PatternEntry, int]] = []
+
+    def build(start: int, height: float, slots: int, used: int) -> None:
+        patterns.append(Pattern(entries=tuple(stack), height=height, num_slots=slots))
+        for index, taken, child_height, child_slots, child_used in rules.children(
+            start, height, slots, used
+        ):
+            stack.append((rules.entries[index], taken))
+            build(index + 1, child_height, child_slots, child_used)
+            stack.pop()
+
+    build(0, 0.0, 0, 0)
+    if len(patterns) != count:
+        raise AlgorithmError(
+            f"pattern enumeration built {len(patterns)} patterns but counted {count}"
+        )
     return PatternSet(
         patterns=tuple(patterns),
         entry_types=tuple(entries),

@@ -7,7 +7,8 @@ The backends are a closed table keyed by name:
 * ``bnb`` — the repository's own LP-based branch and bound
   (:func:`repro.milp.branch_and_bound.solve_with_branch_and_bound`), which
   cross-checks HiGHS.  Reads the fields of
-  :class:`~repro.milp.branch_and_bound.BranchAndBoundConfig`.
+  :class:`~repro.milp.branch_and_bound.BranchAndBoundConfig`; when the spec
+  and the solve both set a ``time_limit``, the smaller one bounds the solve.
 * ``lp`` — the LP relaxation only, for lower bounds and diagnostics.  Reads
   no option.
 
@@ -60,8 +61,9 @@ def _solve_bnb(
     model: CompiledModel, time_limit: float | None, options: Mapping[str, Any]
 ) -> MilpSolution:
     config = dict(options)
-    if time_limit is not None:
-        config.setdefault("time_limit", time_limit)
+    limits = [limit for limit in (config.get("time_limit"), time_limit) if limit is not None]
+    if limits:
+        config["time_limit"] = min(limits)
     return solve_with_branch_and_bound(model, BranchAndBoundConfig(**config) if config else None)
 
 

@@ -25,11 +25,14 @@ from repro.eptas.patterns import (
     Pattern,
     PatternEntry,
     PatternSet,
+    _count_patterns,
+    _PatternRules,
     size_key,
 )
 from repro.generators import (
     clustered_sizes_instance,
     figure1_adversarial_instance,
+    replica_workload_instance,
     uniform_random_instance,
 )
 
@@ -113,6 +116,68 @@ def _reference_patterns(
     )
 
 
+def _count_by_walk(
+    entry_types, *, budget: float, max_slots: int, max_patterns: int
+) -> int:
+    """Oracle: the count that decided the cap before it was memoised.
+
+    It visits the patterns one by one, in the enumerator's order and with
+    its float additions, tracks the used priority bags in a frozenset, and
+    raises once pattern ``max_patterns + 1`` is reached.
+    """
+    usable = [
+        (entry.size, entry.bag, entry.is_wildcard, available)
+        for entry, available in entry_types
+        if available > 0
+    ]
+    capacity = budget + SIZE_TOL
+    count = 0
+
+    def recurse(start: int, height: float, slots: int, used_bags: frozenset[int]) -> None:
+        nonlocal count
+        count += 1
+        if count > max_patterns:
+            raise SolverLimitError(
+                f"pattern enumeration exceeded max_patterns={max_patterns}; "
+                "increase the limit or use a larger eps"
+            )
+        if slots >= max_slots:
+            return
+        for index in range(start, len(usable)):
+            size, bag, wildcard, available = usable[index]
+            if height + size > capacity:
+                continue
+            if wildcard:
+                limit = min(available, max_slots - slots)
+                taken = 0
+                added_height = 0.0
+                while taken < limit and height + added_height + size <= capacity:
+                    taken += 1
+                    added_height += size
+                    recurse(index + 1, height + added_height, slots + taken, used_bags)
+            elif bag not in used_bags:
+                recurse(index + 1, height + size, slots + 1, used_bags | {bag})
+
+    recurse(0, 0.0, 0, frozenset())
+    return count
+
+
+def _memoised_count(
+    entry_types, *, budget: float, max_slots: int, max_patterns: int
+) -> int:
+    """The count ``enumerate_patterns`` decides the cap with."""
+    rules = _PatternRules(list(entry_types), budget + SIZE_TOL, max_slots)
+    return _count_patterns(rules, max_patterns)
+
+
+def _count_outcome(count, entry_types, **kwargs) -> int | str:
+    """The pattern count, or the limit message."""
+    try:
+        return count(entry_types, **kwargs)
+    except SolverLimitError as exc:
+        return str(exc)
+
+
 def _outcome(enumerate_, entry_types, **kwargs):
     """The ordered ``(entries, height, num_slots)`` sequence, or the limit message."""
     try:
@@ -161,6 +226,44 @@ def _enumeration_inputs(draw) -> tuple[list[tuple[PatternEntry, int]], float]:
         height = sum(draw(st.lists(st.sampled_from(sizes), min_size=1, max_size=6)))
         if 1.0 <= height <= 2.25:
             offset = draw(st.sampled_from((-1.5, -0.5, 0.0, 0.5)))
+            budget = height + offset * SIZE_TOL
+    return entry_types, budget
+
+
+@st.composite
+def _many_bag_inputs(draw) -> tuple[list[tuple[PatternEntry, int]], float]:
+    """Many priority bags over two or three sizes, plus wildcard slots.
+
+    With few sizes, many depth-first nodes share an entry index, a height
+    and the bags still to come: the states whose subtree counts the memo
+    merges.  Entries come in ``collect_entry_types``' order, so the entries
+    of one bag lie apart and its used bit matters to the nodes in between.
+    Half the time the budget sits within the size tolerance of a sum of the
+    sizes, or exactly one tolerance below it, where the capacity test on
+    that sum turns on the last bits of the float additions.
+    """
+    # Sizes up to 1.25**-3 = 0.512, so patterns hold several slots.
+    small_sizes = st.sampled_from(_GRID_SIZES[:8])
+    sizes = draw(st.lists(small_sizes, min_size=2, max_size=3, unique=True))
+    entry_types = []
+    for bag in range(draw(st.integers(min_value=4, max_value=12))):
+        bag_sizes = draw(
+            st.lists(st.sampled_from(sizes), min_size=1, max_size=len(sizes), unique=True)
+        )
+        entry_types.extend(
+            (_entry(size, bag), draw(st.integers(min_value=0, max_value=3)))
+            for size in bag_sizes
+        )
+    for size in draw(st.lists(st.sampled_from(sizes), max_size=len(sizes), unique=True)):
+        entry_types.append(
+            (_entry(size, WILDCARD_BAG), draw(st.integers(min_value=0, max_value=6)))
+        )
+    entry_types.sort(key=lambda item: (-item[0].size, item[0].bag))
+    budget = draw(st.floats(min_value=1.0, max_value=2.25))
+    if draw(st.booleans()):
+        height = sum(draw(st.lists(st.sampled_from(sizes), min_size=1, max_size=8)))
+        if 1.0 <= height <= 2.25:
+            offset = draw(st.sampled_from((-1.5, -1.0, -0.5, 0.0, 0.5)))
             budget = height + offset * SIZE_TOL
     return entry_types, budget
 
@@ -304,6 +407,91 @@ class TestMatchesReference:
             max_slots=constants.q,
             max_patterns=5_000,
         )
+
+
+class TestMemoisedCount:
+    """The memoised count decides the cap exactly as the count-by-walk did."""
+
+    # Entry sets whose walk passes this many patterns are checked at the cap.
+    ORACLE_CAP = 5_000
+
+    @given(inputs=_many_bag_inputs(), max_slots=st.integers(min_value=2, max_value=12))
+    @settings(max_examples=200, deadline=None)
+    def test_count_and_limit_decision_match_the_walk(self, inputs, max_slots):
+        entry_types, budget = inputs
+        kwargs = {"budget": budget, "max_slots": max_slots}
+        count = _count_outcome(
+            _count_by_walk, entry_types, max_patterns=self.ORACLE_CAP, **kwargs
+        )
+        if isinstance(count, str):
+            assert count == _count_outcome(
+                _memoised_count, entry_types, max_patterns=self.ORACLE_CAP, **kwargs
+            )
+            return
+        assert _memoised_count(entry_types, max_patterns=count, **kwargs) == count
+        for max_patterns in (count - 1, count, count + 1):
+            assert _count_outcome(
+                _memoised_count, entry_types, max_patterns=max_patterns, **kwargs
+            ) == _count_outcome(
+                _count_by_walk, entry_types, max_patterns=max_patterns, **kwargs
+            )
+
+    def test_heights_one_ulp_apart_stay_apart(self):
+        """Memo keys hold the exact float height, as summed by the walk.
+
+        Two wildcard slots of size ``s`` add ``s + s`` at once, two priority
+        slots add ``s`` twice, so the two nodes that then take ``x`` share
+        their index, slots and bags but not the last bit of their height.
+        The budget lets only the lower one take ``t``.
+        """
+        r, s, x, t = (size_key(1.25**power) for power in (-3, -8, -9, -10))
+        entry_types = [
+            (_entry(r, 0), 1),
+            (_entry(s, WILDCARD_BAG), 2),
+            (_entry(s, 1), 1),
+            (_entry(s, 2), 1),
+            (_entry(x, 3), 1),
+            (_entry(t, 4), 1),
+        ]
+        wildcard_height = r + (s + s) + x
+        priority_height = (r + s) + s + x
+        budget = priority_height + t - SIZE_TOL
+        assert priority_height + t <= budget + SIZE_TOL < wildcard_height + t
+        kwargs = {"budget": budget, "max_slots": 10, "max_patterns": 10_000}
+        count = _count_by_walk(entry_types, **kwargs)
+        assert _memoised_count(entry_types, **kwargs) == count
+        assert len(enumerate_patterns(entry_types, **kwargs)) == count
+
+    @pytest.mark.parametrize(
+        "instance",
+        [
+            pytest.param(
+                replica_workload_instance(num_services=30, num_machines=12, seed=0).instance,
+                id="replicas-30-m12-s0",
+            ),
+            pytest.param(
+                replica_workload_instance(num_services=30, num_machines=12, seed=1).instance,
+                id="replicas-30-m12-s1",
+            ),
+            pytest.param(
+                replica_workload_instance(num_services=40, num_machines=16, seed=0).instance,
+                id="replicas-40-m16-s0",
+            ),
+            pytest.param(clustered_sizes_instance(seed=0).instance, id="clustered-s0"),
+            pytest.param(clustered_sizes_instance(seed=1).instance, id="clustered-s1"),
+        ],
+    )
+    def test_pattern_cap_first_guesses(self, instance):
+        """The first guesses of the ``pattern-cap`` benchmark instances."""
+        entry_types, constants = _library_entry_types(instance, 0.5)
+        kwargs = {
+            "budget": constants.budget,
+            "max_slots": constants.q,
+            "max_patterns": 50_000,
+        }
+        expected = _count_outcome(_count_by_walk, entry_types, **kwargs)
+        assert isinstance(expected, str) and "max_patterns=50000" in expected
+        assert _outcome(enumerate_patterns, entry_types, **kwargs) == expected
 
 
 class TestCollectEntryTypes:

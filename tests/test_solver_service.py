@@ -19,6 +19,7 @@ from repro.exact import ExactMilpConfig, exact_milp_schedule
 from repro.generators import uniform_random_instance
 from repro.milp import LinearModel
 from repro.orchestration.cache import cache_key
+from repro.solver import registry
 from repro.solver import (
     BackendSpec,
     SolverService,
@@ -159,6 +160,44 @@ class _RecordingService(SolverService):
     def solve(self, model, *, spec="scipy", time_limit=None):
         self.calls.append((spec, time_limit))
         return super().solve(model, spec=spec, time_limit=time_limit)
+
+
+class TestBranchAndBoundTimeLimit:
+    """A ``bnb`` spec's ``time_limit`` and the configured one: the smaller wins."""
+
+    @pytest.mark.parametrize(
+        "spec_limit, configured, expected",
+        [
+            pytest.param(1000.0, 5.0, 5.0, id="spec-above-configured"),
+            pytest.param(2.0, 5.0, 2.0, id="spec-below-configured"),
+            pytest.param(3.0, None, 3.0, id="spec-alone"),
+            pytest.param(None, 5.0, 5.0, id="configured-alone"),
+        ],
+    )
+    def test_smaller_limit_reaches_branch_and_bound(
+        self, monkeypatch, spec_limit, configured, expected
+    ):
+        seen: list[float | None] = []
+        solve = registry.solve_with_branch_and_bound
+
+        def spy(model, config=None):
+            seen.append(None if config is None else config.time_limit)
+            return solve(model, config)
+
+        monkeypatch.setattr(registry, "solve_with_branch_and_bound", spy)
+        options = {} if spec_limit is None else {"time_limit": spec_limit}
+        config = ExactMilpConfig(
+            backend=BackendSpec.make("bnb", **options), time_limit=configured
+        )
+        instance = uniform_random_instance(
+            num_jobs=4, num_machines=2, num_bags=2, seed=0
+        ).instance
+        result = exact_milp_schedule(instance, config=config)
+        assert result.diagnostics["milp_status"] == "optimal"
+        assert seen == [expected]
+        # The limit is a solve-time rule: the spec, and with it the cache
+        # identity, keeps the options it was made with.
+        assert config.backend_spec.options_dict() == options
 
 
 class TestServiceScope:
