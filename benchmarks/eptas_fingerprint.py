@@ -1,4 +1,4 @@
-"""Identity fingerprint of ``eptas_schedule`` on the EPTAS benchmark workloads.
+"""Identity fingerprint of the repository's MILP builders and ``eptas_schedule``.
 
 Usage, from the root of a checkout::
 
@@ -6,8 +6,14 @@ Usage, from the root of a checkout::
 
 It first prints one ``backend <fingerprint>`` line per builtin MILP backend
 (``scipy``, ``bnb``, ``lp``): the backend's cache identity, which keys every
-stored MILP-backed result.  Then, for every instance of the three workloads
-of ``eptas_bench/workloads.py``, it prints the makespan's ``repr`` and the
+stored MILP-backed result.  Then comes one ``reference`` line for each of
+three small instances the script builds from the seed (12 to 20 jobs on 3
+or 4 machines).  It gives the sha256 of the exact assignment MILP with and
+without symmetry breaking, the LP lower bound to 12 significant digits,
+and the makespan ``repr`` and assignment sha256 of the Das–Wiese baseline
+at ε = 1/4.  One ``milp`` line follows for each Das–Wiese ILP that call
+solved.  Then, for every instance of the three workloads of
+``eptas_bench/workloads.py``, it prints the makespan's ``repr`` and the
 sha256 of the sorted assignment; one line per guess the search tried, with
 the guess's ``repr``, its pattern count and how it ended: the MILP status,
 or the message of the limit or error that stopped it
@@ -28,7 +34,8 @@ alters a model on purpose shows in the diff how its shape moved::
 checkout that names.  Models are hashed by a solver service installed with
 ``service_scope``, so the script runs the program's own pipeline and copies
 none of it.  The output is not a golden file: another HiGHS version may pick
-another optimal solution, and with it another schedule.
+another optimal solution, and with it another schedule, and may move the LP
+bound in its last digits.
 """
 
 from __future__ import annotations
@@ -43,7 +50,11 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "eptas_bench"))
 
+from repro.baselines import das_wiese_schedule  # noqa: E402
+from repro.bounds import lp_relaxation_lower_bound  # noqa: E402
 from repro.eptas import eptas_schedule  # noqa: E402
+from repro.exact import build_assignment_model  # noqa: E402
+from repro.generators import bag_heavy_instance, uniform_random_instance  # noqa: E402
 from repro.milp.model import CompiledModel, LinearModel  # noqa: E402
 from repro.solver import backend_fingerprint  # noqa: E402
 from repro.solver.service import SolverService, service_scope  # noqa: E402
@@ -95,6 +106,34 @@ class _HashingService(SolverService):
         return super().solve(compiled, **kwargs)
 
 
+def reference_instances(seed: int) -> list[Any]:
+    """Three small instances for the exact, LP-bound and Das–Wiese lines."""
+    return [
+        uniform_random_instance(num_jobs=12, num_machines=3, num_bags=5, seed=seed).instance,
+        uniform_random_instance(num_jobs=20, num_machines=4, num_bags=8, seed=seed).instance,
+        bag_heavy_instance(num_machines=4, num_full_bags=2, extra_jobs=8, seed=seed).instance,
+    ]
+
+
+def reference_line(instance: Any, service: _HashingService) -> str:
+    """The exact models' digests, the LP bound and, solved under ``service``,
+    the Das–Wiese schedule of one instance."""
+    exact, exact_nosym = (
+        model_digest(build_assignment_model(instance, symmetry_breaking=sym).compile())
+        for sym in (True, False)
+    )
+    lp = lp_relaxation_lower_bound(instance)
+    # Only the Das–Wiese call runs under ``service``: the ``milp`` lines
+    # list its ILPs alone.
+    with service_scope(service):
+        das_wiese = das_wiese_schedule(instance, eps=0.25)
+    return (
+        f"reference {instance.name} exact={exact} exact_nosym={exact_nosym} lp={lp:.12g} "
+        f"das_wiese makespan={das_wiese.makespan!r} "
+        f"assignment={assignment_digest(das_wiese.schedule.assignment)}"
+    )
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, required=True)
@@ -102,6 +141,11 @@ def main(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     for backend in ("scipy", "bnb", "lp"):
         print(f"backend {backend_fingerprint(backend)}")
+    for instance in reference_instances(args.seed):
+        service = _HashingService()
+        print(reference_line(instance, service))
+        for line in service.models:
+            print(f"  milp {line}")
     for workload_name, workload in WORKLOADS.items():
         specs = workload.smoke if args.size == "smoke" else workload.specs
         for spec in specs:

@@ -29,13 +29,15 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterator
 
+import numpy as np
+
 from ..bounds import combined_lower_bound
 from ..core.errors import SolverLimitError
 from ..core.instance import Instance
 from ..core.job import Job
 from ..core.result import SolverResult, timed_solver_result
 from ..core.schedule import Schedule
-from ..milp import LinearModel, SolutionStatus
+from ..milp import LinearModel, Sense
 from ..solver import BackendSpec, get_solver_service
 from .list_scheduling import greedy_assign, upper_bound_makespan
 
@@ -53,7 +55,6 @@ class DasWieseConfig:
     max_configurations: int = 200_000
     milp_backend: str | BackendSpec = "scipy"
     milp_time_limit: float | None = 60.0
-    binary_search_tol: float = 1e-4
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "milp_backend", BackendSpec.coerce(self.milp_backend))
@@ -112,6 +113,53 @@ def _enumerate_configurations(
     yield from recurse(0, 0.0, set())
 
 
+def _configuration_ilp(
+    configurations: list[tuple[tuple[int, ...], float]],
+    groups: list[tuple[int, float, int]],
+    num_machines: int,
+    capacity: float,
+    small_area: float,
+) -> LinearModel:
+    """The ILP over configuration multiplicities: column ``c`` is configuration ``c``.
+
+    Rows: at most ``num_machines`` machines; cover every group's jobs;
+    leave ``small_area`` of headroom for the small jobs (only when it is
+    positive); use every machine slot (a cheap way to spread residual
+    capacity).
+    """
+    num = len(configurations)
+    counts = np.array([c for c, _ in configurations], dtype=float).reshape(num, len(groups))
+    heights = np.array([height for _, height in configurations])
+    every, first_row, ones = np.arange(num), np.zeros(num, dtype=np.int64), np.ones(num)
+    model = LinearModel("das-wiese")
+    model.add_columns([f"x_{index}" for index in range(num)], integer=True)
+    model.add_constraints(
+        ["machines"], Sense.LE, [float(num_machines)], row=first_row, col=every, value=ones
+    )
+    group, configuration = np.nonzero(counts.T)
+    model.add_constraints(
+        [f"cover_{index}" for index in range(len(groups))],
+        Sense.GE,
+        [float(available) for _, _, available in groups],
+        row=group,
+        col=configuration,
+        value=counts[configuration, group],
+    )
+    if small_area > 0:
+        model.add_constraints(
+            ["small_area"],
+            Sense.GE,
+            [small_area],
+            row=first_row,
+            col=every,
+            value=capacity - heights,
+        )
+    model.add_constraints(
+        ["use_machines"], Sense.GE, [float(num_machines)], row=first_row, col=every, value=ones
+    )
+    return model
+
+
 def _try_build_schedule(
     instance: Instance, target: float, config: DasWieseConfig
 ) -> Schedule | None:
@@ -139,53 +187,24 @@ def _try_build_schedule(
         _enumerate_configurations(groups, capacity, config.max_configurations)
     )
 
-    # ILP over configuration multiplicities.
-    model = LinearModel("das-wiese")
-    for index, (counts, height) in enumerate(configurations):
-        model.add_variable(f"x_{index}", integer=True, lower=0.0, objective=0.0)
-
-    model.add_le(
-        "machines",
-        {f"x_{index}": 1.0 for index in range(len(configurations))},
-        float(instance.num_machines),
-    )
-    for group_index, (bag, size, available) in enumerate(groups):
-        coefficients = {
-            f"x_{index}": float(counts[group_index])
-            for index, (counts, _) in enumerate(configurations)
-            if counts[group_index] > 0
-        }
-        model.add_ge(f"cover_{group_index}", coefficients, float(available))
-    # Residual area for small jobs: machines must leave enough headroom.
-    total_small_area = sum(job.size for job in small_jobs)
-    if total_small_area > 0:
-        model.add_ge(
-            "small_area",
-            {
-                f"x_{index}": capacity - height
-                for index, (_, height) in enumerate(configurations)
-            },
-            total_small_area,
-        )
-    # Use every machine slot (cheap way to spread residual capacity).
-    model.add_ge(
-        "use_machines",
-        {f"x_{index}": 1.0 for index in range(len(configurations))},
-        float(instance.num_machines),
-    )
-
     solution = get_solver_service().solve(
-        model, spec=config.backend_spec, time_limit=config.milp_time_limit
+        _configuration_ilp(
+            configurations,
+            groups,
+            instance.num_machines,
+            capacity,
+            sum(job.size for job in small_jobs),
+        ),
+        spec=config.backend_spec,
+        time_limit=config.milp_time_limit,
     )
-    if solution.status not in (SolutionStatus.OPTIMAL, SolutionStatus.FEASIBLE):
+    if not solution.is_feasible:
         return None
 
     # Materialise machines from configuration multiplicities.
-    values = solution.values
     machine_configs: list[tuple[int, ...]] = []
-    for index, (counts, _) in enumerate(configurations):
-        multiplicity = int(round(values.get(f"x_{index}", 0.0)))
-        machine_configs.extend([counts] * multiplicity)
+    for (counts, _), multiplicity in zip(configurations, solution.x.tolist()):
+        machine_configs.extend([counts] * int(round(multiplicity)))
     machine_configs = machine_configs[: instance.num_machines]
     while len(machine_configs) < instance.num_machines:
         machine_configs.append(tuple([0] * len(groups)))
@@ -213,16 +232,18 @@ def _try_build_schedule(
 
 
 def das_wiese_schedule(
-    instance: Instance, *, eps: float = 0.25, config: DasWieseConfig | None = None
+    instance: Instance, *, eps: float | None = None, config: DasWieseConfig | None = None
 ) -> SolverResult:
     """Run the Das–Wiese-style PTAS baseline.
 
     Performs a geometric binary search on the target makespan; for each
     candidate the configuration ILP is solved and the resulting schedule is
     kept if it is feasible.  The best schedule over the search is returned.
+    ``eps=None`` takes ``config.eps``, or 0.25 without a config; an explicit
+    ``eps`` overrides the config's.
     """
-    config = config or DasWieseConfig(eps=eps)
-    if config.eps != eps:
+    config = config or DasWieseConfig()
+    if eps is not None and config.eps != eps:
         config = replace(config, eps=eps)
 
     diagnostics: dict[str, object] = {"search_iterations": 0}

@@ -12,9 +12,10 @@ constraints can only increase the optimum.
 * :func:`bag_cardinality_lower_bound` — a bag-specific bound: when a bag has
   exactly ``m`` jobs every machine hosts one of them, so any extra job stacks
   on top of some bag job.
-* :func:`lp_relaxation_lower_bound` — the LP relaxation of the assignment
-  formulation (uses :func:`scipy.optimize.linprog`); intended for small
-  instances and for cross-checking the combinatorial bounds.
+* :func:`lp_relaxation_lower_bound` — the LP relaxation of the exact
+  assignment MILP (:func:`repro.exact.build_assignment_model`), solved by the
+  ``lp`` backend through the solver service; intended for small instances
+  and for cross-checking the combinatorial bounds.
 * :func:`best_lower_bound` / :func:`combined_lower_bound` — the maximum of
   the cheap combinatorial bounds (and optionally the LP bound).
 """
@@ -26,9 +27,10 @@ from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
-from scipy import optimize, sparse
 
 from ..core.instance import Instance
+from ..exact import build_assignment_model
+from ..solver import get_solver_service
 
 __all__ = [
     "LowerBoundReport",
@@ -122,88 +124,21 @@ def combined_lower_bound(instance: Instance) -> float:
 def lp_relaxation_lower_bound(instance: Instance) -> float:
     """LP relaxation of the machine-assignment formulation.
 
-    Variables ``x[i, j] in [0, 1]`` give the fraction of job ``j`` placed on
-    machine ``i``; ``T`` is the makespan.  Constraints: every job fully
-    assigned, per-machine load at most ``T``, and at most one (fractional)
-    job of each bag per machine.  The model has ``n*m + 1`` variables and is
-    only intended for small to medium instances; the combinatorial bounds are
+    The exact assignment MILP without symmetry breaking, integrality
+    dropped: ``x[j, i] in [0, 1]`` is the fraction of job ``j`` placed on
+    machine ``i`` and ``T`` the makespan; every job fully assigned,
+    per-machine load at most ``T``, and at most one (fractional) job of each
+    bag per machine.  The model has ``n*m + 1`` variables and is only
+    intended for small to medium instances; the combinatorial bounds are
     used by default in the solvers.
     """
-    n = instance.num_jobs
-    m = instance.num_machines
-    if n == 0:
+    if instance.num_jobs == 0:
         return 0.0
-    sizes = instance.sizes
-    jobs = instance.jobs
-
-    num_x = n * m
-
-    def xvar(i: int, j: int) -> int:
-        return i * n + j
-
-    t_var = num_x
-    num_vars = num_x + 1
-
-    # Objective: minimise T.
-    c = np.zeros(num_vars)
-    c[t_var] = 1.0
-
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    b_ub: list[float] = []
-    row = 0
-
-    # Machine load constraints: sum_j p_j x[i, j] - T <= 0.
-    for i in range(m):
-        for j in range(n):
-            rows.append(row)
-            cols.append(xvar(i, j))
-            vals.append(float(sizes[j]))
-        rows.append(row)
-        cols.append(t_var)
-        vals.append(-1.0)
-        b_ub.append(0.0)
-        row += 1
-
-    # Bag constraints: sum_{j in B} x[i, j] <= 1 for every machine and bag.
-    index_of = {job.id: idx for idx, job in enumerate(jobs)}
-    for _, members in instance.bags().items():
-        if len(members) <= 1:
-            continue
-        member_indices = [index_of[job.id] for job in members]
-        for i in range(m):
-            for j in member_indices:
-                rows.append(row)
-                cols.append(xvar(i, j))
-                vals.append(1.0)
-            b_ub.append(1.0)
-            row += 1
-
-    a_ub = sparse.coo_matrix((vals, (rows, cols)), shape=(row, num_vars)).tocsr()
-
-    # Assignment equalities: sum_i x[i, j] = 1.
-    eq_rows: list[int] = []
-    eq_cols: list[int] = []
-    eq_vals: list[float] = []
-    for j in range(n):
-        for i in range(m):
-            eq_rows.append(j)
-            eq_cols.append(xvar(i, j))
-            eq_vals.append(1.0)
-    a_eq = sparse.coo_matrix((eq_vals, (eq_rows, eq_cols)), shape=(n, num_vars)).tocsr()
-    b_eq = np.ones(n)
-
-    bounds = [(0.0, 1.0)] * num_x + [(0.0, None)]
-    result = optimize.linprog(
-        c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs"
-    )
-    if not result.success:
-        # The LP relaxation is always feasible when every bag fits on the
-        # machines; failure indicates an unsatisfiable bag, mirror the
-        # combinatorial bound behaviour.
-        return float("inf")
-    return float(result.fun)
+    model = build_assignment_model(instance, symmetry_breaking=False)
+    solution = get_solver_service().solve(model, spec="lp")
+    # The LP relaxation is always feasible when every bag fits on the
+    # machines; otherwise mirror the combinatorial bound's +inf.
+    return solution.objective if solution.is_feasible else float("inf")
 
 
 @dataclass(frozen=True, slots=True)

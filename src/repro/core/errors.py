@@ -33,9 +33,10 @@ class InvalidScheduleError(ReproError):
 class InfeasibleModelError(ReproError):
     """Raised when an LP/MILP model has no feasible solution.
 
-    The EPTAS driver catches this during the dual-approximation binary
-    search: an infeasible configuration MILP for a candidate makespan ``T``
-    is the signal that ``T`` is below the optimum.
+    Only :func:`repro.exact.exact_milp_schedule` raises it: when its
+    assignment MILP ends without a point, or the point leaves a job
+    unassigned.  The EPTAS driver does not use it; it reads the status of
+    each configuration MILP instead.
     """
 
 

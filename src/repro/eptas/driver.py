@@ -149,8 +149,6 @@ def solve_for_guess(
     report.details["milp_status"] = solution.status.value
     if "lp_relaxation" in solution.milp_diagnostics:
         report.details["milp_lp_relaxation"] = solution.milp_diagnostics["lp_relaxation"]
-    if "telemetry" in solution.milp_diagnostics:
-        report.details["milp_telemetry"] = solution.milp_diagnostics["telemetry"]
     if not solution.feasible:
         return None, report
 

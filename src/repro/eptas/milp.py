@@ -289,8 +289,6 @@ def interpret_milp_solution(
 ) -> ConfigurationSolution:
     """Turn a raw backend solution into the structured configuration view."""
     diagnostics = dict(solution.diagnostics)
-    if solution.telemetry is not None:
-        diagnostics["telemetry"] = solution.telemetry.to_dict()
     if solution.status not in (SolutionStatus.OPTIMAL, SolutionStatus.FEASIBLE):
         return ConfigurationSolution(
             feasible=False, status=solution.status, milp_diagnostics=diagnostics

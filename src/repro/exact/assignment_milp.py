@@ -1,11 +1,14 @@
 """Exact makespan minimisation via an assignment MILP.
 
-The reference optimum for the approximation-ratio experiments (E1, E2, E4).
-Variables ``x[j, i] in {0, 1}`` assign job ``j`` to machine ``i``; ``T`` is
-the makespan.  Constraints: every job on exactly one machine, machine load at
-most ``T``, at most one job per bag per machine.  Optional symmetry breaking
-orders the machine loads, which prunes the machine-permutation symmetry of
-identical machines.
+The reference optimum for the approximation-ratio experiments (E1, E2, E4),
+and, relaxed, the LP lower bound of :mod:`repro.bounds`.  Column 0 is the
+makespan ``T``; ``x[j, i] in {0, 1}`` assigns the ``j``-th job (instance
+order) to machine ``i`` and is column ``1 + j*m + i``.  Constraints: every
+job on exactly one machine, machine load at most ``T``, at most one job per
+bag per machine.  Optional symmetry breaking orders the machine loads, which
+prunes the machine-permutation symmetry of identical machines.  The rows go
+in as index blocks and the schedule is read back from the solution's point
+by the same column arithmetic.
 
 This model has ``n*m`` binary variables, so it is only intended for the small
 instances on which the experiments report exact ratios; larger experiments
@@ -16,11 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..core.errors import InfeasibleModelError
 from ..core.instance import Instance
 from ..core.result import SolverResult, timed_solver_result
 from ..core.schedule import Schedule
-from ..milp import LinearModel, SolutionStatus
+from ..milp import LinearModel, Sense
 from ..solver import BackendSpec, get_solver_service
 
 __all__ = [
@@ -55,46 +60,64 @@ class ExactMilpConfig:
 def build_assignment_model(
     instance: Instance, *, symmetry_breaking: bool = True
 ) -> LinearModel:
-    """Construct the assignment MILP for an instance (exposed for tests)."""
+    """The assignment MILP of an instance; column ``1 + j*m + i`` is ``x[j, i]``."""
     model = LinearModel(f"exact-{instance.name}")
     jobs = instance.jobs
-    machines = range(instance.num_machines)
-
-    model.add_variable("T", lower=0.0, objective=1.0)
-    for job in jobs:
-        for machine in machines:
-            model.add_variable(f"x_{job.id}_{machine}", integer=True, lower=0.0, upper=1.0)
+    n, m = instance.num_jobs, instance.num_machines
+    sizes = instance.sizes
+    model.add_columns(["T"], objective=1.0)
+    model.add_columns(
+        [f"x_{job.id}_{machine}" for job in jobs for machine in range(m)],
+        upper=1.0,
+        integer=True,
+    )
+    x = 1 + np.arange(n * m).reshape(n, m)
+    machines = np.tile(np.arange(m), n)
 
     # Every job on exactly one machine.
-    for job in jobs:
-        model.add_eq(
-            f"assign_{job.id}",
-            {f"x_{job.id}_{machine}": 1.0 for machine in machines},
-            1.0,
-        )
+    model.add_constraints(
+        [f"assign_{job.id}" for job in jobs],
+        Sense.EQ,
+        np.ones(n),
+        row=np.repeat(np.arange(n), m),
+        col=x.ravel(),
+        value=np.ones(n * m),
+    )
     # Machine load at most T.
-    for machine in machines:
-        coefficients = {f"x_{job.id}_{machine}": job.size for job in jobs}
-        coefficients["T"] = -1.0
-        model.add_le(f"load_{machine}", coefficients, 0.0)
+    model.add_constraints(
+        [f"load_{machine}" for machine in range(m)],
+        Sense.LE,
+        np.zeros(m),
+        row=np.concatenate((machines, np.arange(m))),
+        col=np.concatenate((x.ravel(), np.zeros(m, dtype=np.int64))),
+        value=np.concatenate((np.repeat(sizes, m), -np.ones(m))),
+    )
     # Bag constraint: at most one job of a bag per machine.
-    for bag, members in instance.bags().items():
-        if len(members) <= 1:
-            continue
-        for machine in machines:
-            model.add_le(
-                f"bag_{bag}_m{machine}",
-                {f"x_{job.id}_{machine}": 1.0 for job in members},
-                1.0,
-            )
+    position = {job.id: j for j, job in enumerate(jobs)}
+    shared = {bag: members for bag, members in instance.bags().items() if len(members) > 1}
+    member = np.array(
+        [position[job.id] for members in shared.values() for job in members], dtype=np.int64
+    )
+    owner = np.repeat(np.arange(len(shared)), [len(members) for members in shared.values()])
+    model.add_constraints(
+        [f"bag_{bag}_m{machine}" for bag in shared for machine in range(m)],
+        Sense.LE,
+        np.ones(len(shared) * m),
+        row=(owner[:, None] * m + np.arange(m)).ravel(),
+        col=x[member].ravel(),
+        value=np.ones(member.size * m),
+    )
     # Symmetry breaking: machine loads non-increasing in the machine index.
-    if symmetry_breaking and instance.num_machines > 1:
-        for machine in range(instance.num_machines - 1):
-            coefficients: dict[str, float] = {}
-            for job in jobs:
-                coefficients[f"x_{job.id}_{machine}"] = -job.size
-                coefficients[f"x_{job.id}_{machine + 1}"] = job.size
-            model.add_le(f"sym_{machine}", coefficients, 0.0)
+    if symmetry_breaking and m > 1:
+        pairs = np.tile(np.arange(m - 1), n)
+        model.add_constraints(
+            [f"sym_{machine}" for machine in range(m - 1)],
+            Sense.LE,
+            np.zeros(m - 1),
+            row=np.concatenate((pairs, pairs)),
+            col=np.concatenate((x[:, :-1].ravel(), x[:, 1:].ravel())),
+            value=np.concatenate((-np.repeat(sizes, m - 1), np.repeat(sizes, m - 1))),
+        )
     return model
 
 
@@ -114,27 +137,20 @@ def exact_milp_schedule(
             model, spec=config.backend_spec, time_limit=config.time_limit
         )
         diagnostics["milp_status"] = solution.status.value
-        if solution.telemetry is not None:
-            diagnostics["milp_telemetry"] = solution.telemetry.to_dict()
-        if solution.status not in (SolutionStatus.OPTIMAL, SolutionStatus.FEASIBLE):
+        if not solution.is_feasible:
             raise InfeasibleModelError(
                 f"exact MILP for {instance.name!r} returned status {solution.status.value}"
             )
-        values = solution.values
+        x = solution.x[1:].reshape(instance.num_jobs, instance.num_machines)
         schedule = Schedule(instance, allow_partial=True)
-        for job in instance.jobs:
-            assigned_machine: int | None = None
-            best_value = 0.5
-            for machine in range(instance.num_machines):
-                value = values.get(f"x_{job.id}_{machine}", 0.0)
-                if value > best_value:
-                    best_value = value
-                    assigned_machine = machine
-            if assigned_machine is None:
+        for job, values in zip(instance.jobs, x):
+            # The machine of the largest value, which must be above 0.5.
+            machine = int(values.argmax())
+            if values[machine] <= 0.5:
                 raise InfeasibleModelError(
                     f"exact MILP left job {job.id} unassigned (numerical issue)"
                 )
-            schedule.assign(job.id, assigned_machine)
+            schedule.assign(job.id, machine)
         return schedule
 
     result = timed_solver_result(

@@ -8,6 +8,11 @@ package substitutes two interchangeable exact oracles:
 * :func:`repro.milp.branch_and_bound.solve_with_branch_and_bound` — a
   from-scratch LP-based branch and bound.
 
+Every model is built by index with :class:`LinearModel` (column blocks and
+COO row blocks) and compiled once; a :class:`MilpSolution` carries the
+point ``x`` in column order.  This package is the only place that imports
+:mod:`scipy.optimize`.
+
 Backend selection, validation and dispatch live in :mod:`repro.solver`
 (see ``docs/solver-backends.md``): every solve in the repository flows
 through :meth:`repro.solver.SolverService.solve`, which names one of the
@@ -17,31 +22,17 @@ builtin backends ``scipy``, ``bnb`` or ``lp`` with a
 
 from __future__ import annotations
 
-from .model import (
-    CompiledModel,
-    Constraint,
-    LinearModel,
-    MilpSolution,
-    Sense,
-    SolutionStatus,
-    SolveTelemetry,
-    Variable,
-    VarType,
-)
+from .model import CompiledModel, LinearModel, MilpSolution, Sense, SolutionStatus
 from .scipy_backend import solve_lp_relaxation, solve_with_scipy
 from .branch_and_bound import BranchAndBoundConfig, solve_with_branch_and_bound
 
 __all__ = [
     "BranchAndBoundConfig",
     "CompiledModel",
-    "Constraint",
     "LinearModel",
     "MilpSolution",
     "Sense",
     "SolutionStatus",
-    "SolveTelemetry",
-    "VarType",
-    "Variable",
     "solve_lp_relaxation",
     "solve_with_branch_and_bound",
     "solve_with_scipy",

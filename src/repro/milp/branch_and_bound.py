@@ -109,14 +109,11 @@ def solve_with_branch_and_bound(
     root_relaxation = relax(root)
     diagnostics: dict[str, Any] = {"backend": "own-branch-and-bound"}
 
-    names = compiled.variable_names
-
     if root_relaxation.status is SolutionStatus.INFEASIBLE:
         diagnostics.update({"nodes": 1, "lp_solves": lp_solves})
         return MilpSolution(
             status=SolutionStatus.INFEASIBLE,
             objective=float("inf"),
-            names=names,
             diagnostics=diagnostics,
         )
     if root_relaxation.status is SolutionStatus.UNBOUNDED:
@@ -124,7 +121,6 @@ def solve_with_branch_and_bound(
         return MilpSolution(
             status=SolutionStatus.UNBOUNDED,
             objective=float("-inf"),
-            names=names,
             diagnostics=diagnostics,
         )
 
@@ -209,13 +205,11 @@ def solve_with_branch_and_bound(
             return MilpSolution(
                 status=SolutionStatus.LIMIT,
                 objective=float("inf"),
-                names=names,
                 diagnostics=diagnostics,
             )
         return MilpSolution(
             status=SolutionStatus.INFEASIBLE,
             objective=float("inf"),
-            names=names,
             diagnostics=diagnostics,
         )
 
@@ -224,6 +218,5 @@ def solve_with_branch_and_bound(
         status=status,
         objective=best_objective,
         x=best_x,
-        names=names,
         diagnostics=diagnostics,
     )

@@ -5,7 +5,7 @@ substitute scipy's HiGHS interface, :func:`scipy.optimize.milp`, for
 mixed-integer models and, without integrality, for LP relaxations.  The
 backend is exact on the models this library produces and returns a
 :class:`~repro.milp.model.MilpSolution` holding HiGHS's value array in the
-model's column order, with the column names beside it.
+model's column order.
 
 A model with integer columns is solved LP first.  When the LP optimum is
 integral it is returned as the MILP optimum: it is feasible for the MILP and
@@ -74,46 +74,20 @@ def _diagnostics(result: optimize.OptimizeResult, **extra: Any) -> dict[str, Any
     }
 
 
-def _solution_from_values(
-    compiled: CompiledModel,
-    status: SolutionStatus,
-    objective: float,
-    values: np.ndarray | None,
-    diagnostics: dict[str, Any],
-) -> MilpSolution:
-    return MilpSolution(
-        status=status,
-        objective=objective,
-        x=np.zeros(0) if values is None else values,
-        names=compiled.variable_names,
-        diagnostics=diagnostics,
-    )
-
-
 def _solution_from_result(
-    compiled: CompiledModel, result: optimize.OptimizeResult, diagnostics: dict[str, Any]
+    result: optimize.OptimizeResult, diagnostics: dict[str, Any]
 ) -> MilpSolution:
     # scipy.optimize.milp status codes: 0 optimal, 1 iteration/time limit,
     # 2 infeasible, 3 unbounded, 4 other.  An LP stopped by a limit has no x.
     if result.status == 0 and result.x is not None:
-        return _solution_from_values(
-            compiled, SolutionStatus.OPTIMAL, float(result.fun), result.x, diagnostics
-        )
+        return MilpSolution(SolutionStatus.OPTIMAL, float(result.fun), result.x, diagnostics)
     if result.status == 1 and result.x is not None:
-        return _solution_from_values(
-            compiled, SolutionStatus.FEASIBLE, float(result.fun), result.x, diagnostics
-        )
+        return MilpSolution(SolutionStatus.FEASIBLE, float(result.fun), result.x, diagnostics)
     if result.status == 2:
-        return _solution_from_values(
-            compiled, SolutionStatus.INFEASIBLE, float("inf"), None, diagnostics
-        )
+        return MilpSolution(SolutionStatus.INFEASIBLE, float("inf"), diagnostics=diagnostics)
     if result.status == 3:
-        return _solution_from_values(
-            compiled, SolutionStatus.UNBOUNDED, float("-inf"), None, diagnostics
-        )
-    return _solution_from_values(
-        compiled, SolutionStatus.LIMIT, float("inf"), None, diagnostics
-    )
+        return MilpSolution(SolutionStatus.UNBOUNDED, float("-inf"), diagnostics=diagnostics)
+    return MilpSolution(SolutionStatus.LIMIT, float("inf"), diagnostics=diagnostics)
 
 
 def _relaxation_outcome(result: optimize.OptimizeResult, integer: np.ndarray) -> str:
@@ -162,26 +136,21 @@ def solve_with_scipy(
         if outcome == "integral":
             values = relaxed.x.copy()
             values[integer] = np.round(values[integer])
-            return _solution_from_values(
-                compiled,
+            return MilpSolution(
                 SolutionStatus.OPTIMAL,
                 float(compiled.objective @ values),
                 values,
                 _diagnostics(relaxed, mip_node_count=0, mip_gap=0.0, **lp_diagnostics),
             )
         if outcome in ("infeasible", "limit"):
-            return _solution_from_result(
-                compiled, relaxed, _diagnostics(relaxed, **lp_diagnostics)
-            )
+            return _solution_from_result(relaxed, _diagnostics(relaxed, **lp_diagnostics))
         if time_limit is not None:
             milp_time_limit = time_limit - lp_s
             if milp_time_limit <= 0:
-                return _solution_from_values(
-                    compiled,
+                return MilpSolution(
                     SolutionStatus.LIMIT,
                     float("inf"),
-                    None,
-                    _diagnostics(
+                    diagnostics=_diagnostics(
                         relaxed,
                         scipy_status=1,
                         message="The LP relaxation used the whole time limit.",
@@ -202,7 +171,7 @@ def solve_with_scipy(
         bounds=bounds,
         options=options,
     )
-    return _solution_from_result(compiled, result, _diagnostics(result, **lp_diagnostics))
+    return _solution_from_result(result, _diagnostics(result, **lp_diagnostics))
 
 
 def solve_lp_relaxation(
@@ -240,4 +209,4 @@ def solve_lp_relaxation(
         "scipy_status": int(result.status),
         "message": str(result.message),
     }
-    return _solution_from_result(compiled, result, diagnostics)
+    return _solution_from_result(result, diagnostics)

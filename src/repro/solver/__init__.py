@@ -6,9 +6,9 @@ Two pieces (see docs/solver-backends.md):
   ``bnb``, ``lp``) and validated :class:`BackendSpec` references to it,
   with their cache fingerprints.
 * :mod:`repro.solver.service` — the :class:`SolverService` facade the whole
-  repository calls through; it solves inline and attaches uniform telemetry
-  to every solution.  :func:`service_scope` installs a substitute service
-  for a scope, the one way to substitute a solver.
+  repository calls through; it solves inline and counts every solve.
+  :func:`service_scope` installs a substitute service for a scope, the one
+  way to substitute a solver.
 
 No call site dispatches on raw backend strings.
 """

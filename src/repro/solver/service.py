@@ -2,16 +2,15 @@
 
 The service takes a :class:`~repro.solver.registry.BackendSpec` naming one
 of the three builtin backends, compiles the model once, runs the solve
-inline, and attaches uniform :class:`~repro.milp.model.SolveTelemetry`
-(wall time, status, backend fingerprint) to every returned
-:class:`~repro.milp.model.MilpSolution`.
+inline, and counts it: solves, wall time and solves per backend
+fingerprint (:meth:`SolverService.stats`).
 
 A process-global *current service* lets a caller substitute its own service
 without threading it through every config object: :func:`service_scope`
 installs one for a scope, and every solve inside picks it up through
-:func:`get_solver_service`.  The EPTAS configuration MILPs, exact assignment
-MILPs and the Das–Wiese ILP are all single :meth:`SolverService.solve`
-calls.
+:func:`get_solver_service`.  The EPTAS configuration MILPs, the exact assignment
+MILPs, the LP lower bound and the Das–Wiese ILP are all single
+:meth:`SolverService.solve` calls.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import time
 from contextlib import contextmanager
 from typing import Any, Iterator
 
-from ..milp.model import LinearModel, CompiledModel, MilpSolution, SolveTelemetry
+from ..milp.model import LinearModel, CompiledModel, MilpSolution
 from .registry import BackendSpec, backend_fingerprint
 
 __all__ = ["SolverService", "get_solver_service", "service_scope"]
@@ -53,17 +52,11 @@ class SolverService:
         compiled = model.compile() if isinstance(model, LinearModel) else model
         solution = backend_spec.backend.solve(compiled, time_limit, backend_spec.options_dict())
         wall_time = time.perf_counter() - started
-        fingerprint = backend_fingerprint(backend_spec)
-        solution.telemetry = SolveTelemetry(
-            backend=backend_spec.name,
-            fingerprint=fingerprint,
-            wall_time=wall_time,
-            status=solution.status.value,
-        )
         self._stats["solves"] += 1
         self._stats["wall_time"] += wall_time
         self._stats["solve_s"] += wall_time
         per_backend = self._stats["backends"]
+        fingerprint = backend_fingerprint(backend_spec)
         per_backend[fingerprint] = per_backend.get(fingerprint, 0) + 1
         return solution
 

@@ -10,9 +10,20 @@ so ``from helpers import ...`` always resolves here.
 
 from __future__ import annotations
 
-from repro.core import Instance, Job, Schedule
+from typing import Any, Iterable, Mapping
 
-__all__ = ["assert_feasible", "make_instance", "make_jobs"]
+import numpy as np
+
+from repro.core import Instance, Job, Schedule
+from repro.milp import LinearModel, Sense
+
+__all__ = [
+    "assert_feasible",
+    "assert_same_model",
+    "build_model",
+    "make_instance",
+    "make_jobs",
+]
 
 
 def assert_feasible(schedule: Schedule) -> None:
@@ -28,3 +39,72 @@ def make_instance(sizes, bags, machines, name="test") -> Instance:
 def make_jobs(*specs: tuple[float, int]) -> list[Job]:
     """Build jobs from (size, bag) tuples with sequential ids."""
     return [Job(id=i, size=float(size), bag=int(bag)) for i, (size, bag) in enumerate(specs)]
+
+
+def build_model(
+    columns: Mapping[str, Mapping[str, Any]],
+    rows: Iterable[tuple[str, Sense, Mapping[str, float], float]] = (),
+    name: str = "model",
+) -> LinearModel:
+    """A model from ``{column: attributes}`` and ``(name, sense, {column:
+    coefficient}, rhs)`` rows.
+
+    The attributes are the keywords of ``add_columns`` (``lower``, ``upper``,
+    ``integer``, ``objective``) with its defaults; ``upper=None`` means
+    unbounded.  The columns go in as one block, in the mapping's order, and
+    each row as a one-row block of ``add_constraints``, in order.  A row
+    naming an unknown column raises ``KeyError``.
+    """
+    model = LinearModel(name)
+    names = list(columns)
+    position = {column: index for index, column in enumerate(names)}
+
+    def attribute(key: str, default: Any) -> list[Any]:
+        return [columns[column].get(key, default) for column in names]
+
+    model.add_columns(
+        names,
+        lower=attribute("lower", 0.0),
+        upper=[np.inf if upper is None else upper for upper in attribute("upper", None)],
+        integer=attribute("integer", False),
+        objective=attribute("objective", 0.0),
+    )
+    for row_name, sense, coefficients, rhs in rows:
+        model.add_constraints(
+            [row_name],
+            sense,
+            [rhs],
+            row=[0] * len(coefficients),
+            col=[position[column] for column in coefficients],
+            value=list(coefficients.values()),
+        )
+    return model
+
+
+def _same_array(actual: np.ndarray, expected: np.ndarray) -> bool:
+    """Equal dtype, shape and bytes: -0.0 and 0.0 differ, as in a digest."""
+    return (
+        actual.dtype == expected.dtype
+        and actual.shape == expected.shape
+        and actual.tobytes() == expected.tobytes()
+    )
+
+
+def _row_names(model: LinearModel) -> list[tuple[str, Sense]]:
+    """Each row's name and sense, in insertion order (read from the row blocks)."""
+    return [(name, block.sense) for block in model._rows for name in block.names]
+
+
+def assert_same_model(model: LinearModel, reference: LinearModel) -> None:
+    """Same size, row names and senses, and compiled arrays equal byte for byte."""
+    assert model.summary() == reference.summary()
+    assert _row_names(model) == _row_names(reference)
+    compiled, expected = model.compile(), reference.compile()
+    assert compiled.variable_names == expected.variable_names
+    for field in ("objective", "lower", "upper", "integrality", "b_ub", "b_eq"):
+        assert _same_array(getattr(compiled, field), getattr(expected, field)), field
+    for field in ("a_ub", "a_eq"):
+        matrix, wanted = getattr(compiled, field), getattr(expected, field)
+        assert matrix.shape == wanted.shape, field
+        for part in ("indptr", "indices", "data"):
+            assert _same_array(getattr(matrix, part), getattr(wanted, part)), (field, part)

@@ -14,8 +14,10 @@ from repro.bounds import (
     pairwise_lower_bound,
 )
 from repro.core import Instance
-from repro.exact import brute_force_optimum
+from repro.exact import brute_force_optimum, build_assignment_model
 from repro.generators import uniform_random_instance
+from repro.milp import solve_lp_relaxation
+from repro.solver import SolverService, service_scope
 
 
 class TestIndividualBounds:
@@ -90,3 +92,39 @@ class TestSoundness:
     def test_figure1_bound_is_tight(self, figure1_instance):
         # The figure-1 family has optimum exactly 1.
         assert combined_lower_bound(figure1_instance) == pytest.approx(1.0)
+
+
+class _SpecRecordingService(SolverService):
+    def __init__(self) -> None:
+        super().__init__()
+        self.specs: list = []
+
+    def solve(self, model, *, spec="scipy", time_limit=None):
+        self.specs.append(spec)
+        return super().solve(model, spec=spec, time_limit=time_limit)
+
+
+class TestLpBound:
+    """The LP bound is the relaxed exact model, solved by the ``lp`` backend."""
+
+    def test_one_lp_solve_through_the_service(self, tiny_instance):
+        service = _SpecRecordingService()
+        with service_scope(service):
+            lp = lp_relaxation_lower_bound(tiny_instance)
+        assert service.specs == ["lp"]
+        relaxed = build_assignment_model(tiny_instance, symmetry_breaking=False)
+        assert lp == solve_lp_relaxation(relaxed).objective
+        assert lp == pytest.approx(4.0)
+
+    def test_no_jobs_give_zero(self):
+        empty = Instance.from_sizes([], bags=[], num_machines=2)
+        service = _SpecRecordingService()
+        with service_scope(service):
+            assert lp_relaxation_lower_bound(empty) == 0.0
+        assert service.specs == []
+
+    def test_a_bag_that_does_not_fit_gives_inf(self):
+        instance = Instance.from_sizes(
+            [1, 1, 1], bags=[0, 0, 0], num_machines=2, validate=False
+        )
+        assert lp_relaxation_lower_bound(instance) == float("inf")

@@ -18,6 +18,7 @@ from scipy import optimize
 from repro.milp import (
     BranchAndBoundConfig,
     LinearModel,
+    Sense,
     SolutionStatus,
     scipy_backend,
     solve_lp_relaxation,
@@ -26,34 +27,43 @@ from repro.milp import (
 )
 from repro.solver import get_solver_service
 
+from helpers import build_model
+
 
 def _knapsack_model(values, weights, capacity) -> LinearModel:
-    model = LinearModel("knapsack")
-    for index, value in enumerate(values):
-        # Minimise the negated value = maximise value.
-        model.add_variable(f"x_{index}", integer=True, upper=1.0, objective=-float(value))
-    model.add_le(
-        "capacity",
-        {f"x_{index}": float(weight) for index, weight in enumerate(weights)},
-        float(capacity),
+    # Minimise the negated value = maximise value.
+    columns = {
+        f"x_{index}": {"integer": True, "upper": 1.0, "objective": -float(value)}
+        for index, value in enumerate(values)
+    }
+    capacity_row = {f"x_{index}": float(weight) for index, weight in enumerate(weights)}
+    return build_model(
+        columns, [("capacity", Sense.LE, capacity_row, float(capacity))], name="knapsack"
     )
-    return model
+
+
+def _one_integer_column(rhs: float) -> LinearModel:
+    """min x subject to x >= rhs, x integer."""
+    return build_model(
+        {"x": {"integer": True, "objective": 1.0}}, [("c", Sense.GE, {"x": 1.0}, rhs)]
+    )
+
+
+def _unsatisfiable(integer: bool) -> LinearModel:
+    """x <= 1 and x >= 2."""
+    return build_model(
+        {"x": {"integer": integer, "upper": 1.0}}, [("c", Sense.GE, {"x": 1.0}, 2.0)]
+    )
 
 
 class TestScipyBackend:
     def test_simple_integer_program(self):
-        model = LinearModel()
-        model.add_variable("x", integer=True, objective=1.0)
-        model.add_ge("c", {"x": 1.0}, 2.5)
-        solution = solve_with_scipy(model)
+        solution = solve_with_scipy(_one_integer_column(2.5))
         assert solution.status is SolutionStatus.OPTIMAL
-        assert solution.value("x") == pytest.approx(3.0)
+        assert solution.x[0] == pytest.approx(3.0)
 
     def test_infeasible_detected(self):
-        model = LinearModel()
-        model.add_variable("x", upper=1.0)
-        model.add_ge("c", {"x": 1.0}, 2.0)
-        solution = solve_with_scipy(model)
+        solution = solve_with_scipy(_unsatisfiable(integer=False))
         assert solution.status is SolutionStatus.INFEASIBLE
         assert not solution.is_feasible
 
@@ -61,19 +71,13 @@ class TestScipyBackend:
         assert solve_with_scipy(LinearModel()).status is SolutionStatus.OPTIMAL
 
     def test_lp_relaxation_relaxes_integrality(self):
-        model = LinearModel()
-        model.add_variable("x", integer=True, objective=1.0)
-        model.add_ge("c", {"x": 1.0}, 2.5)
-        relaxed = solve_lp_relaxation(model)
-        assert relaxed.value("x") == pytest.approx(2.5)
+        relaxed = solve_lp_relaxation(_one_integer_column(2.5))
+        assert relaxed.x[0] == pytest.approx(2.5)
 
     def test_lp_relaxation_with_branching_overrides(self):
-        model = LinearModel()
-        model.add_variable("x", integer=True, objective=1.0)
-        model.add_ge("c", {"x": 1.0}, 2.5)
-        compiled = model.compile()
+        compiled = _one_integer_column(2.5).compile()
         forced_up = solve_lp_relaxation(compiled, extra_lower={0: 3.0})
-        assert forced_up.value("x") == pytest.approx(3.0)
+        assert forced_up.x[0] == pytest.approx(3.0)
         forced_down = solve_lp_relaxation(compiled, extra_upper={0: 2.0})
         assert forced_down.status is SolutionStatus.INFEASIBLE
 
@@ -87,9 +91,7 @@ class TestBranchAndBound:
         assert ours.objective == pytest.approx(scipys.objective)
 
     def test_infeasible(self):
-        model = LinearModel()
-        model.add_variable("x", integer=True, upper=1.0)
-        model.add_ge("c", {"x": 1.0}, 2.0)
+        model = _unsatisfiable(integer=True)
         assert solve_with_branch_and_bound(model).status is SolutionStatus.INFEASIBLE
 
     def test_node_limit(self):
@@ -119,21 +121,19 @@ class TestBranchAndBound:
 
 class TestSolveModelDispatch:
     def test_backend_names(self):
-        model = LinearModel()
-        model.add_variable("x", integer=True, objective=1.0)
-        model.add_ge("c", {"x": 1.0}, 1.5)
+        model = _one_integer_column(1.5)
         service = get_solver_service()
-        assert service.solve(model, spec="scipy").value("x") == pytest.approx(2.0)
-        assert service.solve(model, spec="bnb").value("x") == pytest.approx(2.0)
-        assert service.solve(model, spec="lp").value("x") == pytest.approx(1.5)
+        assert service.solve(model, spec="scipy").x[0] == pytest.approx(2.0)
+        assert service.solve(model, spec="bnb").x[0] == pytest.approx(2.0)
+        assert service.solve(model, spec="lp").x[0] == pytest.approx(1.5)
 
     def test_lp_backend_honours_the_time_limit(self):
         # Two columns: HiGHS presolve solves a one-column model before it
         # checks the time limit.
-        model = LinearModel()
-        model.add_variable("x", objective=1.0)
-        model.add_variable("y", objective=1.0)
-        model.add_ge("c", {"x": 1.0, "y": 1.0}, 1.5)
+        model = build_model(
+            {"x": {"objective": 1.0}, "y": {"objective": 1.0}},
+            [("c", Sense.GE, {"x": 1.0, "y": 1.0}, 1.5)],
+        )
         service = get_solver_service()
         assert service.solve(model, spec="lp", time_limit=0.0).status is SolutionStatus.LIMIT
         assert service.solve(model, spec="lp").status is SolutionStatus.OPTIMAL
@@ -160,13 +160,16 @@ def milp_calls(monkeypatch):
 
 def _totally_unimodular_model() -> LinearModel:
     """Cover three consecutive-ones rows at least cost: the LP optimum is integral."""
-    model = LinearModel("interval-cover")
-    for index, cost in enumerate([3.0, 2.0, 4.0, 1.0]):
-        model.add_variable(f"x_{index}", integer=True, upper=5.0, objective=cost)
-    model.add_ge("r0", {"x_0": 1.0, "x_1": 1.0}, 2.0)
-    model.add_ge("r1", {"x_1": 1.0, "x_2": 1.0}, 3.0)
-    model.add_ge("r2", {"x_2": 1.0, "x_3": 1.0}, 1.0)
-    return model
+    columns = {
+        f"x_{index}": {"integer": True, "upper": 5.0, "objective": cost}
+        for index, cost in enumerate([3.0, 2.0, 4.0, 1.0])
+    }
+    rows = [
+        ("r0", Sense.GE, {"x_0": 1.0, "x_1": 1.0}, 2.0),
+        ("r1", Sense.GE, {"x_1": 1.0, "x_2": 1.0}, 3.0),
+        ("r2", Sense.GE, {"x_2": 1.0, "x_3": 1.0}, 1.0),
+    ]
+    return build_model(columns, rows, name="interval-cover")
 
 
 class TestLpFirst:
@@ -179,8 +182,8 @@ class TestLpFirst:
         assert solution.diagnostics["mip_gap"] == 0.0
         assert solution.objective == solution.diagnostics["lp_objective"] == pytest.approx(7.0)
         assert [is_mip for is_mip, _ in milp_calls] == [False]
-        assert model.check_solution(solution.values) == []
-        assert all(value == round(value) for value in solution.values.values())
+        assert model.check_solution(solution.x) == []
+        assert all(value == round(value) for value in solution.x.tolist())
 
     def test_fractional_lp_falls_through_to_the_milp(self, milp_calls):
         model = _knapsack_model([6, 5, 4], [4, 3, 2], 6)
@@ -192,10 +195,13 @@ class TestLpFirst:
         assert solution.objective == pytest.approx(solve_with_branch_and_bound(model).objective)
 
     def test_infeasible_lp_is_a_certificate(self, milp_calls):
-        model = LinearModel()
-        model.add_variable("x", integer=True, upper=1.0, objective=1.0)
-        model.add_variable("y", integer=True, upper=1.0, objective=1.0)
-        model.add_ge("c", {"x": 1.0, "y": 1.0}, 3.0)
+        model = build_model(
+            {
+                "x": {"integer": True, "upper": 1.0, "objective": 1.0},
+                "y": {"integer": True, "upper": 1.0, "objective": 1.0},
+            },
+            [("c", Sense.GE, {"x": 1.0, "y": 1.0}, 3.0)],
+        )
         solution = solve_with_scipy(model)
         assert solution.status is SolutionStatus.INFEASIBLE
         assert solution.diagnostics["lp_relaxation"] == "infeasible"
@@ -225,21 +231,19 @@ class TestLpFirst:
         assert [is_mip for is_mip, _ in milp_calls] == [False]
 
     def test_lp_stopped_by_the_time_limit_returns_limit(self, milp_calls):
-        model = LinearModel()
-        model.add_variable("x", integer=True, objective=1.0)
-        model.add_variable("y", integer=True, objective=1.0)
-        model.add_ge("c", {"x": 1.0, "y": 1.0}, 1.5)
+        model = build_model(
+            {"x": {"integer": True, "objective": 1.0}, "y": {"integer": True, "objective": 1.0}},
+            [("c", Sense.GE, {"x": 1.0, "y": 1.0}, 1.5)],
+        )
         solution = solve_with_scipy(model, time_limit=0.0)
         assert solution.status is SolutionStatus.LIMIT
         assert solution.diagnostics["lp_relaxation"] == "limit"
         assert [is_mip for is_mip, _ in milp_calls] == [False]
 
     def test_a_continuous_model_is_solved_once(self, milp_calls):
-        model = LinearModel()
-        model.add_variable("x", objective=1.0)
-        model.add_ge("c", {"x": 1.0}, 2.5)
+        model = build_model({"x": {"objective": 1.0}}, [("c", Sense.GE, {"x": 1.0}, 2.5)])
         solution = solve_with_scipy(model)
-        assert solution.value("x") == pytest.approx(2.5)
+        assert solution.x[0] == pytest.approx(2.5)
         assert "lp_relaxation" not in solution.diagnostics
         assert len(milp_calls) == 1
 
@@ -265,12 +269,13 @@ def _small_milps(draw) -> LinearModel:
     num_rows = draw(st.integers(1, 4))
     covering = draw(st.booleans())
     interval = draw(st.booleans())
-    model = LinearModel("covering" if covering else "packing")
+    columns = {}
     for index in range(num_vars):
         cost = draw(st.integers(1, 9))
         upper = draw(st.integers(1, 4))
         objective = float(cost if covering else -cost)
-        model.add_variable(f"x_{index}", integer=True, upper=float(upper), objective=objective)
+        columns[f"x_{index}"] = {"integer": True, "upper": float(upper), "objective": objective}
+    rows = []
     for row in range(num_rows):
         if interval:
             first = draw(st.integers(0, num_vars - 1))
@@ -282,11 +287,8 @@ def _small_milps(draw) -> LinearModel:
                 f"x_{index}": float(weight) for index, weight in enumerate(weights) if weight
             }
         rhs = float(draw(st.integers(0, 12)))
-        if covering:
-            model.add_ge(f"r_{row}", coefficients, rhs)
-        else:
-            model.add_le(f"r_{row}", coefficients, rhs)
-    return model
+        rows.append((f"r_{row}", Sense.GE if covering else Sense.LE, coefficients, rhs))
+    return build_model(columns, rows, name="covering" if covering else "packing")
 
 
 class TestLpFirstAgainstBranchAndBound:
@@ -298,4 +300,4 @@ class TestLpFirstAgainstBranchAndBound:
         assert ours.status is reference.status
         if ours.status is SolutionStatus.OPTIMAL:
             assert ours.objective == pytest.approx(reference.objective, abs=1e-6)
-            assert model.check_solution(ours.values) == []
+            assert model.check_solution(ours.x) == []

@@ -5,57 +5,53 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import InfeasibleModelError
 from repro.milp import LinearModel, MilpSolution, Sense, SolutionStatus
+
+from helpers import build_model
 
 
 class TestModelConstruction:
     def test_variables(self):
         model = LinearModel("m")
-        model.add_variable("x", lower=1.0, upper=4.0, integer=True, objective=2.0)
-        model.add_variable("y")
+        columns = model.add_columns(["x"], lower=1.0, upper=4.0, integer=True, objective=2.0)
+        assert columns == range(1)
+        assert model.add_columns(["y"]) == range(1, 2)
         assert model.num_variables == 2
         assert model.num_integer_variables == 1
-        assert model.variables["x"].is_integer
-        assert not model.variables["y"].is_integer
+        compiled = model.compile()
+        assert compiled.variable_names == ("x", "y")
+        assert compiled.integrality.tolist() == [1, 0]
+        assert compiled.lower.tolist() == [1.0, 0.0]
+        assert compiled.upper.tolist() == [4.0, np.inf]
+        assert compiled.objective.tolist() == [2.0, 0.0]
 
     def test_duplicate_variable_rejected(self):
         model = LinearModel()
-        model.add_variable("x")
+        model.add_columns(["x"])
         with pytest.raises(ValueError):
-            model.add_variable("x")
+            model.add_columns(["x"])
 
     def test_constraint_with_unknown_variable_rejected(self):
         model = LinearModel()
-        model.add_variable("x")
-        with pytest.raises(KeyError):
-            model.add_le("c", {"z": 1.0}, 1.0)
+        model.add_columns(["x"])
+        with pytest.raises(IndexError):
+            model.add_constraints(["c"], Sense.LE, [1.0], row=[0], col=[1], value=[1.0])
 
     def test_duplicate_constraint_rejected(self):
-        model = LinearModel()
-        model.add_variable("x")
-        model.add_le("c", {"x": 1.0}, 1.0)
+        model = build_model({"x": {}}, [("c", Sense.LE, {"x": 1.0}, 1.0)])
         with pytest.raises(ValueError):
-            model.add_ge("c", {"x": 1.0}, 0.0)
+            model.add_constraints(["c"], Sense.GE, [0.0], row=[0], col=[0], value=[1.0])
 
     def test_zero_coefficients_dropped(self):
-        model = LinearModel()
-        model.add_variable("x")
-        model.add_variable("y")
-        constraint = model.add_le("c", {"x": 1.0, "y": 0.0}, 1.0)
-        assert "y" not in constraint.coefficients
-
-    def test_set_objective_coefficient(self):
-        model = LinearModel()
-        model.add_variable("x", objective=1.0)
-        model.set_objective_coefficient("x", 5.0)
-        assert model.variables["x"].objective == 5.0
+        model = build_model({"x": {}, "y": {}}, [("c", Sense.LE, {"x": 1.0, "y": 0.0}, 1.0)])
+        compiled = model.compile()
+        assert compiled.a_ub.nnz == 1
+        assert compiled.a_ub.indices.tolist() == [0]
 
     def test_summary(self):
-        model = LinearModel()
-        model.add_variable("x", integer=True)
-        model.add_variable("y")
-        model.add_le("c", {"x": 1, "y": 1}, 2)
+        model = build_model(
+            {"x": {"integer": True}, "y": {}}, [("c", Sense.LE, {"x": 1, "y": 1}, 2)]
+        )
         assert model.summary() == {
             "variables": 2,
             "integer_variables": 1,
@@ -66,12 +62,14 @@ class TestModelConstruction:
 
 class TestCompilation:
     def test_compile_shapes(self):
-        model = LinearModel()
-        model.add_variable("x", integer=True, objective=1.0)
-        model.add_variable("y", upper=3.0)
-        model.add_le("c1", {"x": 2.0, "y": 1.0}, 10.0)
-        model.add_ge("c2", {"x": 1.0}, 1.0)
-        model.add_eq("c3", {"y": 1.0}, 2.0)
+        model = build_model(
+            {"x": {"integer": True, "objective": 1.0}, "y": {"upper": 3.0}},
+            [
+                ("c1", Sense.LE, {"x": 2.0, "y": 1.0}, 10.0),
+                ("c2", Sense.GE, {"x": 1.0}, 1.0),
+                ("c3", Sense.EQ, {"y": 1.0}, 2.0),
+            ],
+        )
         compiled = model.compile()
         assert compiled.num_variables == 2
         assert compiled.num_integer_variables == 1
@@ -82,18 +80,20 @@ class TestCompilation:
         assert compiled.b_ub.tolist() == [10.0, -1.0]
 
     def test_check_solution(self):
-        model = LinearModel()
-        model.add_variable("x", integer=True, upper=5.0)
-        model.add_ge("c", {"x": 1.0}, 2.0)
-        assert model.check_solution({"x": 3.0}) == []
-        violations = model.check_solution({"x": 0.5})
+        model = build_model(
+            {"x": {"integer": True, "upper": 5.0}}, [("c", Sense.GE, {"x": 1.0}, 2.0)]
+        )
+        assert model.check_solution([3.0]) == []
+        violations = model.check_solution(np.array([0.5]))
         assert any("not integral" in v for v in violations)
         assert any("c:" in v for v in violations)
-        assert model.check_solution({"x": 7.0})  # above upper bound
+        assert model.check_solution([7.0])  # above upper bound
+        with pytest.raises(ValueError, match="expected"):
+            model.check_solution([])
 
 
 class TestBulkInput:
-    """add_columns / add_constraints against the one-at-a-time API."""
+    """add_columns / add_constraints: blocks of any size, in insertion order."""
 
     @staticmethod
     def _columns(model: LinearModel) -> range:
@@ -106,12 +106,11 @@ class TestBulkInput:
     def test_bulk_columns_compile_like_scalar_ones(self):
         bulk, scalar = LinearModel(), LinearModel()
         assert self._columns(bulk) == range(0, 3)
-        scalar.add_variable("a", integer=True, objective=1.0)
-        scalar.add_variable("b")
-        scalar.add_variable("c", integer=True, objective=2.0)
+        assert scalar.add_columns(["a"], integer=True, objective=1.0) == range(0, 1)
+        assert scalar.add_columns(["b"]) == range(1, 2)
+        assert scalar.add_columns(["c"], integer=True, objective=2.0) == range(2, 3)
         assert bulk.add_columns(["d"], upper=4.0) == range(3, 4)
-        scalar.add_variable("d", upper=4.0)
-        assert bulk.variables == scalar.variables
+        scalar.add_columns(["d"], upper=4.0)
         assert bulk.summary() == scalar.summary()
         compiled, expected = bulk.compile(), scalar.compile()
         assert compiled.variable_names == expected.variable_names == ("a", "b", "c", "d")
@@ -121,12 +120,12 @@ class TestBulkInput:
     def test_scalar_and_bulk_rows_compile_in_insertion_order(self):
         model = LinearModel()
         self._columns(model)
-        model.add_le("first", {"a": 1.0}, 1.0)
+        model.add_constraints(["first"], Sense.LE, [1.0], row=[0], col=[0], value=[1.0])
         model.add_constraints(
             ["second", "third"], Sense.LE, [2.0, 3.0], row=[1, 0, 1], col=[0, 1, 2],
             value=[4.0, 5.0, 6.0],
         )
-        model.add_le("fourth", {"c": 7.0}, 4.0)
+        model.add_constraints(["fourth"], Sense.LE, [4.0], row=[0], col=[2], value=[7.0])
         compiled = model.compile()
         assert compiled.b_ub.tolist() == [1.0, 2.0, 3.0, 4.0]
         assert compiled.a_ub.toarray().tolist() == [
@@ -135,9 +134,11 @@ class TestBulkInput:
             [4.0, 0.0, 6.0],
             [0.0, 0.0, 7.0],
         ]
-        names = [row.name for row in model.constraints]
-        assert names == ["first", "second", "third", "fourth"]
-        assert model.constraints[2].coefficients == {"a": 4.0, "c": 6.0}
+        # A point that breaks every row names them in insertion order.
+        violations = model.check_solution([10.0, 10.0, 10.0])
+        assert [v.split(":")[0] for v in violations if ":" in v] == [
+            "first", "second", "third", "fourth"
+        ]
 
     def test_ge_rows_are_negated_and_eq_rows_go_to_a_eq(self):
         model = LinearModel()
@@ -145,9 +146,9 @@ class TestBulkInput:
         model.add_constraints(
             ["ge"], Sense.GE, [2.0], row=[0, 0], col=[0, 2], value=[1.0, 3.0]
         )
-        model.add_eq("scalar_eq", {"b": 1.0}, 5.0)
-        model.add_constraints(["eq"], Sense.EQ, [6.0], row=[0], col=[1], value=[2.0])
-        model.add_ge("scalar_ge", {"a": 4.0}, 1.0)
+        model.add_constraints(["eq1"], Sense.EQ, [5.0], row=[0], col=[1], value=[1.0])
+        model.add_constraints(["eq2"], Sense.EQ, [6.0], row=[0], col=[1], value=[2.0])
+        model.add_constraints(["ge2"], Sense.GE, [1.0], row=[0], col=[0], value=[4.0])
         compiled = model.compile()
         assert compiled.b_ub.tolist() == [-2.0, -1.0]
         assert compiled.a_ub.toarray().tolist() == [[-1.0, 0.0, -3.0], [-4.0, 0.0, 0.0]]
@@ -156,16 +157,18 @@ class TestBulkInput:
         assert compiled.num_constraints == model.num_constraints == 4
 
     def test_zero_coefficients_are_dropped_on_both_paths(self):
-        model = LinearModel()
-        self._columns(model)
-        model.add_le("scalar", {"a": 0.0, "b": 1.0}, 1.0)
+        # One row per block (as the test helper adds them) and a block of rows.
+        model = build_model(
+            {"a": {}, "b": {}, "c": {}}, [("single", Sense.LE, {"a": 0.0, "b": 1.0}, 1.0)]
+        )
         model.add_constraints(
-            ["bulk"], Sense.GE, [1.0], row=[0, 0, 0], col=[0, 1, 2], value=[0.0, 2.0, -0.0]
+            ["bulk", "other"], Sense.GE, [1.0, 0.0], row=[0, 0, 0, 1], col=[0, 1, 2, 0],
+            value=[0.0, 2.0, -0.0, 0.0],
         )
         compiled = model.compile()
         assert compiled.a_ub.nnz == 2
         assert compiled.a_ub.indices.tolist() == [1, 1]
-        assert [row.coefficients for row in model.constraints] == [{"b": 1.0}, {"b": 2.0}]
+        assert compiled.a_ub.indptr.tolist() == [0, 1, 2, 2]
 
     def test_duplicate_names_raise(self):
         model = LinearModel()
@@ -175,15 +178,18 @@ class TestBulkInput:
         with pytest.raises(ValueError):
             model.add_columns(["d", "d"])
         with pytest.raises(ValueError):
-            model.add_variable("c")
-        model.add_le("taken", {"a": 1.0}, 1.0)
+            model.add_columns(["c"])
+        model.add_constraints(["taken"], Sense.LE, [1.0], row=[0], col=[0], value=[1.0])
         for names in (["new", "taken"], ["twice", "twice"]):
             with pytest.raises(ValueError):
                 model.add_constraints(names, Sense.LE, [0.0, 0.0], row=[], col=[], value=[])
         model.add_constraints(["bulk"], Sense.LE, [0.0], row=[0], col=[0], value=[1.0])
         with pytest.raises(ValueError):
-            model.add_ge("bulk", {"a": 1.0}, 0.0)
+            model.add_constraints(["bulk"], Sense.GE, [0.0], row=[0], col=[0], value=[1.0])
         assert model.num_variables == 3 and model.num_constraints == 2
+        # A rejected block claims none of its names.
+        model.add_columns(["d"])
+        model.add_constraints(["new"], Sense.LE, [0.0], row=[], col=[], value=[])
 
     def test_indices_out_of_range_raise(self):
         model = LinearModel()
@@ -207,6 +213,7 @@ class TestBulkInput:
         with pytest.raises(ValueError, match="objective"):
             model.add_columns(["d", "e"], objective=[1.0, 2.0, 3.0])
         assert model.num_constraints == 0 and model.num_variables == 3
+        assert model.add_columns(["d", "e"]) == range(3, 5)
 
     def test_a_pair_given_twice_raises_at_compile(self):
         model = LinearModel()
@@ -230,51 +237,53 @@ class TestBulkInput:
             "continuous_variables": 1,
             "constraints": 2,
         }
-        assert model.check_solution({"a": 1.0, "c": 1.0}) == []
-        violations = model.check_solution({"a": 0.5, "b": 2.0})
+        assert model.check_solution([1.0, 0.0, 1.0]) == []
+        violations = model.check_solution([0.5, 2.0, 0.0])
         assert any(v.startswith("cover:") for v in violations)
         assert any(v.startswith("cap:") for v in violations)
         assert any("a = 0.5 not integral" in v for v in violations)
 
 
 class TestMilpSolution:
-    def test_integral_values(self):
-        solution = MilpSolution(
-            status=SolutionStatus.OPTIMAL,
-            objective=1.0,
-            x=np.array([2.0000000001]),
-            names=("x",),
-        )
-        assert solution.integral_values() == {"x": 2}
-        assert solution.is_feasible
-
-    def test_integral_values_rejects_fractional(self):
-        solution = MilpSolution(
-            status=SolutionStatus.OPTIMAL, objective=1.0, x=np.array([2.5]), names=("x",)
-        )
-        with pytest.raises(InfeasibleModelError):
-            solution.integral_values()
-
-    def test_value_default(self):
-        solution = MilpSolution(status=SolutionStatus.OPTIMAL, objective=0.0)
-        assert solution.value("missing") == 0.0
-        assert solution.value("missing", 3.0) == 3.0
-
-    def test_values_are_the_column_array_by_name(self):
-        solution = MilpSolution(
-            status=SolutionStatus.OPTIMAL,
-            objective=1.0,
-            x=np.array([1.0, 2.5]),
-            names=("a", "b"),
-        )
-        assert solution.values == {"a": 1.0, "b": 2.5}
-        assert solution.value("b") == 2.5
-        assert solution.value("c") == 0.0
-
     def test_solution_without_a_point(self):
-        solution = MilpSolution(
-            status=SolutionStatus.INFEASIBLE, objective=float("inf"), names=("x",)
-        )
+        solution = MilpSolution(status=SolutionStatus.INFEASIBLE, objective=float("inf"))
         assert solution.x.size == 0
-        assert solution.values == {}
-        assert solution.value("x") == 0.0
+        assert not solution.is_feasible
+        assert MilpSolution(SolutionStatus.FEASIBLE, 1.0, np.array([2.0])).is_feasible
+
+
+class TestCheckSolution:
+    """``check_solution(x)`` on a model built in blocks: one case per violation kind."""
+
+    @staticmethod
+    def _model() -> LinearModel:
+        model = LinearModel()
+        model.add_columns(
+            ["a", "b", "c"], lower=[1.0, 0.0, 0.0], upper=[3.0, 2.0, np.inf],
+            integer=[True, False, False],
+        )
+        # a + b <= 4 and c <= 10 in one block; b >= 0.5; c == 1.
+        model.add_constraints(
+            ["le", "le_c"], Sense.LE, [4.0, 10.0], row=[0, 0, 1], col=[0, 1, 2],
+            value=[1.0, 1.0, 1.0],
+        )
+        model.add_constraints(["ge"], Sense.GE, [0.5], row=[0], col=[1], value=[1.0])
+        model.add_constraints(["eq"], Sense.EQ, [1.0], row=[0], col=[2], value=[1.0])
+        return model
+
+    def test_a_feasible_point_reports_nothing(self):
+        assert self._model().check_solution([2.0, 1.5, 1.0]) == []
+
+    @pytest.mark.parametrize(
+        "x, violation",
+        [
+            pytest.param([0.0, 1.5, 1.0], "a = 0.0 below lower bound 1.0", id="below-lower"),
+            pytest.param([1.0, 2.5, 1.0], "b = 2.5 above upper bound 2.0", id="above-upper"),
+            pytest.param([1.5, 1.5, 1.0], "a = 1.5 not integral", id="not-integral"),
+            pytest.param([3.0, 1.5, 1.0], "le: 4.5 > 4.0", id="le"),
+            pytest.param([2.0, 0.25, 1.0], "ge: 0.25 < 0.5", id="ge"),
+            pytest.param([2.0, 1.5, 2.0], "eq: 2.0 != 1.0", id="eq"),
+        ],
+    )
+    def test_each_violation_is_reported_alone(self, x, violation):
+        assert self._model().check_solution(np.array(x)) == [violation]

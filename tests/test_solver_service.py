@@ -17,7 +17,7 @@ from repro.baselines.das_wiese import DasWieseConfig, das_wiese_schedule
 from repro.eptas import EptasConfig, eptas_schedule
 from repro.exact import ExactMilpConfig, exact_milp_schedule
 from repro.generators import uniform_random_instance
-from repro.milp import LinearModel
+from repro.milp import LinearModel, Sense
 from repro.orchestration.cache import cache_key
 from repro.solver import registry
 from repro.solver import (
@@ -28,15 +28,16 @@ from repro.solver import (
     service_scope,
 )
 
+from helpers import build_model
+
 # sha256 of the canonical JSON of no options, "{}", cut to 12 hex digits.
 _NO_OPTIONS = "44136fa355b3"
 
 
 def _model(target: float = 1.5) -> LinearModel:
-    model = LinearModel()
-    model.add_variable("x", integer=True, objective=1.0)
-    model.add_ge("c", {"x": 1.0}, target)
-    return model
+    return build_model(
+        {"x": {"integer": True, "objective": 1.0}}, [("c", Sense.GE, {"x": 1.0}, target)]
+    )
 
 
 class TestRegistry:
@@ -126,20 +127,6 @@ class TestFailFastConfigs:
 
 
 class TestServiceTelemetry:
-    def test_inline_solve_attaches_telemetry(self):
-        solution = get_solver_service().solve(_model())
-        assert solution.telemetry is not None
-        assert solution.telemetry.backend == "scipy"
-        assert solution.telemetry.fingerprint == backend_fingerprint("scipy")
-        assert solution.telemetry.status == "optimal"
-        assert solution.telemetry.wall_time >= 0.0
-        assert solution.telemetry.to_dict().keys() == {
-            "backend",
-            "fingerprint",
-            "wall_time",
-            "status",
-        }
-
     def test_stats_delta(self):
         service = get_solver_service()
         before = service.stats()
