@@ -12,11 +12,15 @@ or 4 machines).  It gives the sha256 of the exact assignment MILP with and
 without symmetry breaking, the LP lower bound to 12 significant digits,
 and the makespan ``repr`` and assignment sha256 of the Das–Wiese baseline
 at ε = 1/4.  One ``milp`` line follows for each Das–Wiese ILP that call
-solved.  Then, for every instance of the three workloads of
-``eptas_bench/workloads.py``, it prints the makespan's ``repr`` and the
-sha256 of the sorted assignment; one line per guess the search tried, with
-the guess's ``repr``, its pattern count and how it ended: the MILP status,
-or the message of the limit or error that stopped it
+solved, and one ``baselines`` line gives, per greedy baseline, the makespan
+``repr`` and the assignment sha256: bag-aware greedy in instance order,
+first-fit without a capacity and at the instance's combined lower bound
+(where jobs that fit nowhere take the least-loaded fallback), LPT, LPT with
+local search, and the coloring scheduler.  Then, for every instance of the
+three workloads of ``eptas_bench/workloads.py``, it prints the makespan's
+``repr`` and the sha256 of the sorted assignment; one line per guess the
+search tried, with the guess's ``repr``, its pattern count and how it ended:
+the MILP status, or the message of the limit or error that stopped it
 (``attempt guess=3.88 patterns=0 limit=pattern enumeration exceeded ...``);
 and one line per configuration MILP solved in the call: its sha256, then
 its column, row and nonzero counts (``milp <sha256> cols=20 rows=25
@@ -50,8 +54,15 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "eptas_bench"))
 
-from repro.baselines import das_wiese_schedule  # noqa: E402
-from repro.bounds import lp_relaxation_lower_bound  # noqa: E402
+from repro.baselines import (  # noqa: E402
+    coloring_schedule,
+    das_wiese_schedule,
+    first_fit_schedule,
+    greedy_schedule,
+    local_search_schedule,
+    lpt_schedule,
+)
+from repro.bounds import combined_lower_bound, lp_relaxation_lower_bound  # noqa: E402
 from repro.eptas import eptas_schedule  # noqa: E402
 from repro.exact import build_assignment_model  # noqa: E402
 from repro.generators import bag_heavy_instance, uniform_random_instance  # noqa: E402
@@ -134,6 +145,22 @@ def reference_line(instance: Any, service: _HashingService) -> str:
     )
 
 
+def baselines_line(instance: Any) -> str:
+    """Makespan ``repr`` and assignment sha256 of each greedy baseline."""
+    results = {
+        "greedy": greedy_schedule(instance),
+        "first_fit": first_fit_schedule(instance),
+        "first_fit_lb": first_fit_schedule(instance, capacity=combined_lower_bound(instance)),
+        "lpt": lpt_schedule(instance),
+        "local_search": local_search_schedule(instance),
+        "coloring": coloring_schedule(instance),
+    }
+    return "baselines " + " ".join(
+        f"{name}={result.makespan!r}:{assignment_digest(result.schedule.assignment)}"
+        for name, result in results.items()
+    )
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, required=True)
@@ -146,6 +173,7 @@ def main(argv: list[str]) -> int:
         print(reference_line(instance, service))
         for line in service.models:
             print(f"  milp {line}")
+        print(f"  {baselines_line(instance)}")
     for workload_name, workload in WORKLOADS.items():
         specs = workload.smoke if args.size == "smoke" else workload.specs
         for spec in specs:

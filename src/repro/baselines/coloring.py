@@ -7,19 +7,21 @@ the special case of cluster conflict graphs, which are trivially optimally
 colorable (color the jobs of each bag ``0, 1, 2, …``).  The scheduler below
 follows that scheme: it processes color classes one after the other (largest
 area first) and distributes each class LPT-style over the machines, always
-respecting previously placed bags.  Jobs of one color class never conflict
-with each other, so each class spreads freely; conflicts with earlier classes
-are avoided by the feasible-machine rule, which always succeeds because a
-bag's jobs occupy pairwise different classes.
+respecting previously placed bags — that is, it runs
+:func:`~repro.baselines.list_scheduling.greedy_assign` on the jobs in that
+order.  Jobs of one color class never conflict with each other, so each class
+spreads freely; conflicts with earlier classes are avoided by the
+feasible-machine rule, which always succeeds because a bag's jobs occupy
+pairwise different classes.
 """
 
 from __future__ import annotations
 
 from ..core.conflict_graph import color_classes, greedy_clique_coloring
-from ..core.errors import InvalidInstanceError
 from ..core.instance import Instance
 from ..core.result import SolverResult, timed_solver_result
 from ..core.schedule import Schedule
+from .list_scheduling import greedy_assign
 
 __all__ = ["coloring_schedule"]
 
@@ -28,11 +30,7 @@ def coloring_schedule(instance: Instance) -> SolverResult:
     """Schedule via an optimal coloring of the cluster conflict graph."""
 
     def build() -> Schedule:
-        coloring = greedy_clique_coloring(instance)
-        classes = color_classes(coloring)
-        schedule = Schedule(instance, allow_partial=True)
-        machine_loads = [0.0] * instance.num_machines
-        machine_bags: list[set[int]] = [set() for _ in range(instance.num_machines)]
+        classes = color_classes(greedy_clique_coloring(instance))
 
         # Largest-area color class first: this mirrors the Bodlaender et al.
         # analysis where each class is spread as evenly as possible before
@@ -43,25 +41,14 @@ def coloring_schedule(instance: Instance) -> SolverResult:
         ordered_classes = sorted(
             classes.items(), key=lambda item: (-class_area(item[1]), item[0])
         )
-        for _, job_ids in ordered_classes:
-            jobs = sorted(
+        order = [
+            job
+            for _, job_ids in ordered_classes
+            for job in sorted(
                 (instance.job(job_id) for job_id in job_ids),
                 key=lambda job: (-job.size, job.id),
             )
-            for job in jobs:
-                candidates = [
-                    (machine_loads[machine], machine)
-                    for machine in range(instance.num_machines)
-                    if job.bag not in machine_bags[machine]
-                ]
-                if not candidates:
-                    raise InvalidInstanceError(
-                        f"no conflict-free machine for job {job.id} of bag {job.bag}"
-                    )
-                _, machine = min(candidates)
-                schedule.assign(job.id, machine)
-                machine_loads[machine] += job.size
-                machine_bags[machine].add(job.bag)
-        return schedule
+        ]
+        return greedy_assign(instance, order)
 
     return timed_solver_result("coloring", build, params={})

@@ -19,7 +19,7 @@ from ..core.errors import InvalidInstanceError
 from ..core.instance import Instance
 from ..core.job import Job
 from ..core.result import SolverResult, timed_solver_result
-from ..core.schedule import Schedule
+from ..core.schedule import Occupancy, Schedule
 
 __all__ = ["greedy_assign", "greedy_schedule", "first_fit_schedule"]
 
@@ -52,18 +52,15 @@ def greedy_assign(
         members than machines).
     """
     jobs = list(order) if order is not None else list(instance.jobs)
-    schedule = schedule if schedule is not None else Schedule(instance, allow_partial=True)
-
-    machine_loads = schedule.loads().tolist()
-    machine_bags: list[set[int]] = [set() for _ in range(instance.num_machines)]
-    for job_id, machine in schedule.assignment.items():
-        machine_bags[machine].add(instance.job(job_id).bag)
+    occupancy = Occupancy(
+        schedule if schedule is not None else Schedule(instance, allow_partial=True)
+    )
+    schedule = occupancy.schedule
+    loads, bags = occupancy.loads, occupancy.bags
 
     # A heap of (load, machine) gives O(log m) selection of the least-loaded
     # machine; conflicting machines are popped, stashed and pushed back.
-    heap: list[tuple[float, int]] = [
-        (machine_loads[machine], machine) for machine in range(instance.num_machines)
-    ]
+    heap: list[tuple[float, int]] = [(load, machine) for machine, load in enumerate(loads)]
     heapq.heapify(heap)
 
     for job in jobs:
@@ -73,11 +70,11 @@ def greedy_assign(
         chosen: int | None = None
         while heap:
             load, machine = heapq.heappop(heap)
-            if load != machine_loads[machine]:
+            if load != loads[machine]:
                 # Stale heap entry; reinsert the fresh value lazily.
-                heapq.heappush(heap, (machine_loads[machine], machine))
+                heapq.heappush(heap, (loads[machine], machine))
                 continue
-            if job.bag in machine_bags[machine]:
+            if job.bag in bags[machine]:
                 stash.append((load, machine))
                 continue
             chosen = machine
@@ -89,10 +86,8 @@ def greedy_assign(
                 f"no conflict-free machine for job {job.id} of bag {job.bag}; "
                 f"bag has more jobs than machines"
             )
-        schedule.assign(job.id, chosen)
-        machine_loads[chosen] += job.size
-        machine_bags[chosen].add(job.bag)
-        heapq.heappush(heap, (machine_loads[chosen], chosen))
+        occupancy.assign(job, chosen)
+        heapq.heappush(heap, (loads[chosen], chosen))
 
     return schedule
 
@@ -119,37 +114,27 @@ def first_fit_schedule(instance: Instance, *, capacity: float | None = None) -> 
     """
 
     def build() -> Schedule:
-        schedule = Schedule(instance, allow_partial=True)
-        machine_loads = [0.0] * instance.num_machines
-        machine_bags: list[set[int]] = [set() for _ in range(instance.num_machines)]
+        occupancy = Occupancy(Schedule(instance, allow_partial=True))
+        loads, bags = occupancy.loads, occupancy.bags
         for job in instance.jobs:
-            placed = False
-            for machine in range(instance.num_machines):
-                if job.bag in machine_bags[machine]:
-                    continue
-                if capacity is not None and machine_loads[machine] + job.size > capacity:
-                    continue
-                schedule.assign(job.id, machine)
-                machine_loads[machine] += job.size
-                machine_bags[machine].add(job.bag)
-                placed = True
-                break
-            if not placed:
-                # Fall back to the least-loaded conflict-free machine.
-                candidates = [
-                    (machine_loads[machine], machine)
+            machine = next(
+                (
+                    machine
                     for machine in range(instance.num_machines)
-                    if job.bag not in machine_bags[machine]
-                ]
-                if not candidates:
-                    raise InvalidInstanceError(
-                        f"no conflict-free machine for job {job.id} of bag {job.bag}"
-                    )
-                _, machine = min(candidates)
-                schedule.assign(job.id, machine)
-                machine_loads[machine] += job.size
-                machine_bags[machine].add(job.bag)
-        return schedule
+                    if job.bag not in bags[machine]
+                    and (capacity is None or loads[machine] + job.size <= capacity)
+                ),
+                None,
+            )
+            if machine is None:
+                # Fall back to the least-loaded conflict-free machine.
+                machine = occupancy.least_loaded(job.bag)
+            if machine is None:
+                raise InvalidInstanceError(
+                    f"no conflict-free machine for job {job.id} of bag {job.bag}"
+                )
+            occupancy.assign(job, machine)
+        return occupancy.schedule
 
     return timed_solver_result(
         "first-fit",

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from ..core.instance import Instance
 from ..core.result import SolverResult, timed_solver_result
-from ..core.schedule import Schedule
+from ..core.schedule import Occupancy, Schedule
 from .list_scheduling import greedy_assign
 
 __all__ = ["LocalSearchStats", "improve_schedule", "local_search_schedule"]
@@ -59,16 +59,6 @@ class LocalSearchStats:
         }
 
 
-def _machine_state(instance: Instance, schedule: Schedule):
-    loads = schedule.loads().tolist()
-    bags: list[set[int]] = [set() for _ in range(instance.num_machines)]
-    jobs_on: list[list[int]] = [[] for _ in range(instance.num_machines)]
-    for job_id, machine in schedule.assignment.items():
-        bags[machine].add(instance.job(job_id).bag)
-        jobs_on[machine].append(job_id)
-    return loads, bags, jobs_on
-
-
 def improve_schedule(
     schedule: Schedule,
     *,
@@ -92,9 +82,10 @@ def improve_schedule(
     LocalSearchStats
         Counters, including the initial and final makespan.
     """
-    instance = schedule.instance
     schedule.validate(require_complete=True)
-    loads, bags, jobs_on = _machine_state(instance, schedule)
+    occupancy = Occupancy(schedule)
+    loads, bags = occupancy.loads, occupancy.bags
+    jobs_on = schedule.machine_jobs()
     stats = LocalSearchStats(initial_makespan=max(loads) if loads else 0.0)
 
     for _ in range(max_rounds):
@@ -104,8 +95,7 @@ def improve_schedule(
         improved = False
 
         # --- try moves: job from the busiest machine to a lighter machine.
-        for job_id in sorted(jobs_on[busiest], key=lambda j: -instance.job(j).size):
-            job = instance.job(job_id)
+        for job in sorted(jobs_on[busiest], key=lambda j: -j.size):
             for target in sorted(range(len(loads)), key=lambda m: loads[m]):
                 if target == busiest:
                     continue
@@ -114,13 +104,9 @@ def improve_schedule(
                 if loads[target] + job.size >= busiest_load - tolerance:
                     continue
                 # accept the move
-                schedule.assign(job_id, target)
-                loads[busiest] -= job.size
-                loads[target] += job.size
-                bags[busiest].discard(job.bag)
-                bags[target].add(job.bag)
-                jobs_on[busiest].remove(job_id)
-                jobs_on[target].append(job_id)
+                occupancy.assign(job, target)
+                jobs_on[busiest].remove(job)
+                jobs_on[target].append(job)
                 stats.moves += 1
                 improved = True
                 break
@@ -131,13 +117,11 @@ def improve_schedule(
 
         # --- try swaps: exchange a big job on the busiest machine with a
         #     smaller job elsewhere.
-        for job_id in sorted(jobs_on[busiest], key=lambda j: -instance.job(j).size):
-            job = instance.job(job_id)
+        for job in sorted(jobs_on[busiest], key=lambda j: -j.size):
             for target in sorted(range(len(loads)), key=lambda m: loads[m]):
                 if target == busiest:
                     continue
-                for other_id in sorted(jobs_on[target], key=lambda j: instance.job(j).size):
-                    other = instance.job(other_id)
+                for other in sorted(jobs_on[target], key=lambda j: j.size):
                     delta = job.size - other.size
                     if delta <= tolerance:
                         break  # other jobs on this machine are only bigger
@@ -151,17 +135,11 @@ def improve_schedule(
                     new_target = loads[target] + delta
                     if max(new_busiest, new_target) >= busiest_load - tolerance:
                         continue
-                    schedule.swap(job_id, other_id)
-                    loads[busiest] = new_busiest
-                    loads[target] = new_target
-                    bags[busiest].discard(job.bag)
-                    bags[busiest].add(other.bag)
-                    bags[target].discard(other.bag)
-                    bags[target].add(job.bag)
-                    jobs_on[busiest].remove(job_id)
-                    jobs_on[busiest].append(other_id)
-                    jobs_on[target].remove(other_id)
-                    jobs_on[target].append(job_id)
+                    occupancy.swap(job, other)
+                    jobs_on[busiest].remove(job)
+                    jobs_on[busiest].append(other)
+                    jobs_on[target].remove(other)
+                    jobs_on[target].append(job)
                     stats.swaps += 1
                     improved = True
                     break

@@ -10,7 +10,7 @@ from .errors import (
 )
 from .job import Job
 from .instance import Instance, InstanceStats
-from .schedule import Conflict, Schedule, ValidationReport
+from .schedule import Conflict, Occupancy, Schedule, ValidationReport
 from .result import SolverResult, timed_solver_result
 from .conflict_graph import (
     build_conflict_graph,
@@ -34,6 +34,7 @@ __all__ = [
     "InvalidInstanceError",
     "InvalidScheduleError",
     "Job",
+    "Occupancy",
     "ReproError",
     "Schedule",
     "SolverLimitError",

@@ -5,6 +5,12 @@ to one of the ``m`` machines.  The central feasibility notion of the paper is
 *conflict-freeness*: no machine may hold two jobs of the same bag.  The class
 offers makespan/load computation, conflict enumeration, validation, mutation
 helpers used by the repair procedures (Lemmas 4, 7 and 11), and serialization.
+
+An :class:`Occupancy` wraps a schedule while a stage builds or repairs it:
+it keeps every machine's load and per-bag job count current through its own
+``assign`` and ``swap``, and names the least-loaded machine without a job of
+a given bag.  The greedy baselines, local search and every placement, repair
+and revert stage of the EPTAS place jobs through one.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from .errors import InvalidScheduleError
 from .instance import Instance
 from .job import Job
 
-__all__ = ["Schedule", "Conflict", "ValidationReport"]
+__all__ = ["Schedule", "Occupancy", "Conflict", "ValidationReport"]
 
 
 def _columns(assignment: Mapping[int, int]) -> tuple[np.ndarray, np.ndarray]:
@@ -260,23 +266,11 @@ class Schedule:
         return float(self.loads().max())
 
     def machine_jobs(self) -> list[list[Job]]:
-        """Per-machine job lists (length ``m``), in arbitrary order."""
+        """Per-machine job lists (length ``m``), each in assignment order."""
         machines: list[list[Job]] = [[] for _ in range(self._instance.num_machines)]
         for job_id, machine in self._assignment.items():
             machines[machine].append(self._instance.job(job_id))
         return machines
-
-    def jobs_on(self, machine: int) -> list[Job]:
-        """Jobs assigned to one machine."""
-        return [
-            self._instance.job(job_id)
-            for job_id, assigned in self._assignment.items()
-            if assigned == machine
-        ]
-
-    def bags_on(self, machine: int) -> set[int]:
-        """Set of bag indices present on a machine."""
-        return {job.bag for job in self.jobs_on(machine)}
 
     # ------------------------------------------------------------------
     # Feasibility
@@ -435,3 +429,72 @@ class Schedule:
             for job_id in job_ids:
                 assignment[job_id] = machine
         return cls(instance, assignment)
+
+
+class Occupancy:
+    """Machine loads and per-machine bag counts of a schedule, kept current.
+
+    Every placement stage asks which machines already hold a job of a bag
+    and which of the others is least loaded.  An occupancy answers both for
+    the schedule it wraps, as long as every change goes through
+    :meth:`assign` and :meth:`swap`:
+
+    * ``loads[m]`` starts as :meth:`Schedule.loads` and then moves by the
+      size of each job placed on or taken off ``m``, in the order of the
+      changes, so it holds the floats a job-by-job sum gives;
+    * ``bags[m]`` maps each bag on machine ``m`` to its number of jobs there,
+      so ``bag in occupancy.bags[m]`` is the conflict test.
+    """
+
+    __slots__ = ("schedule", "loads", "bags")
+
+    def __init__(self, schedule: Schedule) -> None:
+        self.schedule = schedule
+        self.loads: list[float] = schedule.loads().tolist()
+        self.bags: list[dict[int, int]] = [{} for _ in self.loads]
+        job = schedule.instance.job
+        for job_id, machine in schedule._assignment.items():
+            self._count(machine, job(job_id).bag, 1)
+
+    def _count(self, machine: int, bag: int, step: int) -> None:
+        counts = self.bags[machine]
+        count = counts.get(bag, 0) + step
+        if count:
+            counts[bag] = count
+        else:
+            del counts[bag]
+
+    def assign(self, job: Job, machine: int) -> None:
+        """Place ``job`` on ``machine``, or move it there from its machine."""
+        schedule = self.schedule
+        source = schedule._assignment.get(job.id)
+        if source == machine:
+            return
+        schedule.assign(job.id, machine)
+        if source is not None:
+            self.loads[source] -= job.size
+            self._count(source, job.bag, -1)
+        self.loads[machine] += job.size
+        # Placing is the hot path of greedy and small placement: count inline.
+        counts = self.bags[machine]
+        counts[job.bag] = counts.get(job.bag, 0) + 1
+
+    def swap(self, job_a: Job, job_b: Job) -> None:
+        """Exchange the machines of two assigned jobs."""
+        machine_a = self.schedule.machine_of(job_a.id)
+        machine_b = self.schedule.machine_of(job_b.id)
+        self.schedule.swap(job_a.id, job_b.id)
+        if machine_a == machine_b:
+            return
+        delta = job_a.size - job_b.size
+        self.loads[machine_a] -= delta
+        self.loads[machine_b] += delta
+        for machine, gone, came in ((machine_a, job_a, job_b), (machine_b, job_b, job_a)):
+            self._count(machine, gone.bag, -1)
+            self._count(machine, came.bag, 1)
+
+    def least_loaded(self, bag: int) -> int | None:
+        """The least-loaded machine without a job of ``bag`` (lowest index on
+        ties), or ``None`` when every machine holds one."""
+        free = [machine for machine, counts in enumerate(self.bags) if bag not in counts]
+        return min(free, key=self.loads.__getitem__, default=None)

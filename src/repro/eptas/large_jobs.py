@@ -8,8 +8,11 @@ from the non-priority bag that still has the most jobs of the slot size and
 does not conflict on the machine; when every candidate bag conflicts, the
 conflict is repaired by swapping the job with a same-size job on another
 machine — the paper's Lemma 7 shows a swap partner always exists under the
-theory constants, and a defensive relocation keeps the schedule feasible in
-any case.
+theory constants, and a defensive relocation to
+:meth:`~repro.core.schedule.Occupancy.least_loaded` keeps the schedule
+feasible in any case.  The stage places, swaps and relocates through one
+:class:`~repro.core.schedule.Occupancy`, whose bag counts are the conflict
+test.
 
 The job pools are the medium and large groups of the guess's
 :class:`~repro.eptas.patterns.JobTable`; this stage does not group jobs
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field
 
 from ..core.errors import AlgorithmError
 from ..core.instance import Instance
-from ..core.schedule import Schedule
+from ..core.schedule import Occupancy, Schedule
 from .milp import ConfigurationSolution
 from .patterns import JobTable, PatternSet, size_key
 
@@ -80,8 +83,8 @@ def place_large_and_medium(
         for index in machine_pattern
     ]
 
-    schedule = Schedule(instance, allow_partial=True)
-    machine_bags: list[set[int]] = [set() for _ in range(num_machines)]
+    occupancy = Occupancy(Schedule(instance, allow_partial=True))
+    schedule, bags = occupancy.schedule, occupancy.bags
     placement = LargePlacement(
         schedule=schedule,
         machine_pattern=machine_pattern,
@@ -98,10 +101,6 @@ def place_large_and_medium(
         for size, per_bag in table.wildcard.items()
     }
 
-    def assign(job_id: int, machine: int) -> None:
-        schedule.assign(job_id, machine)
-        machine_bags[machine].add(instance.job(job_id).bag)
-
     # ------------------------------------------------------------------
     # 3. Dedicated priority slots.
     # ------------------------------------------------------------------
@@ -117,7 +116,7 @@ def place_large_and_medium(
                     placement.unfilled_slots += 1
                     continue
                 job_id = pool.pop()
-                assign(job_id, machine)
+                occupancy.assign(instance.job(job_id), machine)
                 placement.origin[job_id] = machine
         for size, count in pattern.wildcard_slots().items():
             wildcard_slots.extend([(machine, size)] * count)
@@ -132,20 +131,13 @@ def place_large_and_medium(
         if not candidates:
             placement.unfilled_slots += 1
             continue
-        non_conflicting = [
-            (count, bag) for count, bag in candidates if bag not in machine_bags[machine]
-        ]
-        if non_conflicting:
-            _, bag = max(non_conflicting)
-            job_id = per_bag[bag].pop()
-            assign(job_id, machine)
-        else:
+        non_conflicting = [(count, bag) for count, bag in candidates if bag not in bags[machine]]
+        _, bag = max(non_conflicting or candidates)
+        job_id = per_bag[bag].pop()
+        occupancy.assign(instance.job(job_id), machine)
+        if not non_conflicting:
             # Unavoidable for now: place the job and repair afterwards.
-            _, bag = max(candidates)
-            job_id = per_bag[bag].pop()
-            schedule.assign(job_id, machine)
             conflicts.append((job_id, machine, size))
-            machine_bags[machine].add(bag)
 
     # ------------------------------------------------------------------
     # 5. Lemma-7 swap repair for wildcard conflicts.
@@ -156,8 +148,8 @@ def place_large_and_medium(
         same_size_jobs.setdefault(size_key(job.size), []).append(job_id)
 
     for job_id, machine, size in conflicts:
-        bag = instance.job(job_id).bag
-        # The machine currently holds two jobs of `bag` (the conflict);
+        job = instance.job(job_id)
+        # The machine currently holds two jobs of `job.bag` (the conflict);
         # search for a same-size job on another machine that can trade places.
         partner: int | None = None
         for candidate_id in same_size_jobs.get(size, []):
@@ -167,52 +159,30 @@ def place_large_and_medium(
             if candidate_machine is None or candidate_machine == machine:
                 continue
             candidate_bag = instance.job(candidate_id).bag
-            if bag in machine_bags[candidate_machine]:
+            if job.bag in bags[candidate_machine]:
                 continue  # moving our job there would conflict again
-            if candidate_bag == bag or candidate_bag in machine_bags[machine]:
+            if candidate_bag == job.bag or candidate_bag in bags[machine]:
                 # After the swap the conflict machine still holds its other
-                # job of `bag`, so the partner must come from a bag not yet
-                # present on that machine.
+                # job of `job.bag`, so the partner must come from a bag not
+                # yet present on that machine.
                 continue
             partner = candidate_id
             break
         if partner is not None:
-            partner_machine = schedule.machine_of(partner)
-            assert partner_machine is not None
-            partner_bag = instance.job(partner).bag
-            schedule.swap(job_id, partner)
-            # The conflict machine keeps its other job of `bag`, gains the
-            # partner's bag; the partner's machine gains `bag` and may or may
-            # not keep the partner's bag (other jobs of that bag untouched).
-            machine_bags[machine].add(partner_bag)
-            machine_bags[partner_machine].add(bag)
-            machine_bags[partner_machine] = {
-                instance.job(jid).bag
-                for jid, m in schedule.assignment.items()
-                if m == partner_machine
-            }
+            occupancy.swap(job, instance.job(partner))
             placement.swaps += 1
         else:
             # Defensive relocation (never needed under the theory constants):
             # move the conflicting job to the least-loaded machine without
             # its bag.  This may exceed the pattern height of that machine
             # but keeps the schedule feasible.
-            loads = schedule.loads()
-            candidates = [
-                m
-                for m in range(num_machines)
-                if m != machine and bag not in machine_bags[m]
-            ]
-            if not candidates:
+            target = occupancy.least_loaded(job.bag)
+            if target is None:
                 raise AlgorithmError(
                     f"cannot repair conflict for job {job_id}: every machine "
-                    f"already holds a job of bag {bag}"
+                    f"already holds a job of bag {job.bag}"
                 )
-            target = min(candidates, key=lambda m: loads[m])
-            schedule.assign(job_id, target)
-            # The conflict machine keeps its other job of `bag`, so its bag
-            # set is unchanged; the target machine gains `bag`.
-            machine_bags[target].add(bag)
+            occupancy.assign(job, target)
             placement.fallback_moves += 1
 
     return placement

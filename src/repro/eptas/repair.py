@@ -11,8 +11,10 @@ another large job, whose origin is followed next.  Injectivity of the origin
 map guarantees termination on a free machine.
 
 The implementation keeps the paper's strategy and adds a defensive fallback
-(relocate the small job to the least loaded machine without the bag), so the
-returned schedule is always conflict-free.
+(relocate the small job to :meth:`~repro.core.schedule.Occupancy.least_loaded`,
+the least-loaded machine without the bag), so the returned schedule is always
+conflict-free.  Conflicts are re-read from the schedule after every move, in
+the order :meth:`~repro.core.schedule.Schedule.conflicts` gives.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 from ..core.errors import AlgorithmError
 from ..core.instance import Instance
-from ..core.schedule import Schedule
+from ..core.schedule import Occupancy, Schedule
 from .classification import JobClasses
 
 __all__ = ["RepairDiagnostics", "resolve_conflicts"]
@@ -45,13 +47,6 @@ class RepairDiagnostics:
         }
 
 
-def _machine_bag_map(instance: Instance, schedule: Schedule) -> list[set[int]]:
-    machine_bags: list[set[int]] = [set() for _ in range(instance.num_machines)]
-    for job_id, machine in schedule.assignment.items():
-        machine_bags[machine].add(instance.job(job_id).bag)
-    return machine_bags
-
-
 def resolve_conflicts(
     instance: Instance,
     schedule: Schedule,
@@ -71,8 +66,7 @@ def resolve_conflicts(
     conflicts = schedule.conflicts()
     if not conflicts:
         return diagnostics
-    machine_bags = _machine_bag_map(instance, schedule)
-    loads = schedule.loads().tolist()
+    occupancy = Occupancy(schedule)
 
     # Iterate until no conflicts remain; each iteration strictly reduces the
     # number of (machine, bag) pairs with multiplicity >= 2, so this loop
@@ -119,28 +113,16 @@ def resolve_conflicts(
         if target is not None:
             diagnostics.resolved_by_origin_chain += 1
         else:
-            candidates = [
-                m
-                for m in range(instance.num_machines)
-                if m != machine and bag not in machine_bags[m]
-            ]
-            if not candidates:
+            # The conflict machine holds the bag twice, so it is never chosen.
+            target = occupancy.least_loaded(bag)
+            if target is None:
                 raise AlgorithmError(
                     f"cannot resolve conflict for bag {bag}: every machine "
                     "already holds a job of that bag"
                 )
-            target = min(candidates, key=lambda m: loads[m])
             diagnostics.resolved_by_fallback += 1
 
-        schedule.assign(mover.id, target)
-        loads[machine] -= mover.size
-        loads[target] += mover.size
-        machine_bags[target].add(bag)
-        machine_bags[machine] = {
-            instance.job(job_id).bag
-            for job_id, assigned in schedule.assignment.items()
-            if assigned == machine
-        }
+        occupancy.assign(mover, target)
         conflicts = schedule.conflicts()
     else:  # pragma: no cover - defensive
         raise AlgorithmError("conflict repair did not terminate")

@@ -22,7 +22,11 @@ read as ``solution.small_assignment[c]``, by the class's index.
 Every step keeps the bag constraint *within the transformed instance*; the
 only conflicts that can remain afterwards are between priority small jobs
 and large jobs that were moved by the Lemma-7 swap, and those are repaired
-by :mod:`repro.eptas.repair`.
+by :mod:`repro.eptas.repair`.  Jobs go on through one
+:class:`~repro.core.schedule.Occupancy` built from the large placement's
+schedule; a job whose chosen machine already holds its bag, or that no
+step placed, takes the defensive path,
+:meth:`~repro.core.schedule.Occupancy.least_loaded`.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from ..baselines.lpt import bag_lpt, group_bag_lpt
 from ..core.errors import AlgorithmError
 from ..core.instance import Instance
 from ..core.job import Job
+from ..core.schedule import Occupancy
 from .classification import BagClasses, JobClasses
 from .large_jobs import LargePlacement
 from .milp import ConfigurationSolution
@@ -73,31 +78,6 @@ class _PatternBagAllocation:
     fractional_area: float = 0.0
 
 
-def _assign_feasible_fallback(
-    instance: Instance,
-    schedule,
-    machine_bags: list[set[int]],
-    loads: list[float],
-    job: Job,
-) -> int:
-    """Place a job on the least-loaded machine without a job of its bag."""
-    candidates = [
-        machine
-        for machine in range(instance.num_machines)
-        if job.bag not in machine_bags[machine]
-    ]
-    if not candidates:
-        raise AlgorithmError(
-            f"no conflict-free machine available for small job {job.id} "
-            f"of bag {job.bag}"
-        )
-    machine = min(candidates, key=lambda m: loads[m])
-    schedule.assign(job.id, machine)
-    machine_bags[machine].add(job.bag)
-    loads[machine] += job.size
-    return machine
-
-
 def place_small_jobs(
     instance: Instance,
     job_classes: JobClasses,
@@ -116,11 +96,18 @@ def place_small_jobs(
     schedule = placement.schedule
     diagnostics = SmallPlacementDiagnostics()
 
-    machine_bags: list[set[int]] = [set() for _ in range(instance.num_machines)]
-    loads = [0.0] * instance.num_machines
-    for job_id, machine in schedule.assignment.items():
-        machine_bags[machine].add(instance.job(job_id).bag)
-        loads[machine] += instance.job(job_id).size
+    occupancy = Occupancy(schedule)
+    loads, bags = occupancy.loads, occupancy.bags
+
+    def place_least_loaded(job: Job) -> None:
+        """The defensive path: the least-loaded machine without the bag."""
+        machine = occupancy.least_loaded(job.bag)
+        if machine is None:
+            raise AlgorithmError(
+                f"no conflict-free machine available for small job {job.id} "
+                f"of bag {job.bag}"
+            )
+        occupancy.assign(job, machine)
 
     # ------------------------------------------------------------------
     # A. Interpret the y variables of priority bags.
@@ -214,16 +201,12 @@ def place_small_jobs(
             for job_id, machine in result.assignment.items():
                 machine = int(machine)
                 job = instance.job(job_id)
-                if job.bag in machine_bags[machine]:
+                if job.bag in bags[machine]:
                     # Should not happen (non-priority small bags are fresh on
                     # every machine); defensively reroute.
-                    _assign_feasible_fallback(
-                        instance, schedule, machine_bags, loads, job
-                    )
+                    place_least_loaded(job)
                 else:
-                    schedule.assign(job_id, machine)
-                    machine_bags[machine].add(job.bag)
-                    loads[machine] += job.size
+                    occupancy.assign(job, machine)
                 diagnostics.non_priority_jobs += 1
 
     # ------------------------------------------------------------------
@@ -277,13 +260,11 @@ def place_small_jobs(
                 slots_by_bag.setdefault(bag, []).append(machine)
                 continue
             job = instance.job(job_id)
-            if job.bag in machine_bags[machine]:
-                _assign_feasible_fallback(instance, schedule, machine_bags, loads, job)
+            if job.bag in bags[machine]:
+                place_least_loaded(job)
                 diagnostics.priority_fallback_jobs += 1
             else:
-                schedule.assign(job_id, machine)
-                machine_bags[machine].add(job.bag)
-                loads[machine] += job.size
+                occupancy.assign(job, machine)
                 diagnostics.priority_full_jobs += 1
 
     # Lemma 10: fill the merged slots with the real fractionally-assigned jobs.
@@ -291,19 +272,13 @@ def place_small_jobs(
         slots = slots_by_bag.get(bag, [])
         jobs_sorted = sorted(jobs, key=lambda job: (-job.size, job.id))
         for job in jobs_sorted:
-            placed = False
-            while slots:
-                machine = slots.pop()
-                if bag in machine_bags[machine]:
-                    continue
-                schedule.assign(job.id, machine)
-                machine_bags[machine].add(bag)
-                loads[machine] += job.size
+            while slots and bag in bags[slots[-1]]:
+                slots.pop()
+            if slots:
+                occupancy.assign(job, slots.pop())
                 diagnostics.priority_slot_jobs += 1
-                placed = True
-                break
-            if not placed:
-                _assign_feasible_fallback(instance, schedule, machine_bags, loads, job)
+            else:
+                place_least_loaded(job)
                 diagnostics.priority_fallback_jobs += 1
 
     # ------------------------------------------------------------------
@@ -314,11 +289,8 @@ def place_small_jobs(
     # ------------------------------------------------------------------
     for small in table.small:
         for job_id in small.job_ids:
-            if job_id in schedule:
-                continue
-            _assign_feasible_fallback(
-                instance, schedule, machine_bags, loads, instance.job(job_id)
-            )
-            diagnostics.priority_fallback_jobs += 1
+            if job_id not in schedule:
+                place_least_loaded(instance.job(job_id))
+                diagnostics.priority_fallback_jobs += 1
 
     return diagnostics

@@ -16,6 +16,11 @@ original optimum; Lemma 3 re-inserts the removed medium jobs through an
 integral flow; Lemma 4 converts a solution of the transformed instance back
 into a solution of the original instance by swapping conflicting small jobs
 into filler positions and dropping the fillers.
+
+Both re-insertion and revert place jobs through an
+:class:`~repro.core.schedule.Occupancy`; their defensive paths (the greedy
+completion after the flow, and a small job without a free filler position)
+take :meth:`~repro.core.schedule.Occupancy.least_loaded`.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from typing import Mapping
 from ..core.errors import AlgorithmError
 from ..core.instance import Instance
 from ..core.job import Job
-from ..core.schedule import Schedule
+from ..core.schedule import Occupancy, Schedule
 from ..flows import AssignmentProblem, solve_bag_assignment
 from .classification import BagClasses, JobClasses
 
@@ -71,7 +76,6 @@ class TransformationRecord:
     job_classes: JobClasses
     bag_classes: BagClasses
     companion_bag: dict[int, int] = field(default_factory=dict)
-    companion_of: dict[int, int] = field(default_factory=dict)
     filler_for: dict[int, int] = field(default_factory=dict)
     fillers_by_bag: dict[int, list[int]] = field(default_factory=dict)
     removed_medium: dict[int, list[int]] = field(default_factory=dict)
@@ -97,7 +101,6 @@ def transform_instance(
     transformed_jobs: list[Job] = []
     augmented_extra: list[Job] = []
     companion_bag: dict[int, int] = {}
-    companion_of: dict[int, int] = {}
     filler_for: dict[int, int] = {}
     fillers_by_bag: dict[int, list[int]] = {}
     removed_medium: dict[int, list[int]] = {}
@@ -118,7 +121,6 @@ def transform_instance(
         companion = next_bag
         next_bag += 1
         companion_bag[bag] = companion
-        companion_of[companion] = bag
         fillers_by_bag[bag] = []
         removed_medium[bag] = [job.id for job in medium]
         moved_large[bag] = [job.id for job in large]
@@ -164,7 +166,6 @@ def transform_instance(
         job_classes=job_classes,
         bag_classes=bag_classes,
         companion_bag=companion_bag,
-        companion_of=companion_of,
         filler_for=filler_for,
         fillers_by_bag=fillers_by_bag,
         removed_medium=removed_medium,
@@ -220,16 +221,12 @@ def reinsert_medium_jobs(
     if not pending:
         return result
 
-    # Machines free for a bag: no job of the companion bag assigned yet.
-    machines_with_companion: dict[int, set[int]] = {bag: set() for bag in pending}
-    for job_id, machine in result.assignment.items():
-        job = augmented.job(job_id)
-        original_bag = record.companion_of.get(job.bag)
-        if original_bag in machines_with_companion:
-            machines_with_companion[original_bag].add(machine)
-
+    # Machines free for a bag: no job of its companion bag assigned yet.  The
+    # removed medium jobs carry the companion bag in the augmented instance.
+    occupancy = Occupancy(result)
+    companion = record.companion_bag
     free_machines: dict[int, list[int]] = {
-        bag: [m for m in range(num_machines) if m not in machines_with_companion[bag]]
+        bag: [m for m in range(num_machines) if companion[bag] not in occupancy.bags[m]]
         for bag in pending
     }
 
@@ -253,40 +250,30 @@ def reinsert_medium_jobs(
     problem = AssignmentProblem(
         demands={bag: len(job_ids) for bag, job_ids in pending.items()},
         machine_capacities=capacities,
-        allowed={bag: free_machines[bag] for bag in pending},
+        allowed=free_machines,
     )
     flow_result = solve_bag_assignment(problem)
 
     placed_by_flow = 0
-    occupied: dict[int, set[int]] = {bag: set(machines_with_companion[bag]) for bag in pending}
     for bag, machines in flow_result.assignment.items():
         job_ids = pending[bag]
         for machine, job_id in zip(machines, job_ids):
-            result.assign(job_id, machine)
-            occupied[bag].add(machine)
+            occupancy.assign(augmented.job(job_id), machine)
             placed_by_flow += 1
         pending[bag] = job_ids[len(machines):]
 
     # Greedy completion for any residual demand (only triggered when the
     # capacity rounding was too tight; correctness does not depend on it).
     fallback_placed = 0
-    loads = result.loads()
     for bag, job_ids in pending.items():
         for job_id in job_ids:
-            candidates = [
-                machine
-                for machine in range(num_machines)
-                if machine not in occupied[bag]
-            ]
-            if not candidates:
+            machine = occupancy.least_loaded(companion[bag])
+            if machine is None:
                 raise AlgorithmError(
                     f"cannot re-insert medium job {job_id}: every machine "
-                    f"already holds a job of companion bag {record.companion_bag[bag]}"
+                    f"already holds a job of companion bag {companion[bag]}"
                 )
-            machine = min(candidates, key=lambda m: loads[m])
-            result.assign(job_id, machine)
-            occupied[bag].add(machine)
-            loads[machine] += augmented.job(job_id).size
+            occupancy.assign(augmented.job(job_id), machine)
             fallback_placed += 1
 
     record.diagnostics["medium_placed_by_flow"] = placed_by_flow
@@ -322,7 +309,8 @@ def revert_to_original(
 
     swaps = 0
     fallback_moves = 0
-    loads = result.loads()
+    # Built at the first conflict, so a revert without one pays nothing for it.
+    occupancy: Occupancy | None = None
 
     for bag in record.companion_bag:
         members = original.bag(bag)
@@ -331,11 +319,10 @@ def revert_to_original(
             for job in members
             if job.id in record.job_classes.medium_or_large
         }
-        small_ids = [job.id for job in members if job.id not in heavy_ids]
-        if not heavy_ids or not small_ids:
+        smalls = [job for job in members if job.id not in heavy_ids]
+        if not heavy_ids or not smalls:
             continue
         heavy_machines = {result.machine_of(job_id) for job_id in heavy_ids}
-        small_machine_of = {job_id: result.machine_of(job_id) for job_id in small_ids}
 
         # Fillers of this bag sitting on machines free of heavy bag jobs are
         # the available swap targets.
@@ -347,17 +334,17 @@ def revert_to_original(
             if machine not in heavy_machines:
                 available_fillers.append((machine, filler_id))
 
-        bag_machines = set(heavy_machines) | set(small_machine_of.values())
-        for job_id, machine in small_machine_of.items():
-            if machine not in heavy_machines:
+        for job in smalls:
+            if result.machine_of(job.id) not in heavy_machines:
                 continue
             # Conflict: small job shares a machine with a heavy job of its bag.
+            occupancy = occupancy or Occupancy(result)
             target: int | None = None
             # Prefer an unused filler position on a machine that carries no
             # other job of this bag (the standard Lemma-4 swap).
             while available_fillers:
                 candidate_machine, _ = available_fillers.pop()
-                if candidate_machine not in bag_machines:
+                if bag not in occupancy.bags[candidate_machine]:
                     target = candidate_machine
                     swaps += 1
                     break
@@ -365,22 +352,13 @@ def revert_to_original(
                 # Defensive fallback (the counting argument of Lemma 4 shows
                 # a filler is always available; keep the schedule feasible
                 # regardless of numerical corner cases).
-                candidates = [
-                    m
-                    for m in range(original.num_machines)
-                    if m not in bag_machines
-                ]
-                if not candidates:
+                target = occupancy.least_loaded(bag)
+                if target is None:
                     raise AlgorithmError(
-                        f"revert: no conflict-free machine available for job {job_id}"
+                        f"revert: no conflict-free machine available for job {job.id}"
                     )
-                target = min(candidates, key=lambda m: loads[m])
                 fallback_moves += 1
-            size = original.job(job_id).size
-            loads[machine] -= size
-            loads[target] += size
-            result.assign(job_id, target)
-            bag_machines.add(target)
+            occupancy.assign(job, target)
 
     record.diagnostics["revert_swaps"] = swaps
     record.diagnostics["revert_fallback_moves"] = fallback_moves

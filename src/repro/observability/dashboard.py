@@ -247,11 +247,10 @@ function render(s) {
     : '<span class="dim">no completed rows with estimates yet</span>';
   const st = s.solver_telemetry;
   document.getElementById("solver").innerHTML = st
-    ? table(["solves", "pooled", "queue s", "solve s", "wire s", "endpoints"],
-        [[st.solves, st.pooled_solves, st.queue_wait_s.toFixed(3),
-          st.solve_s.toFixed(3), st.wire_s.toFixed(3),
-          esc(Object.entries(st.endpoints || {}).map(
-            ([e, n]) => e + ":" + n).join(" ") || "-")]])
+    ? table(["solves", "wall s", "backends"],
+        [[st.solves, st.wall_time.toFixed(3),
+          esc(Object.entries(st.backends).map(
+            ([b, n]) => b + ":" + n).join(" ") || "-")]])
     : '<span class="dim">no solver telemetry yet</span>';
   const svc = s.service;
   document.getElementById("service").innerHTML = svc

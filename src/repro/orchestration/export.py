@@ -92,32 +92,21 @@ def aggregate_solver_telemetry(done_rows: list[Any]) -> dict[str, Any] | None:
     """Sum the per-cell ``_solver_telemetry`` payloads of completed rows.
 
     The runner attaches a solver-service stats delta (solve count, wall
-    time, the queue-wait/solve/wire time split, backend-fingerprint and
-    serving-endpoint histograms) to every completed cell; this rolls them
-    up for the export note and ``orch status``.  Returns ``None`` when no
-    row carries telemetry.
+    time and a backend-fingerprint histogram) to every completed cell; this
+    rolls them up for the export note and ``orch status``.  A missing key
+    counts as 0 or empty, and other keys (rows stored by earlier versions
+    also carry a pooled count, a time split and an endpoint histogram) are
+    ignored.  Returns ``None`` when no row carries telemetry.
     """
-    totals: dict[str, Any] = {
-        "solves": 0,
-        "pooled_solves": 0,
-        "wall_time": 0.0,
-        "queue_wait_s": 0.0,
-        "solve_s": 0.0,
-        "wire_s": 0.0,
-        "backends": {},
-        "endpoints": {},
-    }
+    totals: dict[str, Any] = {"solves": 0, "wall_time": 0.0, "backends": {}}
     for row in done_rows:
         payload = (row.result or {}).get("_solver_telemetry")
         if not isinstance(payload, dict):
             continue
         totals["solves"] += int(payload.get("solves", 0))
-        totals["pooled_solves"] += int(payload.get("pooled_solves", 0))
-        for key in ("wall_time", "queue_wait_s", "solve_s", "wire_s"):
-            totals[key] += float(payload.get(key, 0.0))
-        for histogram in ("backends", "endpoints"):
-            for name, count in (payload.get(histogram) or {}).items():
-                totals[histogram][name] = totals[histogram].get(name, 0) + int(count)
+        totals["wall_time"] += float(payload.get("wall_time", 0.0))
+        for name, count in (payload.get("backends") or {}).items():
+            totals["backends"][name] = totals["backends"].get(name, 0) + int(count)
     return totals if totals["solves"] else None
 
 
@@ -127,28 +116,10 @@ def format_solver_telemetry(totals: dict[str, Any]) -> str:
         f"{fingerprint} x{count}"
         for fingerprint, count in sorted(totals["backends"].items())
     )
-    text = (
-        f"solver telemetry: {totals['solves']} MILP solves "
-        f"({totals['pooled_solves']} pooled), "
-        f"{totals['wall_time']:.2f}s solver wall time"
+    return (
+        f"solver telemetry: {totals['solves']} MILP solves, "
+        f"{totals['wall_time']:.2f}s solver wall time; backends: {backend_text}"
     )
-    # Only results stored by earlier versions, which could run solves on
-    # subprocess or remote solver servers, carry a split; an inline run
-    # would print an all-zero breakdown nobody asked for.
-    if totals["queue_wait_s"] or totals["wire_s"]:
-        text += (
-            f" (queue {totals['queue_wait_s']:.2f}s"
-            f" + solve {totals['solve_s']:.2f}s"
-            f" + wire {totals['wire_s']:.2f}s)"
-        )
-    text += f"; backends: {backend_text}"
-    if totals["endpoints"]:
-        endpoint_text = ", ".join(
-            f"{endpoint} x{count}"
-            for endpoint, count in sorted(totals["endpoints"].items())
-        )
-        text += f"; endpoints: {endpoint_text}"
-    return text
 
 
 def _solver_telemetry_note(done_rows: list[Any]) -> str | None:

@@ -29,15 +29,7 @@ class SolverService:
     """Facade over the builtin backends that counts what it solves."""
 
     def __init__(self) -> None:
-        # ``solve_s`` always equals ``wall_time``, since every solve runs
-        # inline; the key stays because stored ``_solver_telemetry`` rows
-        # and their rollups carry it.
-        self._stats: dict[str, Any] = {
-            "solves": 0,
-            "wall_time": 0.0,
-            "solve_s": 0.0,
-            "backends": {},
-        }
+        self._stats: dict[str, Any] = {"solves": 0, "wall_time": 0.0, "backends": {}}
 
     def solve(
         self,
@@ -54,7 +46,6 @@ class SolverService:
         wall_time = time.perf_counter() - started
         self._stats["solves"] += 1
         self._stats["wall_time"] += wall_time
-        self._stats["solve_s"] += wall_time
         per_backend = self._stats["backends"]
         fingerprint = backend_fingerprint(backend_spec)
         per_backend[fingerprint] = per_backend.get(fingerprint, 0) + 1
@@ -67,7 +58,6 @@ class SolverService:
         return {
             "solves": self._stats["solves"],
             "wall_time": self._stats["wall_time"],
-            "solve_s": self._stats["solve_s"],
             "backends": dict(self._stats["backends"]),
         }
 
@@ -82,7 +72,6 @@ class SolverService:
         return {
             "solves": now["solves"] - before.get("solves", 0),
             "wall_time": now["wall_time"] - before.get("wall_time", 0.0),
-            "solve_s": now["solve_s"] - before.get("solve_s", 0.0),
             "backends": backends,
         }
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Any, Iterable, Mapping
 
 import numpy as np
+from hypothesis import strategies as st
 
 from repro.core import Instance, Job, Schedule
 from repro.milp import LinearModel, Sense
@@ -21,6 +22,7 @@ __all__ = [
     "assert_feasible",
     "assert_same_model",
     "build_model",
+    "drawn_instances",
     "make_instance",
     "make_jobs",
 ]
@@ -30,6 +32,28 @@ def assert_feasible(schedule: Schedule) -> None:
     """Assert a schedule is complete and conflict-free."""
     report = schedule.validation_report()
     assert report.is_feasible, report.summary()
+
+
+@st.composite
+def drawn_instances(draw, max_jobs: int = 24, max_machines: int = 6) -> Instance:
+    """A valid instance with ties: 1 to ``max_machines`` machines, up to
+    ``max_jobs`` jobs with ids in a random order, sizes from a short list or
+    any float in [0, 10], and bag labels from 0 to 5 (a bag with ``m`` jobs
+    passes a job on to the next label)."""
+    num_machines = draw(st.integers(min_value=1, max_value=max_machines))
+    size = st.one_of(
+        st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+        st.floats(0.0, 10.0, allow_nan=False, allow_infinity=False),
+    )
+    counts: dict[int, int] = {}
+    jobs = []
+    for job_id in draw(st.permutations(range(draw(st.integers(0, max_jobs))))):
+        bag = draw(st.integers(min_value=0, max_value=5))
+        while counts.get(bag, 0) == num_machines:
+            bag += 1
+        counts[bag] = counts.get(bag, 0) + 1
+        jobs.append(Job(id=job_id, size=draw(size), bag=bag))
+    return Instance(jobs, num_machines, name="drawn")
 
 
 def make_instance(sizes, bags, machines, name="test") -> Instance:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines import (
     first_fit_schedule,
@@ -11,10 +13,10 @@ from repro.baselines import (
     upper_bound_makespan,
 )
 from repro.bounds import combined_lower_bound
-from repro.core import Schedule
+from repro.core import Instance, InvalidInstanceError, Schedule
 from repro.generators import uniform_random_instance
 
-from helpers import assert_feasible
+from helpers import assert_feasible, drawn_instances
 
 
 class TestGreedySchedule:
@@ -70,6 +72,63 @@ class TestFirstFit:
         # the Figure-1 phenomenon the EPTAS avoids.
         naive = first_fit_schedule(figure1_instance)
         assert naive.makespan > 1.0 + 1e-9
+
+
+def _reference_first_fit(instance: Instance, capacity: float | None) -> Schedule:
+    """The first-fit loop with its own load list, bag sets and fallback scan,
+    which ``first_fit_schedule`` replaced with an ``Occupancy``."""
+    schedule = Schedule(instance, allow_partial=True)
+    machine_loads = [0.0] * instance.num_machines
+    machine_bags: list[set[int]] = [set() for _ in range(instance.num_machines)]
+    for job in instance.jobs:
+        placed = False
+        for machine in range(instance.num_machines):
+            if job.bag in machine_bags[machine]:
+                continue
+            if capacity is not None and machine_loads[machine] + job.size > capacity:
+                continue
+            schedule.assign(job.id, machine)
+            machine_loads[machine] += job.size
+            machine_bags[machine].add(job.bag)
+            placed = True
+            break
+        if not placed:
+            candidates = [
+                (machine_loads[machine], machine)
+                for machine in range(instance.num_machines)
+                if job.bag not in machine_bags[machine]
+            ]
+            if not candidates:
+                raise InvalidInstanceError(f"no conflict-free machine for job {job.id}")
+            _, machine = min(candidates)
+            schedule.assign(job.id, machine)
+            machine_loads[machine] += job.size
+            machine_bags[machine].add(job.bag)
+    return schedule
+
+
+class TestFirstFitMatchesTheLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        drawn_instances(),
+        st.one_of(st.none(), st.sampled_from([0.0, 1.0, 2.5]), st.floats(0.0, 20.0)),
+    )
+    def test_both_capacity_modes(self, instance, capacity):
+        result = first_fit_schedule(instance, capacity=capacity)
+        expected = _reference_first_fit(instance, capacity)
+        assert list(result.schedule.assignment.items()) == list(expected.assignment.items())
+        assert result.makespan == expected.makespan()
+
+    def test_jobs_that_fit_nowhere_take_the_least_loaded_free_machine(self):
+        # Capacity 1.2: jobs 0-2 take one machine each.  Job 3 fits nowhere
+        # and falls back to machine 1, the lower index of the two machines
+        # without bag 0 (1 and 2, tied at 1.0).  Job 4 fits nowhere either
+        # and goes to machine 0, which ties with machine 2 at 1.0.
+        instance = Instance.from_sizes(
+            [1.0, 1.0, 1.0, 1.0, 0.5], bags=[0, 1, 2, 0, 3], num_machines=3
+        )
+        result = first_fit_schedule(instance, capacity=1.2)
+        assert result.schedule.assignment == {0: 0, 1: 1, 2: 2, 3: 1, 4: 0}
 
 
 class TestUpperBound:

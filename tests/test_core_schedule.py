@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import Instance, InvalidScheduleError, Job, Schedule
-from repro.core.schedule import Conflict, ValidationReport
+from repro.core.schedule import Conflict, Occupancy, ValidationReport
 
 
 class TestScheduleBasics:
@@ -29,8 +31,9 @@ class TestScheduleBasics:
 
     def test_machine_jobs_and_bags(self, tiny_instance):
         schedule = Schedule(tiny_instance).assign_many([(0, 0), (2, 0)])
-        assert {job.id for job in schedule.jobs_on(0)} == {0, 2}
-        assert schedule.bags_on(0) == {0, 1}
+        machine_jobs = schedule.machine_jobs()
+        assert [[job.id for job in jobs] for jobs in machine_jobs] == [[0, 2], []]
+        assert Occupancy(schedule).bags == [{0: 1, 1: 1}, {}]
 
     def test_assign_unknown_job_rejected(self, tiny_instance):
         with pytest.raises(InvalidScheduleError):
@@ -340,3 +343,122 @@ class TestChecksMatchOracles:
             assert np.array_equal(loads, expected)
         else:
             assert loads == expected
+
+
+# ----------------------------------------------------------------------
+# Occupancy: loads and bag counts kept beside the schedule.
+# ----------------------------------------------------------------------
+_BAGS = (0, 1, 2, 3)
+
+
+@st.composite
+def _occupancy_runs(draw):
+    """An instance, a partial starting assignment and a run of operations.
+
+    Up to 12 jobs on 1-5 machines with bags from ``_BAGS`` (a bag may hold
+    more jobs than there are machines, so conflicts occur), sizes from a
+    short list (so loads tie) or any float in [0, 1].  Each operation is
+    ``("assign", job, _, machine)`` or ``("swap", job, other, _)``; machines
+    run from -1 to m, so some assignments are rejected.
+    """
+    num_machines = draw(st.integers(min_value=1, max_value=5))
+    size = st.one_of(
+        st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+        st.floats(0.0, 1.0, allow_nan=False, allow_infinity=False),
+    )
+    jobs = [
+        Job(id=job_id, size=draw(size), bag=draw(st.sampled_from(_BAGS)))
+        for job_id in draw(st.permutations(range(draw(st.integers(0, 12)))))
+    ]
+    instance = Instance(jobs, num_machines, name="drawn", validate=False)
+    machine = st.integers(min_value=0, max_value=num_machines - 1)
+    start = {job.id: draw(machine) for job in jobs if draw(st.booleans())}
+    index = st.integers(min_value=0, max_value=max(len(jobs) - 1, 0))
+    operations = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["assign", "swap"]),
+                index,
+                index,
+                st.integers(min_value=-1, max_value=num_machines),
+            ),
+            max_size=30,
+        )
+    )
+    return instance, start, operations
+
+
+def _assert_matches_recount(occupancy: Occupancy) -> None:
+    schedule = occupancy.schedule
+    recount = [
+        dict(Counter(job.bag for job in jobs)) for jobs in schedule.machine_jobs()
+    ]
+    assert occupancy.bags == recount
+    assert np.allclose(occupancy.loads, schedule.loads(), rtol=0.0, atol=1e-12)
+    for bag in (*_BAGS, 99):
+        free = [
+            (occupancy.loads[machine], machine)
+            for machine in range(schedule.instance.num_machines)
+            if bag not in recount[machine]
+        ]
+        expected = min(free)[1] if free else None
+        assert occupancy.least_loaded(bag) == expected
+
+
+class TestOccupancy:
+    @settings(max_examples=200, deadline=None)
+    @given(_occupancy_runs())
+    def test_matches_a_recount_after_every_change(self, run):
+        instance, start, operations = run
+        occupancy = Occupancy(Schedule(instance, start, allow_partial=True))
+        schedule = occupancy.schedule
+        assert occupancy.loads == schedule.loads().tolist()
+        _assert_matches_recount(occupancy)
+        jobs = instance.jobs
+        for kind, first, second, machine in operations:
+            if not jobs:
+                break
+            job, other = jobs[first], jobs[second]
+            if kind == "assign" and 0 <= machine < instance.num_machines:
+                occupancy.assign(job, machine)
+                assert schedule.machine_of(job.id) == machine
+            elif kind == "assign":
+                with pytest.raises(InvalidScheduleError):
+                    occupancy.assign(job, machine)
+            elif job.id in schedule and other.id in schedule:
+                machines = schedule.machine_of(job.id), schedule.machine_of(other.id)
+                occupancy.swap(job, other)
+                assert (schedule.machine_of(other.id), schedule.machine_of(job.id)) == machines
+            else:
+                with pytest.raises(InvalidScheduleError):
+                    occupancy.swap(job, other)
+            _assert_matches_recount(occupancy)
+
+    def test_least_loaded_takes_the_lowest_index_on_ties(self):
+        instance = Instance.from_sizes([2.0, 1.0, 1.0, 1.0], bags=[0, 1, 2, 3], num_machines=4)
+        occupancy = Occupancy(Schedule(instance, {0: 0, 1: 3, 2: 1}, allow_partial=True))
+        assert occupancy.loads == [2.0, 1.0, 0.0, 1.0]
+        assert occupancy.least_loaded(3) == 2
+        occupancy.assign(instance.job(3), 2)
+        assert occupancy.least_loaded(0) == 1  # machines 1, 2 and 3 tie at 1.0
+        assert occupancy.least_loaded(3) == 1  # machine 2 now holds bag 3
+
+    def test_least_loaded_is_none_when_every_machine_holds_the_bag(self):
+        instance = Instance.from_sizes([1.0, 1.0, 5.0], bags=[0, 0, 1], num_machines=2)
+        occupancy = Occupancy(Schedule(instance, {0: 0, 1: 1}, allow_partial=True))
+        assert occupancy.least_loaded(0) is None
+        assert occupancy.least_loaded(1) == 0
+        occupancy.assign(instance.job(0), 1)  # a move leaves machine 0 free of bag 0
+        assert occupancy.bags == [{}, {0: 2}]
+        assert occupancy.least_loaded(0) == 0
+
+    def test_swap_moves_loads_by_the_size_difference(self):
+        instance = Instance.from_sizes([3.0, 1.0, 2.0], bags=[0, 1, 0], num_machines=2)
+        occupancy = Occupancy(Schedule(instance, {0: 0, 1: 1, 2: 1}))
+        occupancy.swap(instance.job(0), instance.job(1))
+        assert occupancy.schedule.assignment == {0: 1, 1: 0, 2: 1}
+        assert occupancy.loads == [1.0, 5.0]
+        assert occupancy.bags == [{1: 1}, {0: 2}]
+        occupancy.swap(instance.job(0), instance.job(2))  # one machine: nothing moves
+        assert occupancy.loads == [1.0, 5.0]
+        assert occupancy.bags == [{1: 1}, {0: 2}]

@@ -10,6 +10,7 @@ from repro.core import Instance, Job, Schedule
 from repro.eptas import (
     ConfigurationSolution,
     EptasConfig,
+    LargePlacement,
     build_configuration_milp,
     classify_bags,
     classify_jobs,
@@ -23,6 +24,7 @@ from repro.eptas import (
     solve_configuration_milp,
     transform_instance,
 )
+from repro.eptas.patterns import WILDCARD_BAG, JobTable, Pattern, PatternEntry, PatternSet
 from repro.generators import figure1_adversarial_instance, uniform_random_instance
 from repro.milp import SolutionStatus
 
@@ -121,6 +123,51 @@ class TestLargeJobPlacement:
         placement = place_large_and_medium(instance, table, patterns, solution)
         assert dict(placement.schedule.assignment) == {1: 0, 0: 0, 3: 1, 2: 1}
 
+    @staticmethod
+    def _wildcard_conflict(pattern_machines: dict[int, int]):
+        """Jobs 0-2 (bag 1) and 3 (bag 2) of size 0.5 fill the two wildcard
+        slots of pattern 0 on machines 0 and 1; machine 1's second slot can
+        only take job 2, whose bag it already holds.  Pattern 1 is one slot
+        for job 4 of priority bag 0."""
+        jobs = [Job(id=job_id, size=0.5, bag=bag) for job_id, bag in enumerate([1, 1, 1, 2, 0])]
+        instance = Instance(jobs, num_machines=3)
+        table = JobTable(
+            priority={(0, 0.5): (4,)},
+            wildcard={0.5: {1: (0, 1, 2), 2: (3,)}},
+            small=(),
+        )
+        wildcard, priority = PatternEntry(0.5, WILDCARD_BAG), PatternEntry(0.5, 0)
+        patterns = PatternSet(
+            patterns=(
+                Pattern(entries=((wildcard, 2),), height=1.0, num_slots=2),
+                Pattern(entries=((priority, 1),), height=0.5, num_slots=1),
+            ),
+            entry_types=((wildcard, 4), (priority, 1)),
+            budget=1.0,
+            max_slots=2,
+        )
+        solution = ConfigurationSolution(
+            feasible=True, status=SolutionStatus.OPTIMAL, pattern_machines=pattern_machines
+        )
+        return place_large_and_medium(instance, table, patterns, solution)
+
+    def test_lemma7_swaps_a_wildcard_conflict_with_a_same_size_job(self):
+        # Job 4 of priority bag 0 on machine 2 is the only same-size job on
+        # a machine without bag 1 whose bag machine 1 lacks: the two trade.
+        placement = self._wildcard_conflict({0: 2, 1: 1})
+        assert placement.swaps == 1 and placement.fallback_moves == 0
+        assert placement.schedule.assignment == {4: 1, 0: 0, 3: 0, 1: 1, 2: 2}
+        assert placement.origin == {4: 2}
+        assert placement.schedule.is_conflict_free()
+
+    def test_conflict_without_a_partner_is_relocated(self):
+        # No pattern on machine 2 and no swap partner: job 2 moves to the
+        # least-loaded machine without bag 1, the empty machine 2.
+        placement = self._wildcard_conflict({0: 2})
+        assert placement.swaps == 0 and placement.fallback_moves == 1
+        assert placement.schedule.assignment == {0: 0, 3: 0, 1: 1, 2: 2}
+        assert placement.schedule.is_conflict_free()
+
     def test_loads_do_not_exceed_budget_after_large_placement(self):
         instance = figure1_adversarial_instance(num_machines=6).instance
         (config, record, *_rest, placement) = _full_pipeline(instance, guess=1.0)
@@ -195,6 +242,54 @@ class TestSmallJobPlacement:
         # (1 + O(eps)) budget around the guess.
         budget = 1 + 2 * config.eps + config.eps**2
         assert placement.schedule.makespan() <= budget + constants.medium_threshold + 0.3
+
+    @staticmethod
+    def _priority_class_left_over(small_assignment):
+        """Jobs 0, 1 and 4 (size 0.6, bags 0, 1 and 2) sit on machines 1, 0
+        and 2; jobs 2 and 3 form the small class (bag 0, 0.1) of priority
+        bag 0, placed according to ``small_assignment``.  No machine runs a
+        pattern."""
+        instance = Instance.from_sizes(
+            [0.6, 0.6, 0.1, 0.1, 0.6], bags=[0, 1, 0, 0, 2], num_machines=3
+        )
+        job_classes = classify_jobs(instance, 0.5, k=1)
+        bag_classes = classify_bags(instance, job_classes, practical_priority_cap=1)
+        assert bag_classes.priority == {0}
+        table = group_jobs(instance, job_classes, bag_classes)
+        assert [(small.bag, small.size, small.job_ids) for small in table.small] == [
+            (0, 0.1, (2, 3))
+        ]
+        placement = LargePlacement(
+            schedule=Schedule(instance, {0: 1, 1: 0, 4: 2}, allow_partial=True),
+            machine_pattern=[None] * 3,
+            pattern_height=[0.0] * 3,
+        )
+        solution = ConfigurationSolution(
+            feasible=True,
+            status=SolutionStatus.OPTIMAL,
+            small_assignment=[small_assignment],
+        )
+        diagnostics = place_small_jobs(
+            instance, job_classes, bag_classes, bag_classes.constants, table, solution, placement
+        )
+        return diagnostics, placement.schedule
+
+    def test_priority_jobs_without_a_slot_take_the_least_loaded_free_machine(self):
+        # Lemma 10 with no merged slot: job 2 goes to machine 0, the lower
+        # index of machines 0 and 2 (tied at 0.6, both without bag 0), and
+        # job 3 to machine 2.
+        diagnostics, schedule = self._priority_class_left_over([])
+        assert diagnostics.priority_fallback_jobs == 2
+        assert diagnostics.priority_slot_jobs == diagnostics.priority_full_jobs == 0
+        assert schedule.assignment == {0: 1, 1: 0, 4: 2, 2: 0, 3: 2}
+
+    def test_safety_net_places_jobs_of_a_pattern_without_machines(self):
+        # The y values put both jobs on pattern 0, which no machine runs:
+        # section E places them as the Lemma-10 fallback would.
+        diagnostics, schedule = self._priority_class_left_over([(0, 2.0)])
+        assert diagnostics.priority_fallback_jobs == 2
+        assert diagnostics.priority_slot_jobs == diagnostics.priority_full_jobs == 0
+        assert schedule.assignment == {0: 1, 1: 0, 4: 2, 2: 0, 3: 2}
 
 
 class TestRepair:

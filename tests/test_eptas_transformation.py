@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import lpt_schedule
-from repro.core import Instance, Schedule
+from repro.core import Instance, Job, Schedule
 from repro.eptas import (
     ConstantsMode,
     classify_bags,
@@ -16,6 +16,7 @@ from repro.eptas import (
     revert_to_original,
     transform_instance,
 )
+from repro.flows import AssignmentResult
 
 
 def _build_pipeline(instance: Instance, eps: float = 0.25, cap: int = 1):
@@ -43,6 +44,23 @@ def _mixed_instance(seed: int = 0, *, with_medium: bool = True) -> Instance:
             sizes.append(0.1)
             bags.append(bag)
     return Instance.from_sizes(sizes, bags, num_machines=6, name=f"mixed-{seed}")
+
+
+def _one_split_bag():
+    """Bag 0 holds a large (job 0), a medium (job 1) and a small job (job 2);
+    bag 1 holds two large jobs and is the priority bag, so bag 0 is split:
+    job 0 moves to companion bag 2, job 1 is removed and fillers 5 and 6
+    (size 0.1) stand in for jobs 0 and 1.  Five machines."""
+    instance = Instance(
+        [Job(0, 0.6, 0), Job(1, 0.3, 0), Job(2, 0.1, 0), Job(3, 0.6, 1), Job(4, 0.6, 1)], 5
+    )
+    job_classes = classify_jobs(instance, 0.5, k=1)
+    bag_classes = classify_bags(instance, job_classes, practical_priority_cap=1)
+    record = transform_instance(instance, job_classes, bag_classes)
+    assert record.companion_bag == {0: 2}
+    assert record.removed_medium == {0: [1]}
+    assert record.filler_for == {5: 0, 6: 1}
+    return record
 
 
 class TestTransformInstance:
@@ -176,6 +194,22 @@ class TestReinsertMedium:
             for job_id in medium_ids:
                 assert augmented.machine_of(job_id) is not None
 
+    def test_greedy_completion_takes_the_least_loaded_free_machine(self, monkeypatch):
+        # A flow that places nothing leaves job 1 to the greedy completion:
+        # machine 0 holds companion bag 2, and machines 3 and 4 tie at 0.1
+        # below machines 1 and 2, so job 1 goes to machine 3.
+        record = _one_split_bag()
+        base = Schedule(record.transformed, {0: 0, 3: 1, 4: 2, 2: 3, 5: 0, 6: 4})
+        monkeypatch.setattr(
+            "repro.eptas.transformation.solve_bag_assignment",
+            lambda problem: AssignmentResult(assignment={}, placed=0, satisfied=False),
+        )
+        augmented = reinsert_medium_jobs(record, base)
+        assert record.diagnostics["medium_placed_by_flow"] == 0
+        assert record.diagnostics["medium_placed_by_fallback"] == 1
+        assert augmented.machine_of(1) == 3
+        augmented.validate(require_complete=True)
+
 
 class TestRevert:
     """Lemma 4: back to the original instance without conflicts or growth."""
@@ -214,4 +248,19 @@ class TestRevert:
         augmented = reinsert_medium_jobs(record, base)
         reverted = revert_to_original(record, augmented)
         assert reverted.is_conflict_free()
+        reverted.validate(require_complete=True)
+
+    def test_fallback_when_every_filler_sits_on_a_heavy_machine(self):
+        # Small job 2 shares machine 0 with large job 0 of its original bag,
+        # and fillers 5 and 6 sit on the heavy machines 1 and 0, so no filler
+        # position is free: job 2 goes to machine 4, the least-loaded machine
+        # without a job of bag 0.
+        record = _one_split_bag()
+        augmented = Schedule(
+            record.augmented, {0: 0, 1: 1, 2: 0, 3: 2, 4: 3, 5: 1, 6: 0}
+        )
+        reverted = revert_to_original(record, augmented)
+        assert record.diagnostics["revert_swaps"] == 0
+        assert record.diagnostics["revert_fallback_moves"] == 1
+        assert reverted.assignment == {0: 0, 1: 1, 2: 4, 3: 2, 4: 3}
         reverted.validate(require_complete=True)

@@ -15,6 +15,7 @@ import pytest
 from repro.orchestration.export import (
     aggregate_service_telemetry,
     aggregate_solver_telemetry,
+    format_solver_telemetry,
     replan_trend,
 )
 
@@ -41,25 +42,26 @@ class TestAggregateSolverTelemetry:
         assert aggregate_solver_telemetry(rows) is None
 
     def test_missing_keys_default_to_zero(self):
-        # An old-schema payload: just a solve count, none of the newer
-        # wall-time/split/histogram keys.
+        # An old-schema payload: just a solve count, no wall time and no
+        # backend histogram.
         rows = [_row(result={"_solver_telemetry": {"solves": 2}})]
         totals = aggregate_solver_telemetry(rows)
-        assert totals is not None
-        assert totals["solves"] == 2
-        assert totals["pooled_solves"] == 0
-        assert totals["wall_time"] == 0.0
-        assert totals["backends"] == {} and totals["endpoints"] == {}
+        assert totals == {"solves": 2, "wall_time": 0.0, "backends": {}}
 
     def test_mixed_schema_rows_sum(self):
         rows = [
             _row(result={"_solver_telemetry": {"solves": 1}}),
             _row(
                 result={
+                    # A row stored by a version that ran solves on solver
+                    # servers: its pooled count, time split and endpoint
+                    # histogram are ignored.
                     "_solver_telemetry": {
                         "solves": 3,
                         "pooled_solves": 2,
                         "wall_time": 1.5,
+                        "queue_wait_s": 0.25,
+                        "solve_s": 0.75,
                         "wire_s": 0.5,
                         "backends": {"cbc": 3},
                         "endpoints": {"tcp://a:1": 2},
@@ -76,14 +78,18 @@ class TestAggregateSolverTelemetry:
                     }
                 }
             ),
+            _row(result={"_solver_telemetry": {"solves": 1, "backends": None}}),
         ]
         totals = aggregate_solver_telemetry(rows)
-        assert totals["solves"] == 5
-        assert totals["pooled_solves"] == 2
-        assert totals["wall_time"] == pytest.approx(1.5)
-        assert totals["wire_s"] == pytest.approx(0.5)
-        assert totals["backends"] == {"cbc": 4, "glpk": 1}
-        assert totals["endpoints"] == {"tcp://a:1": 2}
+        assert totals == {
+            "solves": 6,
+            "wall_time": pytest.approx(1.5),
+            "backends": {"cbc": 4, "glpk": 1},
+        }
+        assert format_solver_telemetry(totals) == (
+            "solver telemetry: 6 MILP solves, 1.50s solver wall time; "
+            "backends: cbc x4, glpk x1"
+        )
 
     def test_zero_solves_means_none(self):
         # A payload present but all-zero is indistinguishable from "no

@@ -132,7 +132,7 @@ class TestServiceTelemetry:
         before = service.stats()
         service.solve(_model())
         delta = service.stats_delta(before)
-        assert delta.keys() == {"solves", "wall_time", "solve_s", "backends"}
+        assert delta.keys() == {"solves", "wall_time", "backends"}
         assert delta["solves"] == 1
         assert delta["backends"] == {backend_fingerprint("scipy"): 1}
 
