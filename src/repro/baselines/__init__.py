@@ -1,6 +1,12 @@
 """Baseline solvers the paper's EPTAS is compared against."""
 
-from .list_scheduling import first_fit_schedule, greedy_assign, greedy_schedule, upper_bound_makespan
+from .list_scheduling import (
+    first_fit_schedule,
+    greedy_assign,
+    greedy_schedule,
+    lpt_order,
+    upper_bound_makespan,
+)
 from .lpt import (
     BagLptResult,
     GroupAssignment,
@@ -27,6 +33,7 @@ __all__ = [
     "group_bag_lpt",
     "improve_schedule",
     "local_search_schedule",
+    "lpt_order",
     "lpt_schedule",
     "small_job_lpt_schedule",
     "upper_bound_makespan",

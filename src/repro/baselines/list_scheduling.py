@@ -15,13 +15,28 @@ from __future__ import annotations
 import heapq
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from ..core.errors import InvalidInstanceError
 from ..core.instance import Instance
 from ..core.job import Job
 from ..core.result import SolverResult, timed_solver_result
 from ..core.schedule import Occupancy, Schedule
 
-__all__ = ["greedy_assign", "greedy_schedule", "first_fit_schedule"]
+__all__ = ["greedy_assign", "greedy_schedule", "first_fit_schedule", "lpt_order"]
+
+
+def lpt_order(instance: Instance) -> list[Job]:
+    """The instance's jobs by non-increasing size, ties by ascending id.
+
+    This is ``sorted(instance.jobs, key=lambda job: (-job.size, job.id))``,
+    the order that turns :func:`greedy_assign` into bag-aware LPT, computed
+    by one stable ``np.lexsort`` over the instance's size array.
+    """
+    jobs = instance.jobs
+    ids = np.array([job.id for job in jobs], dtype=np.int64)
+    order = np.lexsort((ids, -instance.sizes))
+    return list(map(jobs.__getitem__, order.tolist()))
 
 
 def greedy_assign(

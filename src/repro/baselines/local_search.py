@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from ..core.instance import Instance
 from ..core.result import SolverResult, timed_solver_result
 from ..core.schedule import Occupancy, Schedule
-from .list_scheduling import greedy_assign
+from .list_scheduling import greedy_assign, lpt_order
 
 __all__ = ["LocalSearchStats", "improve_schedule", "local_search_schedule"]
 
@@ -161,8 +161,7 @@ def local_search_schedule(
     diagnostics: dict[str, object] = {}
 
     def build() -> Schedule:
-        order = sorted(instance.jobs, key=lambda job: (-job.size, job.id))
-        schedule = greedy_assign(instance, order)
+        schedule = greedy_assign(instance, lpt_order(instance))
         stats = improve_schedule(schedule, max_rounds=max_rounds)
         diagnostics.update(stats.to_dict())
         return schedule

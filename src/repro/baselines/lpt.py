@@ -28,7 +28,7 @@ from ..core.instance import Instance
 from ..core.job import Job
 from ..core.result import SolverResult, timed_solver_result
 from ..core.schedule import Schedule
-from .list_scheduling import greedy_assign
+from .list_scheduling import greedy_assign, lpt_order
 
 __all__ = [
     "lpt_schedule",
@@ -41,7 +41,7 @@ __all__ = [
 
 def lpt_schedule(instance: Instance) -> SolverResult:
     """Bag-aware LPT: jobs in non-increasing size order, least-loaded feasible machine."""
-    order = sorted(instance.jobs, key=lambda job: (-job.size, job.id))
+    order = lpt_order(instance)
     return timed_solver_result(
         "lpt",
         lambda: greedy_assign(instance, order),

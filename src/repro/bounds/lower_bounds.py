@@ -95,19 +95,26 @@ def bag_cardinality_lower_bound(instance: Instance) -> float:
 
     If some bag contains more than ``m`` jobs, no feasible schedule exists
     and the bound is ``+inf``.
+
+    The smallest size outside ``B`` is the smallest of the other bags'
+    minima, so each bag's minimum is computed once: linear in the jobs.
     """
     m = instance.num_machines
     best = 0.0
     bag_members = instance.bags()
-    for bag, members in bag_members.items():
-        if len(members) > m:
-            return float("inf")
-        if len(members) == m and instance.num_jobs > m:
-            min_inside = min(job.size for job in members)
-            min_outside = min(
-                (job.size for job in instance.jobs if job.bag != bag), default=0.0
-            )
-            best = max(best, min_inside + min_outside)
+    if any(len(members) > m for members in bag_members.values()):
+        return float("inf")
+    full = [bag for bag, members in bag_members.items() if len(members) == m]
+    if not full or instance.num_jobs <= m:
+        return best
+    minima = {
+        bag: min(job.size for job in members) for bag, members in bag_members.items()
+    }
+    # The two smallest minima: a full bag holding the smallest takes the other.
+    (first_bag, first), *rest = sorted(minima.items(), key=lambda item: item[1])
+    second = rest[0][1] if rest else 0.0
+    for bag in full:
+        best = max(best, minima[bag] + (second if bag == first_bag else first))
     return best
 
 

@@ -2,18 +2,26 @@
 
 An :class:`Instance` bundles the job set, the bag partition (implicit in the
 jobs' ``bag`` attributes) and the number of identical machines.  It offers
-vectorised accessors (NumPy arrays of sizes), bag-level views, summary
-statistics, and JSON serialization.  Instances are immutable; all algorithms
-that "modify the instance" (rounding, the Section-2.2 transformation) return
-new instances.
+vectorised accessors (NumPy arrays of sizes and bags), bag-level views,
+summary statistics, and JSON serialization.  Instances are immutable; all
+algorithms that "modify the instance" (rounding, the Section-2.2
+transformation) return new instances.
+
+Per-job reads of whole schedules go through one job table that an instance
+builds once, when it is constructed: a dict from job id to *row* (the job's
+position in construction order) beside the ``sizes`` and ``job_bags``
+arrays.  :meth:`Instance.rows_of` maps many ids to rows in one C-level pass,
+so a schedule reads every size or bag with one fancy index instead of one
+:meth:`Instance.job` call per job.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, KeysView, Mapping, Sequence
 
 import numpy as np
 
@@ -71,9 +79,12 @@ class Instance:
         Note that validation checks *satisfiability* of the bag constraint
         (no bag may contain more jobs than machines) because such instances
         admit no feasible schedule at all.
+
+    The job table (``id -> row``, and each row's size and bag as arrays) is
+    built here, once; job ids and bag indices must fit in int64.
     """
 
-    __slots__ = ("_jobs", "_num_machines", "_name", "_by_id", "_bags", "_sizes")
+    __slots__ = ("_jobs", "_num_machines", "_name", "_rows", "_bags", "_sizes", "_job_bags")
 
     def __init__(
         self,
@@ -87,7 +98,8 @@ class Instance:
         self._jobs: tuple[Job, ...] = job_tuple
         self._num_machines = int(num_machines)
         self._name = str(name)
-        self._by_id: dict[int, Job] = {job.id: job for job in job_tuple}
+        # A repeated id (only possible without validation) maps to its last row.
+        self._rows: dict[int, int] = {job.id: row for row, job in enumerate(job_tuple)}
         bags: dict[int, list[Job]] = {}
         for job in job_tuple:
             bags.setdefault(job.bag, []).append(job)
@@ -95,6 +107,7 @@ class Instance:
             bag: tuple(members) for bag, members in sorted(bags.items())
         }
         self._sizes = np.array([job.size for job in job_tuple], dtype=float)
+        self._job_bags = np.array([job.bag for job in job_tuple], dtype=np.int64)
         if validate:
             self.validate()
 
@@ -107,7 +120,7 @@ class Instance:
             raise InvalidInstanceError(
                 f"number of machines must be >= 1, got {self._num_machines}"
             )
-        if len(self._by_id) != len(self._jobs):
+        if len(self._rows) != len(self._jobs):
             seen: set[int] = set()
             dupes = sorted(
                 {job.id for job in self._jobs if job.id in seen or seen.add(job.id)}
@@ -117,6 +130,10 @@ class Instance:
             if job.size < 0:
                 raise InvalidInstanceError(
                     f"job {job.id} has negative size {job.size}"
+                )
+            if not math.isfinite(job.size):
+                raise InvalidInstanceError(
+                    f"job {job.id} has non-finite size {job.size}"
                 )
         for bag, members in self._bags.items():
             if len(members) > self._num_machines:
@@ -167,6 +184,18 @@ class Instance:
         return view
 
     @property
+    def job_bags(self) -> np.ndarray:
+        """Vector of job bag indices in construction order (read-only view)."""
+        view = self._job_bags.view()
+        view.setflags(write=False)
+        return view
+
+    @property
+    def job_ids(self) -> KeysView[int]:
+        """The job identifiers in construction order, as a read-only set-like view."""
+        return self._rows.keys()
+
+    @property
     def total_work(self) -> float:
         """Sum of all processing times."""
         return float(self._sizes.sum())
@@ -179,12 +208,26 @@ class Instance:
     def job(self, job_id: int) -> Job:
         """Look up a job by identifier."""
         try:
-            return self._by_id[job_id]
-        except KeyError as exc:  # pragma: no cover - defensive
-            raise KeyError(f"no job with id {job_id} in instance {self._name}") from exc
+            return self._jobs[self._rows[job_id]]
+        except KeyError as exc:
+            raise self._unknown(job_id) from exc
+
+    def rows_of(self, job_ids: Iterable[int]) -> np.ndarray:
+        """Row of every given job id, in order, as an int64 array.
+
+        A row indexes :attr:`sizes` and :attr:`job_bags`.  An unknown id
+        raises the ``KeyError`` that :meth:`job` raises for it.
+        """
+        try:
+            return np.fromiter(map(self._rows.__getitem__, job_ids), dtype=np.int64)
+        except KeyError as exc:
+            raise self._unknown(exc.args[0]) from exc
+
+    def _unknown(self, job_id: int) -> KeyError:
+        return KeyError(f"no job with id {job_id} in instance {self._name}")
 
     def __contains__(self, job_id: int) -> bool:
-        return job_id in self._by_id
+        return job_id in self._rows
 
     def __iter__(self) -> Iterator[Job]:
         return iter(self._jobs)

@@ -7,6 +7,7 @@ feasible schedule never places two jobs of the same bag on one machine.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -26,10 +27,10 @@ class Job:
         original identifiers for original jobs so that solutions can be
         mapped back.
     size:
-        Processing time ``p_j``.  Must be strictly positive for original
-        jobs; *dummy* jobs of size ``0.0`` are permitted because the
-        bag-LPT algorithm of Section 4 pads bags with zero-height dummy
-        jobs.
+        Processing time ``p_j``: a finite number, strictly positive for
+        original jobs; *dummy* jobs of size ``0.0`` are permitted because
+        the bag-LPT algorithm of Section 4 pads bags with zero-height dummy
+        jobs.  A negative, infinite or NaN size raises ``ValueError``.
     bag:
         Index of the bag this job belongs to (``0``-based).  Bags partition
         the job set; the constraint is "at most one job of each bag per
@@ -51,6 +52,8 @@ class Job:
             raise ValueError(f"job id must be non-negative, got {self.id}")
         if self.size < 0:
             raise ValueError(f"job size must be non-negative, got {self.size}")
+        if not math.isfinite(self.size):
+            raise ValueError(f"job size must be finite, got {self.size}")
         if self.bag < 0:
             raise ValueError(f"bag index must be non-negative, got {self.bag}")
 
@@ -79,11 +82,23 @@ class Job:
     def with_size(self, size: float) -> "Job":
         """Return a copy of this job with a different processing time.
 
-        Used by the rounding step (sizes are rounded up to powers of
-        ``1 + eps``) and by the transformation (medium/large jobs shrink to
-        filler height).  Identity, bag membership and metadata are kept.
+        Used by :meth:`~repro.core.instance.Instance.scaled`.  Identity, bag
+        membership and metadata are kept.
         """
         return Job(id=self.id, size=size, bag=self.bag, meta=dict(self.meta))
+
+    def _resized(self, size: float) -> "Job":
+        """:meth:`with_size` without re-validation, for the rounding step.
+
+        ``size`` must already be a finite non-negative float (a rounded size
+        is); the copy still gets its own ``meta`` dict.
+        """
+        job = _new_job(Job)
+        _set_id(job, self.id)
+        _set_size(job, size)
+        _set_bag(job, self.bag)
+        _set_meta(job, dict(self.meta))
+        return job
 
     def with_bag(self, bag: int) -> "Job":
         """Return a copy of this job that belongs to a different bag."""
@@ -115,3 +130,10 @@ class Job:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         tag = " filler" if self.is_filler() else ""
         return f"Job(id={self.id}, size={self.size:.6g}, bag={self.bag}{tag})"
+
+
+# Slot setters that bypass the frozen ``__setattr__``, for ``Job._resized``.
+_new_job = object.__new__
+_set_id, _set_size, _set_bag, _set_meta = (
+    Job.__dict__[name].__set__ for name in ("id", "size", "bag", "meta")
+)

@@ -6,6 +6,16 @@ to one of the ``m`` machines.  The central feasibility notion of the paper is
 offers makespan/load computation, conflict enumeration, validation, mutation
 helpers used by the repair procedures (Lemmas 4, 7 and 11), and serialization.
 
+Whole-schedule reads run at C speed.  The assignment's ids and machines
+become two int64 arrays, and every size and bag is read through the
+instance's job table (:meth:`~repro.core.instance.Instance.rows_of`), never
+through one :meth:`~repro.core.instance.Instance.job` call per job.  Loads are
+one ``np.bincount``, which adds the sizes in assignment order.  The conflict
+test packs each (machine, bag) pair into one int64 key and sorts the keys
+once: a conflict-free schedule has no repeated key.  Only when a key repeats,
+or when the packing could overflow int64, does the three-key ``np.lexsort``
+run that lists the conflicts in (machine, bag, id) order.
+
 An :class:`Occupancy` wraps a schedule while a stage builds or repairs it:
 it keeps every machine's load and per-bag job count current through its own
 ``assign`` and ``swap``, and names the least-loaded machine without a job of
@@ -29,6 +39,9 @@ from .job import Job
 __all__ = ["Schedule", "Occupancy", "Conflict", "ValidationReport"]
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
 def _columns(assignment: Mapping[int, int]) -> tuple[np.ndarray, np.ndarray]:
     """Job ids and machines of an assignment as arrays, in its order."""
     count = len(assignment)
@@ -36,6 +49,58 @@ def _columns(assignment: Mapping[int, int]) -> tuple[np.ndarray, np.ndarray]:
         np.fromiter(assignment, dtype=np.int64, count=count),
         np.fromiter(assignment.values(), dtype=np.int64, count=count),
     )
+
+
+def _packed_keys(machines: np.ndarray, bags: np.ndarray) -> np.ndarray | None:
+    """One int64 per (machine, bag) pair, equal exactly when the pairs are.
+
+    The key is ``(machine - low) * width + (bag - low_bag)``, where ``low``
+    and ``low_bag`` are the smallest machine and bag and ``width`` spans the
+    bags, so machines outside ``[0, m)`` and bag ids up to ``2**40`` pack
+    too.  Returns ``None`` when the largest key could overflow int64.
+    """
+    if not machines.size:
+        return machines
+    low, low_bag = int(machines.min()), int(bags.min())
+    width = int(bags.max()) - low_bag + 1
+    if (int(machines.max()) - low + 1) * width > _INT64_MAX:
+        return None
+    return (machines - low) * width + (bags - low_bag)
+
+
+def _conflicts(ids: np.ndarray, machines: np.ndarray, bags: np.ndarray) -> list[Conflict]:
+    """The conflicts among parallel id, machine and bag arrays.
+
+    Sorted by machine, bag and job ids; each group of ``j`` jobs of one bag
+    on one machine yields ``j - 1`` conflicts anchored at its smallest id.
+    One sort of the packed keys clears a schedule without a repeated pair;
+    the three-key ``np.lexsort`` runs only after a repeat, or when the keys
+    could overflow, and it alone decides which conflicts there are.
+    """
+    keys = _packed_keys(machines, bags)
+    if keys is not None:
+        keys = np.sort(keys)
+        if not (keys[1:] == keys[:-1]).any():
+            return []
+    order = np.lexsort((ids, bags, machines))
+    ids, machines, bags = ids[order], machines[order], bags[order]
+    repeats = (machines[1:] == machines[:-1]) & (bags[1:] == bags[:-1])
+    others = np.flatnonzero(repeats) + 1
+    if not others.size:
+        return []
+    # Every member of a (machine, bag) group after its first pairs with
+    # the first, which holds the group's smallest id.
+    starts = np.concatenate(([True], ~repeats))
+    first = np.maximum.accumulate(np.where(starts, np.arange(len(ids)), 0))
+    return [
+        Conflict(machine=machine, bag=bag, job_a=job_a, job_b=job_b)
+        for machine, bag, job_a, job_b in zip(
+            machines[others].tolist(),
+            bags[others].tolist(),
+            ids[first[others]].tolist(),
+            ids[others].tolist(),
+        )
+    ]
 
 
 @dataclass(frozen=True, slots=True)
@@ -232,11 +297,14 @@ class Schedule:
     def loads(self) -> np.ndarray:
         """Vector of machine loads (length ``m``).
 
-        Sizes are added in assignment order, so every load is the float a
-        job-by-job sum gives.  A job on a machine outside ``[0, m)`` raises
-        :class:`InvalidScheduleError`.
+        Sizes come from the instance's job table in one pass and
+        ``np.bincount`` adds them in assignment order, so every load is the
+        float a job-by-job sum gives.  A job on a machine outside ``[0, m)``
+        raises :class:`InvalidScheduleError`; an id the instance does not
+        know raises the ``KeyError`` of :meth:`Instance.job`.
         """
-        num_machines = self._instance.num_machines
+        instance = self._instance
+        num_machines = instance.num_machines
         ids, machines = _columns(self._assignment)
         outside = np.flatnonzero((machines < 0) | (machines >= num_machines))
         if outside.size:
@@ -245,10 +313,7 @@ class Schedule:
                 f"cannot compute loads: job {ids[position]} is on machine "
                 f"{machines[position]}, outside [0, {num_machines})"
             )
-        job = self._instance.job
-        sizes = np.fromiter(
-            (job(job_id).size for job_id in self._assignment), dtype=float, count=len(ids)
-        )
+        sizes = instance.sizes[instance.rows_of(self._assignment)]
         return np.bincount(machines, weights=sizes, minlength=num_machines)
 
     def load(self, machine: int) -> float:
@@ -278,7 +343,7 @@ class Schedule:
     def _known_assignment(self) -> dict[int, int]:
         """The assignment without the job ids the instance does not know."""
         instance = self._instance
-        if all(map(instance.__contains__, self._assignment)):
+        if self._assignment.keys() <= instance.job_ids:
             return self._assignment
         return {
             job_id: machine
@@ -286,42 +351,13 @@ class Schedule:
             if job_id in instance
         }
 
-    def _sorted_pairs(
+    def _known_columns(
         self, known: Mapping[int, int]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Ids, machines and bags of ``known`` sorted by ``(machine, bag, id)``.
-
-        The fourth array marks, from the second position on, each entry whose
-        ``(machine, bag)`` pair equals the previous entry's.
-        """
-        job = self._instance.job
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Ids, machines and bags of ``known``, whose ids the instance knows."""
+        instance = self._instance
         ids, machines = _columns(known)
-        bags = np.fromiter(
-            (job(job_id).bag for job_id in known), dtype=np.int64, count=len(ids)
-        )
-        order = np.lexsort((ids, bags, machines))
-        ids, machines, bags = ids[order], machines[order], bags[order]
-        repeats = (machines[1:] == machines[:-1]) & (bags[1:] == bags[:-1])
-        return ids, machines, bags, repeats
-
-    def _conflicts_of(self, known: Mapping[int, int]) -> list[Conflict]:
-        ids, machines, bags, repeats = self._sorted_pairs(known)
-        others = np.flatnonzero(repeats) + 1
-        if not others.size:
-            return []
-        # Every member of a (machine, bag) group after its first pairs with
-        # the first, which holds the group's smallest id.
-        starts = np.concatenate(([True], ~repeats))
-        first = np.maximum.accumulate(np.where(starts, np.arange(len(ids)), 0))
-        return [
-            Conflict(machine=machine, bag=bag, job_a=job_a, job_b=job_b)
-            for machine, bag, job_a, job_b in zip(
-                machines[others].tolist(),
-                bags[others].tolist(),
-                ids[first[others]].tolist(),
-                ids[others].tolist(),
-            )
-        ]
+        return ids, machines, instance.job_bags[instance.rows_of(known)]
 
     def conflicts(self) -> list[Conflict]:
         """Enumerate all bag-constraint violations in the current assignment.
@@ -331,7 +367,7 @@ class Schedule:
         group's smallest id.  Job ids the instance does not know have no bag
         and take part in no conflict.
         """
-        return self._conflicts_of(self._known_assignment())
+        return _conflicts(*self._known_columns(self._known_assignment()))
 
     def num_conflicts(self) -> int:
         """Number of bag-constraint violations."""
@@ -339,25 +375,31 @@ class Schedule:
 
     def is_conflict_free(self) -> bool:
         """``True`` when no machine holds two jobs of one bag."""
-        return not self._sorted_pairs(self._known_assignment())[3].any()
+        return not self.conflicts()
 
     def validation_report(self) -> ValidationReport:
         """Full structural + feasibility report (never raises)."""
         instance = self._instance
         known = self._known_assignment()
+        ids, machines, bags = self._known_columns(known)
         if len(known) == instance.num_jobs:
             missing: tuple[int, ...] = ()
         else:
             missing = tuple(
                 sorted(job.id for job in instance.jobs if job.id not in known)
             )
-        ids, machines = _columns(self._assignment)
-        outside = (machines < 0) | (machines >= instance.num_machines)
+        if known is self._assignment:
+            unknown: tuple[int, ...] = ()
+            all_ids, all_machines = ids, machines
+        else:
+            unknown = tuple(sorted(self._assignment.keys() - known.keys()))
+            all_ids, all_machines = _columns(self._assignment)
+        outside = (all_machines < 0) | (all_machines >= instance.num_machines)
         return ValidationReport(
             missing_jobs=missing,
-            unknown_jobs=tuple(sorted(self._assignment.keys() - known.keys())),
-            invalid_machines=tuple(np.sort(ids[outside]).tolist()),
-            conflicts=tuple(self._conflicts_of(known)),
+            unknown_jobs=unknown,
+            invalid_machines=tuple(np.sort(all_ids[outside]).tolist()),
+            conflicts=tuple(_conflicts(ids, machines, bags)),
         )
 
     def validate(self, *, require_complete: bool = True) -> "Schedule":
@@ -446,15 +488,19 @@ class Occupancy:
       so ``bag in occupancy.bags[m]`` is the conflict test.
     """
 
-    __slots__ = ("schedule", "loads", "bags")
+    __slots__ = ("schedule", "loads", "bags", "_assignment", "_job_ids")
 
     def __init__(self, schedule: Schedule) -> None:
         self.schedule = schedule
         self.loads: list[float] = schedule.loads().tolist()
         self.bags: list[dict[int, int]] = [{} for _ in self.loads]
-        job = schedule.instance.job
-        for job_id, machine in schedule._assignment.items():
-            self._count(machine, job(job_id).bag, 1)
+        instance = schedule.instance
+        self._assignment = assignment = schedule._assignment
+        self._job_ids = instance.job_ids
+        job_bags = instance.job_bags[instance.rows_of(assignment)]
+        for machine, bag in zip(assignment.values(), job_bags.tolist()):
+            counts = self.bags[machine]
+            counts[bag] = counts.get(bag, 0) + 1
 
     def _count(self, machine: int, bag: int, step: int) -> None:
         counts = self.bags[machine]
@@ -465,19 +511,27 @@ class Occupancy:
             del counts[bag]
 
     def assign(self, job: Job, machine: int) -> None:
-        """Place ``job`` on ``machine``, or move it there from its machine."""
-        schedule = self.schedule
-        source = schedule._assignment.get(job.id)
+        """Place ``job`` on ``machine``, or move it there from its machine.
+
+        Raises what :meth:`Schedule.assign` raises for an unknown job or a
+        machine outside ``[0, m)``.
+        """
+        job_id, bag, loads = job.id, job.bag, self.loads
+        assignment = self._assignment
+        source = assignment.get(job_id)
         if source == machine:
             return
-        schedule.assign(job.id, machine)
+        # Schedule.assign's two checks, inline; it raises their errors.
+        if job_id not in self._job_ids or not 0 <= machine < len(loads):
+            self.schedule.assign(job_id, machine)
+        assignment[job_id] = machine
         if source is not None:
-            self.loads[source] -= job.size
-            self._count(source, job.bag, -1)
-        self.loads[machine] += job.size
+            loads[source] -= job.size
+            self._count(source, bag, -1)
+        loads[machine] += job.size
         # Placing is the hot path of greedy and small placement: count inline.
         counts = self.bags[machine]
-        counts[job.bag] = counts.get(job.bag, 0) + 1
+        counts[bag] = counts.get(bag, 0) + 1
 
     def swap(self, job_a: Job, job_b: Job) -> None:
         """Exchange the machines of two assigned jobs."""

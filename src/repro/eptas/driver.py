@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any
 
-from ..baselines.list_scheduling import greedy_assign
+from ..baselines.list_scheduling import greedy_assign, lpt_order
 from ..bounds import best_lower_bound
 from ..core.errors import ReproError, SolverLimitError
 from ..core.instance import Instance
@@ -213,9 +213,7 @@ def eptas_schedule(
 
         bounds = best_lower_bound(instance)
         lower = bounds.best
-        greedy = greedy_assign(
-            instance, sorted(instance.jobs, key=lambda job: (-job.size, job.id))
-        )
+        greedy = greedy_assign(instance, lpt_order(instance))
         upper = greedy.makespan()
         diagnostics["lower_bound"] = lower
         diagnostics["greedy_upper_bound"] = upper

@@ -172,15 +172,19 @@ def group_jobs(
     """Key every job of the transformed instance once, by its :func:`size_key`.
 
     This is the one grouping of a guess: the entry types, the configuration
-    MILP and both placement stages read it.
+    MILP and both placement stages read it.  :func:`size_key` runs once per
+    distinct size.
     """
     small_ids = job_classes.small
     priority_bags = bag_classes.priority
     priority: dict[tuple[int, float], list[int]] = {}
     wildcard: dict[float, dict[int, list[int]]] = {}
     small: dict[tuple[int, float], list[int]] = {}
+    keys: dict[float, float] = {}  # size -> size_key(size)
     for job in instance.jobs:
-        size = size_key(job.size)
+        size = keys.get(job.size)
+        if size is None:
+            size = keys[job.size] = size_key(job.size)
         if job.id in small_ids:
             small.setdefault((job.bag, size), []).append(job.id)
         elif job.bag in priority_bags:

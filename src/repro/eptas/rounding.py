@@ -6,6 +6,13 @@ to the next power of ``1 + eps``.  Rounding up means any schedule of the
 rounded instance is also a schedule of the original one with the same or a
 smaller makespan, and the optimum of the rounded instance is at most
 ``(1 + eps)`` times the original optimum.
+
+A guess rounds every job at once (:func:`round_up_sizes`): numpy computes the
+exponents, and the few sizes whose exponent lies near an integer, where
+numpy's ``log`` and ``math.log`` could round to different sides, are redone
+with ``math.log``.  Each power comes from Python's ``(1 + eps) ** k``, once
+per distinct ``k``, so every rounded size is bit for bit the one
+:func:`round_up_to_power` gives.
 """
 
 from __future__ import annotations
@@ -13,9 +20,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..core.instance import Instance
+import numpy as np
 
-__all__ = ["RoundedInstance", "round_up_to_power", "round_instance", "scale_and_round"]
+from ..core.instance import Instance
+from ..core.job import Job
+
+__all__ = [
+    "RoundedInstance",
+    "round_up_to_power",
+    "round_up_sizes",
+    "round_instance",
+    "scale_and_round",
+]
+
+#: Exponents closer than this to an integer are recomputed with ``math.log``.
+#: numpy's ``log`` and libm's differ by an ulp or so, far less than this.
+_NEAR_INTEGER = 1e-6
 
 
 def round_up_to_power(size: float, eps: float) -> float:
@@ -60,18 +80,41 @@ class RoundedInstance:
         return makespan / self.scale
 
 
+def round_up_sizes(sizes: np.ndarray, eps: float) -> np.ndarray:
+    """:func:`round_up_to_power` of every size, bit for bit, as one array.
+
+    An infinite or NaN size raises what the scalar function raises for it.
+    """
+    base = 1.0 + eps
+    rounded = np.zeros(len(sizes))
+    positive = np.flatnonzero(~(sizes <= 0))
+    values = sizes[positive]
+    shifted = np.log(values) / math.log(base) - 1e-9
+    # math.log(size, base) is log(size) / log(base) in libm; numpy's log may
+    # differ in the last bit, which matters only next to an integer.
+    with np.errstate(invalid="ignore"):  # inf - inf, for an infinite size
+        near = np.flatnonzero(~(np.abs(shifted - np.rint(shifted)) >= _NEAR_INTEGER))
+    shifted[near] = [math.log(size, base) - 1e-9 for size in values[near].tolist()]
+    exponents, index = np.unique(np.ceil(shifted), return_inverse=True)
+    powers = np.array([base ** int(exponent) for exponent in exponents.tolist()])
+    result = powers[index]
+    # The scalar function's upward steps, for a power that dips below its size.
+    for position in np.flatnonzero(result < values - 1e-15).tolist():
+        result[position] = round_up_to_power(float(values[position]), eps)
+    rounded[positive] = result
+    return rounded
+
+
 def _round_scaled(instance: Instance, eps: float, scale: float, name: str) -> Instance:
     """Replace every size ``s`` with ``round_up_to_power(s * scale, eps)``.
 
     ``s * scale`` is the product :meth:`Instance.scaled` stores, so rounding
-    a scaled copy gives the same sizes bit for bit.
+    a scaled copy gives the same sizes bit for bit.  Rounded sizes are finite
+    and non-negative, so the copies skip :class:`Job` validation.
     """
+    sizes = round_up_sizes(instance.sizes * scale, eps)
     return instance.with_jobs(
-        (
-            job.with_size(round_up_to_power(job.size * scale, eps))
-            for job in instance.jobs
-        ),
-        name=name,
+        map(Job._resized, instance.jobs, sizes.tolist()), name=name
     )
 
 

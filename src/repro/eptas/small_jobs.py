@@ -172,14 +172,25 @@ def place_small_jobs(
     # ------------------------------------------------------------------
     # C. Non-priority bags: group-bag-LPT across groups, bag-LPT inside.
     # ------------------------------------------------------------------
+    # After the transformation a non-priority bag is all small (an original
+    # bag) or has no small job (a companion bag); the table's counts say which,
+    # so only a bag of both kinds is filtered job by job.
+    small_count: dict[int, int] = {}
+    for small in table.small:
+        small_count[small.bag] = small_count.get(small.bag, 0) + small.count
     non_priority_bags: list[list[Job]] = []
     for bag, members in instance.bags().items():
-        if bag in bag_classes.priority:
+        count = small_count.get(bag, 0)
+        if not count or bag in bag_classes.priority:
             continue
-        small_members = [job for job in members if job.id in job_classes.small]
-        if small_members:
-            non_priority_bags.append(small_members)
-    # Largest bags (by area) first gives group-bag-LPT the most freedom.
+        if count == len(members):
+            non_priority_bags.append(list(members))
+        else:
+            non_priority_bags.append(
+                [job for job in members if job.id in job_classes.small]
+            )
+    # Largest bags (by area) first gives group-bag-LPT the most freedom; each
+    # area is summed in instance order.
     non_priority_bags.sort(key=lambda jobs: -sum(job.size for job in jobs))
 
     if non_priority_bags:
@@ -213,7 +224,7 @@ def place_small_jobs(
     # D. Priority bags: Corollary 1 merged jobs + Lemma 10 slot filling.
     # ------------------------------------------------------------------
     slot_threshold = constants.small_integral_threshold
-    synthetic_id = max((job.id for job in instance.jobs), default=0) + 1
+    synthetic_id = max(instance.job_ids, default=0) + 1
     slots_by_bag: dict[int, list[int]] = {}
 
     for pattern_index, machines in machines_of_pattern.items():

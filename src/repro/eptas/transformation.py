@@ -95,7 +95,7 @@ def transform_instance(
     instance: Instance, job_classes: JobClasses, bag_classes: BagClasses
 ) -> TransformationRecord:
     """Apply the Section-2.2 transformation to a scaled and rounded instance."""
-    next_job_id = max((job.id for job in instance.jobs), default=-1) + 1
+    next_job_id = max(instance.job_ids, default=-1) + 1
     next_bag = max(instance.bag_indices, default=-1) + 1
 
     transformed_jobs: list[Job] = []

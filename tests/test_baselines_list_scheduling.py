@@ -10,10 +10,11 @@ from repro.baselines import (
     first_fit_schedule,
     greedy_assign,
     greedy_schedule,
+    lpt_order,
     upper_bound_makespan,
 )
 from repro.bounds import combined_lower_bound
-from repro.core import Instance, InvalidInstanceError, Schedule
+from repro.core import Instance, InvalidInstanceError, Job, Schedule
 from repro.generators import uniform_random_instance
 
 from helpers import assert_feasible, drawn_instances
@@ -139,3 +140,26 @@ class TestUpperBound:
         # The LPT-ordered bound is never worse than twice the lower bound.
         assert upper <= 2.0 * combined_lower_bound(uniform_instance) + 1e-9
         assert result.makespan > 0
+
+
+@st.composite
+def _sparse_instances(draw) -> Instance:
+    """Up to 40 jobs with sparse ids up to 10**9, in a random order, sizes
+    from a short list (so sizes tie) or any float in [0, 10]."""
+    size = st.one_of(
+        st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+        st.floats(0.0, 10.0, allow_nan=False, allow_infinity=False),
+    )
+    job_ids = draw(st.lists(st.integers(0, 10**9), max_size=40, unique=True))
+    jobs = [Job(id=job_id, size=draw(size), bag=draw(st.integers(0, 5))) for job_id in job_ids]
+    return Instance(jobs, 3, name="sparse", validate=False)
+
+
+class TestLptOrder:
+    @settings(max_examples=200, deadline=None)
+    @given(_sparse_instances())
+    def test_equals_sorting_by_size_then_id(self, instance):
+        expected = sorted(instance.jobs, key=lambda job: (-job.size, job.id))
+        order = lpt_order(instance)
+        assert [job.id for job in order] == [job.id for job in expected]
+        assert all(job is instance.job(job.id) for job in order)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bounds import (
     area_lower_bound,
@@ -13,7 +15,7 @@ from repro.bounds import (
     max_job_lower_bound,
     pairwise_lower_bound,
 )
-from repro.core import Instance
+from repro.core import Instance, Job
 from repro.exact import brute_force_optimum, build_assignment_model
 from repro.generators import uniform_random_instance
 from repro.milp import solve_lp_relaxation
@@ -48,6 +50,50 @@ class TestIndividualBounds:
 
     def test_bag_cardinality_no_full_bags(self, singleton_bags_instance):
         assert bag_cardinality_lower_bound(singleton_bags_instance) == 0.0
+
+
+def _reference_bag_cardinality(instance: Instance) -> float:
+    """The bound's scan of every job once per full bag, its former loop."""
+    m = instance.num_machines
+    best = 0.0
+    for bag, members in instance.bags().items():
+        if len(members) > m:
+            return float("inf")
+        if len(members) == m and instance.num_jobs > m:
+            min_inside = min(job.size for job in members)
+            min_outside = min(
+                (job.size for job in instance.jobs if job.bag != bag), default=0.0
+            )
+            best = max(best, min_inside + min_outside)
+    return best
+
+
+@st.composite
+def _instances_with_full_bags(draw) -> Instance:
+    """1-5 machines and 1-8 bags with sparse labels, the first bag full and
+    each other bag holding 1 to m + 1 jobs (a bag of m + 1 makes the bound
+    infinite); sizes from a short list, so minima tie, or any float in
+    [0, 10].  Jobs come in a random order."""
+    num_machines = draw(st.integers(min_value=1, max_value=5))
+    labels = draw(st.lists(st.integers(0, 50), min_size=1, max_size=8, unique=True))
+    counts = [num_machines] + [
+        draw(st.integers(1, num_machines + 1)) for _ in labels[1:]
+    ]
+    size = st.one_of(
+        st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+        st.floats(0.0, 10.0, allow_nan=False, allow_infinity=False),
+    )
+    bags = [label for label, count in zip(labels, counts) for _ in range(count)]
+    jobs = [Job(id=index, size=draw(size), bag=bag) for index, bag in enumerate(bags)]
+    return Instance(draw(st.permutations(jobs)), num_machines, validate=False)
+
+
+class TestBagCardinalityOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(_instances_with_full_bags())
+    def test_matches_the_scan_per_full_bag(self, instance):
+        expected = _reference_bag_cardinality(instance)
+        assert repr(bag_cardinality_lower_bound(instance)) == repr(expected)
 
 
 class TestCombinedBounds:

@@ -33,6 +33,25 @@ class TestInstanceConstruction:
         with pytest.raises(InvalidInstanceError):
             Instance.from_sizes([1.0, 1.0, 1.0], bags=[0, 0, 0], num_machines=2)
 
+    @pytest.mark.parametrize("size", [float("nan"), float("inf")])
+    def test_from_dict_rejects_non_finite_size(self, size):
+        data = {
+            "num_machines": 2,
+            "jobs": [
+                {"id": 0, "size": 1.0, "bag": 0},
+                {"id": 1, "size": size, "bag": 1},
+                {"id": 2, "size": 0.5, "bag": 2},
+            ],
+        }
+        with pytest.raises(ValueError, match="finite"):
+            Instance.from_dict(data)
+
+    def test_validation_rejects_a_non_finite_size_that_skipped_job_checks(self):
+        # Job._resized does not validate; the instance check still catches it.
+        unchecked = Job(id=1, size=1.0, bag=0)._resized(float("nan"))
+        with pytest.raises(InvalidInstanceError, match="non-finite size nan"):
+            Instance([Job(id=0, size=1.0, bag=1), unchecked], 2)
+
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(InvalidInstanceError):
             Instance.from_sizes([1.0, 2.0], bags=[0], num_machines=1)
@@ -45,6 +64,25 @@ class TestInstanceAccessors:
         assert 99 not in tiny_instance
         with pytest.raises(KeyError):
             tiny_instance.job(99)
+
+    def test_job_table(self):
+        instance = Instance(
+            [Job(id=40, size=1.5, bag=7), Job(id=3, size=0.5, bag=2), Job(id=9, size=2.0, bag=7)],
+            2,
+            name="sparse",
+        )
+        assert list(instance.job_ids) == [40, 3, 9]
+        assert instance.rows_of([9, 40, 3]).tolist() == [2, 0, 1]
+        assert instance.job_bags.tolist() == [7, 2, 7]
+        assert instance.sizes[instance.rows_of({3: 0, 9: 1})].tolist() == [0.5, 2.0]
+        with pytest.raises(ValueError):
+            instance.job_bags[0] = 1
+        with pytest.raises(KeyError) as raised:
+            instance.rows_of([3, 5, 6])
+        assert str(raised.value) == "'no job with id 5 in instance sparse'"
+        with pytest.raises(KeyError) as raised:
+            instance.job(5)
+        assert str(raised.value) == "'no job with id 5 in instance sparse'"
 
     def test_sizes_vector_is_readonly(self, tiny_instance):
         sizes = tiny_instance.sizes

@@ -23,6 +23,11 @@ class TestJobConstruction:
         with pytest.raises(ValueError):
             Job(id=0, size=-0.5, bag=0)
 
+    @pytest.mark.parametrize("size", [float("nan"), float("inf")])
+    def test_non_finite_size_rejected(self, size):
+        with pytest.raises(ValueError, match="finite"):
+            Job(id=0, size=size, bag=0)
+
     def test_negative_bag_rejected(self):
         with pytest.raises(ValueError):
             Job(id=0, size=1.0, bag=-2)
@@ -78,6 +83,11 @@ class TestJobSerialization:
         job = Job(id=4, size=1.25, bag=2, meta={"service": 7})
         assert Job.from_dict(job.to_dict()) == job
         assert Job.from_dict(job.to_dict()).meta == {"service": 7}
+
+    @pytest.mark.parametrize("size", ["nan", "inf"])
+    def test_from_dict_rejects_non_finite_size(self, size):
+        with pytest.raises(ValueError, match="finite"):
+            Job.from_dict({"id": 0, "size": size, "bag": 0})
 
     def test_to_dict_omits_empty_meta(self):
         assert "meta" not in Job(id=1, size=1.0, bag=0).to_dict()

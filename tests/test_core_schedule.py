@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import Instance, InvalidScheduleError, Job, Schedule
-from repro.core.schedule import Conflict, Occupancy, ValidationReport
+from repro.core.schedule import Conflict, Occupancy, ValidationReport, _packed_keys
 
 
 class TestScheduleBasics:
@@ -343,6 +343,52 @@ class TestChecksMatchOracles:
             assert np.array_equal(loads, expected)
         else:
             assert loads == expected
+
+
+@st.composite
+def _unpackable_schedules(draw) -> Schedule:
+    """A schedule whose (machine, bag) pairs cannot pack into one int64.
+
+    Bag ids span ``[0, 2**63 - 1]``, so any machine range times the bag span
+    exceeds int64.  Up to 30 jobs with sparse ids on 1-4 machines, machines
+    in [-1, m], and 0-3 forced pairs of jobs of one bag on one machine.
+    """
+    num_machines = draw(st.integers(min_value=1, max_value=4))
+    bag = st.one_of(
+        st.sampled_from([0, 1, 2**62, 2**63 - 2, 2**63 - 1]),
+        st.integers(0, 2**63 - 1),
+    )
+    bags = [0, 2**63 - 1, *draw(st.lists(bag, max_size=28))]
+    job_ids = draw(st.lists(st.integers(0, 10**9), min_size=len(bags), max_size=len(bags), unique=True))
+    jobs = [Job(id=job_id, size=1.0, bag=bag) for job_id, bag in zip(job_ids, draw(st.permutations(bags)))]
+    instance = Instance(jobs, num_machines, name="wide", validate=False)
+    machine = st.integers(min_value=-1, max_value=num_machines)
+    assignment = {job.id: draw(machine) for job in jobs}
+    for _ in range(draw(st.integers(0, 3))):
+        first, second = draw(st.permutations(jobs))[:2]
+        assignment[first.id] = assignment[second.id] = draw(machine)
+    return Schedule(instance, assignment)
+
+
+class TestUnpackablePairs:
+    @settings(max_examples=200, deadline=None)
+    @given(_unpackable_schedules())
+    def test_the_three_key_fallback_matches_the_oracles(self, schedule):
+        instance = schedule.instance
+        assignment = schedule.assignment
+        machines = np.array(list(assignment.values()), dtype=np.int64)
+        bags = np.array([instance.job(job_id).bag for job_id in assignment], dtype=np.int64)
+        assert _packed_keys(machines, bags) is None
+        assert schedule.conflicts() == _reference_conflicts(schedule)
+        assert schedule.is_conflict_free() == (not _reference_conflicts(schedule))
+        assert schedule.validation_report() == _reference_report(schedule)
+
+    def test_packed_keys_separate_machines_outside_the_range(self):
+        # Machines -2 .. m + 1 and bags up to 2**40 pack without collisions.
+        machines = np.array([-2, -2, -1, 0, 0, 1, 5], dtype=np.int64)
+        bags = np.array([0, 2**40, 0, 2**32, 0, 0, 2**40], dtype=np.int64)
+        keys = _packed_keys(machines, bags)
+        assert keys is not None and len(set(keys.tolist())) == len(keys)
 
 
 # ----------------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +12,10 @@ from hypothesis import strategies as st
 from repro.bounds import best_lower_bound
 from repro.core import Instance
 from repro.eptas import round_instance, round_up_to_power, scale_and_round
+from repro.eptas.rounding import round_up_sizes
 from repro.generators import generate
+
+_EPSILONS = [0.5, 1 / 3, 0.25, 0.2, 0.1]
 
 
 class TestRoundUpToPower:
@@ -113,3 +117,76 @@ class TestOnePassRounding:
     def test_drawn_instances(self, sizes, eps, guess):
         instance = Instance.from_sizes(sizes, list(range(len(sizes))), 2, name="drawn")
         _assert_matches_two_step_rounding(instance, eps, guess)
+
+
+# ----------------------------------------------------------------------
+# Oracle: the vectorised rounding equals round_up_to_power bit for bit.
+# ----------------------------------------------------------------------
+def _powers_and_neighbours(eps: float) -> list[float]:
+    """Every ``(1 + eps) ** k`` for ``k`` in ``[-30, 5)``, its two float
+    neighbours, where numpy's ``log`` and ``math.log`` may disagree, and its
+    ``x (1 +- 1e-10)`` neighbours, which the scalar function steps up from."""
+    values = []
+    for exponent in range(-30, 5):
+        power = (1 + eps) ** exponent
+        values += [
+            power * (1 - 1e-10),
+            math.nextafter(power, 0.0),
+            power,
+            math.nextafter(power, math.inf),
+            power * (1 + 1e-10),
+        ]
+    return values
+
+
+def _assert_rounds_like_the_scalar(sizes: list[float], eps: float) -> None:
+    rounded = round_up_sizes(np.array(sizes, dtype=float), eps)
+    assert [value.hex() for value in rounded.tolist()] == [
+        round_up_to_power(size, eps).hex() for size in sizes
+    ]
+
+
+@st.composite
+def _sizes_and_eps(draw) -> tuple[list[float], float]:
+    """Sizes in [1e-9, 1e3], zeros, and powers of ``1 + eps`` with their
+    float neighbours, at one of the five test epsilons."""
+    eps = draw(st.sampled_from(_EPSILONS))
+    power = st.integers(-30, 4).map(lambda exponent: (1 + eps) ** exponent)
+    size = st.one_of(
+        st.floats(1e-9, 1e3, allow_nan=False, allow_infinity=False),
+        st.just(0.0),
+        power,
+        power.map(lambda value: math.nextafter(value, 0.0)),
+        power.map(lambda value: math.nextafter(value, math.inf)),
+    )
+    return draw(st.lists(size, max_size=60)), eps
+
+
+class TestVectorisedRounding:
+    @pytest.mark.parametrize("eps", _EPSILONS)
+    def test_every_power_and_its_neighbours(self, eps):
+        _assert_rounds_like_the_scalar([0.0, *_powers_and_neighbours(eps)], eps)
+
+    # Sizes at which numpy's log and libm's log put ``exponent - 1e-9`` on
+    # different sides of an integer, found by a search on an x86-64 host with
+    # numpy 2.4.  They are too small for the scalar's upward steps to hide
+    # the difference, so only the math.log recomputation rounds them right.
+    @pytest.mark.parametrize(
+        "size", ["0x1.5d16a48427257p-100", "0x1.5a4de9cb8f56ap-63"]
+    )
+    def test_sizes_where_the_two_logs_round_apart(self, size):
+        _assert_rounds_like_the_scalar([float.fromhex(size)], 0.1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_sizes_and_eps())
+    def test_drawn_sizes(self, case):
+        sizes, eps = case
+        _assert_rounds_like_the_scalar(sizes, eps)
+
+    @pytest.mark.parametrize("size", [math.inf, math.nan])
+    def test_a_non_finite_size_raises_like_the_scalar(self, size):
+        with pytest.raises((OverflowError, ValueError)) as scalar:
+            round_up_to_power(size, 0.5)
+        with pytest.raises(scalar.type) as vector:
+            round_up_sizes(np.array([1.0, size]), 0.5)
+        assert str(vector.value) == str(scalar.value)
