@@ -65,34 +65,38 @@ def greedy_assign(
         The extended schedule.  Raises :class:`InvalidInstanceError` when a
         job has no conflict-free machine (only possible if a bag has more
         members than machines).
+
+    The machines sit in a heap of ``(load, machine)`` with exactly one entry
+    per machine, always current: a load changes only when a job is placed,
+    and the placing step re-enters that machine with its new load.  So the
+    least-loaded machine is ``heap[0]``, and a job whose bag it holds pops
+    machines until one is free, then pushes the others back.
     """
     jobs = list(order) if order is not None else list(instance.jobs)
     occupancy = Occupancy(
         schedule if schedule is not None else Schedule(instance, allow_partial=True)
     )
-    schedule = occupancy.schedule
-    loads, bags = occupancy.loads, occupancy.bags
+    loads, bags, placed = occupancy.loads, occupancy.bags, occupancy.assignment
 
-    # A heap of (load, machine) gives O(log m) selection of the least-loaded
-    # machine; conflicting machines are popped, stashed and pushed back.
     heap: list[tuple[float, int]] = [(load, machine) for machine, load in enumerate(loads)]
     heapq.heapify(heap)
 
     for job in jobs:
-        if job.id in schedule:
+        if job.id in placed:
+            continue
+        if heap and job.bag not in bags[heap[0][1]]:
+            machine = heap[0][1]
+            occupancy.assign(job, machine)
+            heapq.heapreplace(heap, (loads[machine], machine))
             continue
         stash: list[tuple[float, int]] = []
         chosen: int | None = None
         while heap:
-            load, machine = heapq.heappop(heap)
-            if load != loads[machine]:
-                # Stale heap entry; reinsert the fresh value lazily.
-                heapq.heappush(heap, (loads[machine], machine))
+            entry = heapq.heappop(heap)
+            if job.bag in bags[entry[1]]:
+                stash.append(entry)
                 continue
-            if job.bag in bags[machine]:
-                stash.append((load, machine))
-                continue
-            chosen = machine
+            chosen = entry[1]
             break
         for entry in stash:
             heapq.heappush(heap, entry)
@@ -104,7 +108,7 @@ def greedy_assign(
         occupancy.assign(job, chosen)
         heapq.heappush(heap, (loads[chosen], chosen))
 
-    return schedule
+    return occupancy.schedule
 
 
 def greedy_schedule(
@@ -159,6 +163,6 @@ def first_fit_schedule(instance: Instance, *, capacity: float | None = None) -> 
 
 
 def upper_bound_makespan(instance: Instance) -> float:
-    """A quick feasible makespan (greedy LPT order), used to bracket searches."""
-    order = sorted(instance.jobs, key=lambda job: -job.size)
-    return greedy_assign(instance, order).makespan()
+    """A quick feasible makespan (bag-aware LPT, ties by id), used to bracket
+    searches: the makespan of :func:`~repro.baselines.lpt.lpt_schedule`."""
+    return greedy_assign(instance, lpt_order(instance)).makespan()

@@ -21,6 +21,7 @@ and are benchmarked as such.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Hashable, Mapping, Sequence
 
 from ..core.errors import AlgorithmError
@@ -47,6 +48,19 @@ def lpt_schedule(instance: Instance) -> SolverResult:
         lambda: greedy_assign(instance, order),
         params={"order": "size-descending"},
     )
+
+
+_size = attrgetter("size")
+_id = attrgetter("id")
+
+
+def _by_size_then_id(jobs: Sequence[Job]) -> list[Job]:
+    """``sorted(jobs, key=lambda job: (-job.size, job.id))`` as two stable
+    sorts, by id and then by size with ``reverse=True`` (which keeps ties in
+    order); the two agree because sizes are finite."""
+    ordered = sorted(jobs, key=_id)
+    ordered.sort(key=_size, reverse=True)
+    return ordered
 
 
 # ----------------------------------------------------------------------
@@ -116,7 +130,7 @@ def bag_lpt(
             )
         # Largest job onto least loaded machine, 2nd largest onto 2nd least
         # loaded, and so on (ties broken deterministically by identifier).
-        sorted_jobs = sorted(bag, key=lambda job: (-job.size, job.id))
+        sorted_jobs = _by_size_then_id(bag)
         sorted_machines = sorted(by_label, key=loads.__getitem__)
         for job, machine in zip(sorted_jobs, sorted_machines):
             assignment[job.id] = machine
@@ -183,7 +197,7 @@ def group_bag_lpt(
                 f"group-bag-LPT: bag #{bag_index} has {len(bag)} jobs but all "
                 f"groups together only have {total_capacity} machines"
             )
-        sorted_jobs = sorted(bag, key=lambda job: (-job.size, job.id))
+        sorted_jobs = _by_size_then_id(bag)
         sorted_groups = sorted(group_sizes, key=lambda group: (averages[group], group))
         cursor = 0
         for group in sorted_groups:
@@ -194,7 +208,7 @@ def group_bag_lpt(
             cursor += take
             jobs_per_group[group].extend(chunk)
             bags_per_group[group].append(list(chunk))
-            chunk_area = sum(job.size for job in chunk)
+            chunk_area = sum(map(_size, chunk))
             area_per_group[group] += chunk_area
             averages[group] += chunk_area / group_sizes[group]
         if cursor < len(sorted_jobs):  # pragma: no cover - guarded above

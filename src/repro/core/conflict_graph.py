@@ -6,15 +6,19 @@ independent sets (one per machine).  This module builds that graph (both as
 an adjacency structure of our own and as a :mod:`networkx` graph for
 cross-checking), and provides the coloring primitives that the classical
 2-approximation of Bodlaender, Jansen and Woeginger uses.
+
+:mod:`networkx` is imported only by the two functions that return or read a
+networkx graph, so the package imports without it (it is a dev dependency).
 """
 
 from __future__ import annotations
 
-from typing import Iterable
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable
 
 from .instance import Instance
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "build_conflict_graph",
@@ -48,6 +52,8 @@ def build_conflict_graph(instance: Instance) -> nx.Graph:
     connect jobs of the same bag.  Used by tests to cross-check our own
     adjacency construction and by the coloring baseline.
     """
+    import networkx as nx
+
     graph = nx.Graph()
     for job in instance.jobs:
         graph.add_node(job.id, size=job.size, bag=job.bag)
@@ -66,6 +72,8 @@ def is_cluster_graph(graph: nx.Graph) -> bool:
     vertices (P3).  We check each connected component for completeness,
     which is equivalent and faster for our graphs.
     """
+    import networkx as nx
+
     for component in nx.connected_components(graph):
         nodes = list(component)
         size = len(nodes)

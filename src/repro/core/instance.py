@@ -61,6 +61,14 @@ class InstanceStats:
         }
 
 
+def _by_bag(jobs: tuple[Job, ...]) -> dict[int, tuple[Job, ...]]:
+    """``bag index -> its jobs in order``, bags in ascending order."""
+    bags: dict[int, list[Job]] = {}
+    for job in jobs:
+        bags.setdefault(job.bag, []).append(job)
+    return {bag: tuple(members) for bag, members in sorted(bags.items())}
+
+
 class Instance:
     """An immutable instance of machine scheduling with bag-constraints.
 
@@ -100,12 +108,7 @@ class Instance:
         self._name = str(name)
         # A repeated id (only possible without validation) maps to its last row.
         self._rows: dict[int, int] = {job.id: row for row, job in enumerate(job_tuple)}
-        bags: dict[int, list[Job]] = {}
-        for job in job_tuple:
-            bags.setdefault(job.bag, []).append(job)
-        self._bags: dict[int, tuple[Job, ...]] = {
-            bag: tuple(members) for bag, members in sorted(bags.items())
-        }
+        self._bags = _by_bag(job_tuple)
         self._sizes = np.array([job.size for job in job_tuple], dtype=float)
         self._job_bags = np.array([job.bag for job in job_tuple], dtype=np.int64)
         if validate:
@@ -287,6 +290,25 @@ class Instance:
             name=name if name is not None else self._name,
             validate=False,
         )
+
+    def _resized(self, sizes: np.ndarray, *, name: str) -> "Instance":
+        """A copy whose job in row ``r`` has size ``sizes[r]``, for rounding.
+
+        The copy keeps every id, row and bag, so it shares this instance's
+        id -> row dict and bag array, and ``sizes`` (not copied) becomes its
+        size array.  ``sizes`` must be finite and non-negative, as rounded
+        sizes are: the jobs are copied with :meth:`Job._resized`, unchecked.
+        """
+        jobs = tuple(map(Job._resized, self._jobs, sizes.tolist()))
+        copy = Instance.__new__(Instance)
+        copy._jobs = jobs
+        copy._num_machines = self._num_machines
+        copy._name = name
+        copy._rows = self._rows
+        copy._bags = _by_bag(jobs)
+        copy._sizes = sizes
+        copy._job_bags = self._job_bags
+        return copy
 
     def with_machines(self, num_machines: int, *, name: str | None = None) -> "Instance":
         """Return a new instance with the same jobs but a new machine count."""

@@ -485,17 +485,20 @@ class Occupancy:
       size of each job placed on or taken off ``m``, in the order of the
       changes, so it holds the floats a job-by-job sum gives;
     * ``bags[m]`` maps each bag on machine ``m`` to its number of jobs there,
-      so ``bag in occupancy.bags[m]`` is the conflict test.
+      so ``bag in occupancy.bags[m]`` is the conflict test;
+    * ``assignment`` is the schedule's own ``job id -> machine`` dict, for
+      reading only, so ``job_id in occupancy.assignment`` tests placement
+      without a method call.
     """
 
-    __slots__ = ("schedule", "loads", "bags", "_assignment", "_job_ids")
+    __slots__ = ("schedule", "loads", "bags", "assignment", "_job_ids")
 
     def __init__(self, schedule: Schedule) -> None:
         self.schedule = schedule
         self.loads: list[float] = schedule.loads().tolist()
         self.bags: list[dict[int, int]] = [{} for _ in self.loads]
         instance = schedule.instance
-        self._assignment = assignment = schedule._assignment
+        self.assignment = assignment = schedule._assignment
         self._job_ids = instance.job_ids
         job_bags = instance.job_bags[instance.rows_of(assignment)]
         for machine, bag in zip(assignment.values(), job_bags.tolist()):
@@ -517,7 +520,7 @@ class Occupancy:
         machine outside ``[0, m)``.
         """
         job_id, bag, loads = job.id, job.bag, self.loads
-        assignment = self._assignment
+        assignment = self.assignment
         source = assignment.get(job_id)
         if source == machine:
             return

@@ -178,21 +178,20 @@ def classify_bags(
     )
     b_prime = constants.priority_bags_per_size
 
-    # Large bags: at least eps * m medium-or-large jobs.
+    # Large bags: at least eps * m medium-or-large jobs, so none without them.
     large_bag_threshold = eps * instance.num_machines
     heavy_ids = job_classes.medium_or_large
     large_bags: set[int] = set()
-    for bag, members in instance.bags().items():
-        heavy = sum(1 for member in members if member.id in heavy_ids)
-        if heavy >= large_bag_threshold - SIZE_TOL:
-            large_bags.add(bag)
+    if heavy_ids:
+        for bag, members in instance.bags().items():
+            heavy = sum(1 for member in members if member.id in heavy_ids)
+            if heavy >= large_bag_threshold - SIZE_TOL:
+                large_bags.add(bag)
 
     # Per-size orderings o_s over bags actually containing jobs of size s:
     # bags by decreasing |B_l^s|, ties by index.
     sizes = instance.sizes
-    bags = np.fromiter(
-        (member.bag for member in instance.jobs), dtype=np.int64, count=instance.num_jobs
-    )
+    bags = instance.job_bags
     size_orderings: dict[float, tuple[int, ...]] = {}
     # The paper makes every large bag a priority bag so that non-priority bags
     # are provably small (needed by the worst-case proof of Lemma 3).  In

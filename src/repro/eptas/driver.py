@@ -7,8 +7,10 @@
    upper bound;
 2. for each guess: scale to ``OPT = 1``, round sizes geometrically, classify
    jobs and bags (Lemma 1, Definition 2), transform the instance
-   (Section 2.2), group its jobs once by (bag, size) for every later stage,
-   enumerate patterns, build and solve the configuration MILP (Section 3);
+   (Section 2.2; the identity when every large and medium job sits in a
+   priority bag, and then the job classes carry over), group its jobs once
+   by (bag, size) for every later stage, enumerate patterns, build and solve
+   the configuration MILP (Section 3);
 3. when the MILP is feasible: place large/medium jobs (Lemma 7), place small
    jobs (Section 4), repair residual conflicts (Lemma 11), re-insert the
    removed medium jobs (Lemma 3) and revert the transformation (Lemma 4);
@@ -122,8 +124,12 @@ def solve_for_guess(
     record = transform_instance(working, job_classes, bag_classes)
     transformed = record.transformed
     # Classify the transformed jobs (fillers are new small jobs; large jobs
-    # kept their sizes, so thresholds and k are unchanged).
-    transformed_job_classes = classify_jobs(transformed, eps, k=job_classes.k)
+    # kept their sizes, so thresholds and k are unchanged).  The identity
+    # transformation keeps every job, so its classes carry over.
+    if transformed is working:
+        transformed_job_classes = job_classes
+    else:
+        transformed_job_classes = classify_jobs(transformed, eps, k=job_classes.k)
     constants = bag_classes.constants
 
     # Every later stage reads this one grouping of the transformed jobs.

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.instance import Instance
-from ..core.job import Job
 
 __all__ = [
     "RoundedInstance",
@@ -110,12 +109,12 @@ def _round_scaled(instance: Instance, eps: float, scale: float, name: str) -> In
 
     ``s * scale`` is the product :meth:`Instance.scaled` stores, so rounding
     a scaled copy gives the same sizes bit for bit.  Rounded sizes are finite
-    and non-negative, so the copies skip :class:`Job` validation.
+    and non-negative, so the copies skip :class:`~repro.core.job.Job`
+    validation; ids and bags do not change, so the rounded instance shares
+    the source's job table (:meth:`Instance._resized`).
     """
     sizes = round_up_sizes(instance.sizes * scale, eps)
-    return instance.with_jobs(
-        map(Job._resized, instance.jobs, sizes.tolist()), name=name
-    )
+    return instance._resized(sizes, name=name)
 
 
 def round_instance(instance: Instance, eps: float) -> Instance:

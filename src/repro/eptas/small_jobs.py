@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from ..baselines.lpt import bag_lpt, group_bag_lpt
 from ..core.errors import AlgorithmError
@@ -46,6 +47,8 @@ from .params import DerivedConstants
 from .patterns import JobTable
 
 __all__ = ["SmallPlacementDiagnostics", "place_small_jobs"]
+
+_size = attrgetter("size")
 
 
 @dataclass(slots=True)
@@ -191,7 +194,7 @@ def place_small_jobs(
             )
     # Largest bags (by area) first gives group-bag-LPT the most freedom; each
     # area is summed in instance order.
-    non_priority_bags.sort(key=lambda jobs: -sum(job.size for job in jobs))
+    non_priority_bags.sort(key=lambda jobs: -sum(map(_size, jobs)))
 
     if non_priority_bags:
         group_sizes = {group: len(machines) for group, machines in groups.items()}
@@ -204,21 +207,23 @@ def place_small_jobs(
             if not any(bag_chunks):
                 continue
             machines = groups[group]
-            result = bag_lpt(
+            machine_of = bag_lpt(
                 machines,
                 {machine: grouping_height[machine] for machine in machines},
                 bag_chunks,
-            )
-            for job_id, machine in result.assignment.items():
-                machine = int(machine)
-                job = instance.job(job_id)
-                if job.bag in bags[machine]:
-                    # Should not happen (non-priority small bags are fresh on
-                    # every machine); defensively reroute.
-                    place_least_loaded(job)
-                else:
-                    occupancy.assign(job, machine)
-                diagnostics.non_priority_jobs += 1
+            ).assignment
+            # Each chunk is in (size descending, id) order already, the order
+            # bag-LPT places it in, so this walk follows its placements.
+            for chunk in bag_chunks:
+                for job in chunk:
+                    machine = machine_of[job.id]
+                    if job.bag in bags[machine]:
+                        # Should not happen (non-priority small bags are fresh
+                        # on every machine); defensively reroute.
+                        place_least_loaded(job)
+                    else:
+                        occupancy.assign(job, machine)
+                diagnostics.non_priority_jobs += len(chunk)
 
     # ------------------------------------------------------------------
     # D. Priority bags: Corollary 1 merged jobs + Lemma 10 slot filling.
@@ -296,12 +301,13 @@ def place_small_jobs(
     # E. Safety net: any small job that slipped through every path above
     #    (e.g. a priority class the MILP over-covered with patterns whose
     #    machines were never materialised) is placed greedily, classes in
-    #    (bag, size) order.
+    #    (bag, size) order.  A complete schedule has none.
     # ------------------------------------------------------------------
-    for small in table.small:
-        for job_id in small.job_ids:
-            if job_id not in schedule:
-                place_least_loaded(instance.job(job_id))
-                diagnostics.priority_fallback_jobs += 1
+    if schedule.num_assigned < instance.num_jobs:
+        for small in table.small:
+            for job_id in small.job_ids:
+                if job_id not in schedule:
+                    place_least_loaded(instance.job(job_id))
+                    diagnostics.priority_fallback_jobs += 1
 
     return diagnostics

@@ -10,12 +10,14 @@ For every *non-priority* bag ``B_l`` the transformation
 
 After the transformation every non-priority bag contains only small jobs
 (plus fillers) and every companion bag contains only large jobs, so the MILP
-may schedule large and small jobs of those bags independently.  Lemma 2
-bounds the optimum of the transformed instance by ``(1 + eps)`` times the
-original optimum; Lemma 3 re-inserts the removed medium jobs through an
-integral flow; Lemma 4 converts a solution of the transformed instance back
-into a solution of the original instance by swapping conflicting small jobs
-into filler positions and dropping the fillers.
+may schedule large and small jobs of those bags independently.  When every
+large and medium job already sits in a priority bag there is nothing to
+split, and the transformation is the identity.  Lemma 2 bounds the optimum
+of the transformed instance by ``(1 + eps)`` times the original optimum;
+Lemma 3 re-inserts the removed medium jobs through an integral flow; Lemma 4
+converts a solution of the transformed instance back into a solution of the
+original instance by swapping conflicting small jobs into filler positions
+and dropping the fillers.
 
 Both re-insertion and revert place jobs through an
 :class:`~repro.core.schedule.Occupancy`; their defensive paths (the greedy
@@ -48,6 +50,11 @@ __all__ = [
 @dataclass(slots=True)
 class TransformationRecord:
     """Everything needed to map solutions between ``I`` and ``I'``.
+
+    When no non-priority bag holds a large or medium job, the transformation
+    is the identity: ``original``, ``transformed`` and ``augmented`` are the
+    same instance object, and the record has no companion bags, fillers,
+    removed medium jobs or moved large jobs.
 
     Attributes
     ----------
@@ -94,7 +101,23 @@ class TransformationRecord:
 def transform_instance(
     instance: Instance, job_classes: JobClasses, bag_classes: BagClasses
 ) -> TransformationRecord:
-    """Apply the Section-2.2 transformation to a scaled and rounded instance."""
+    """Apply the Section-2.2 transformation to a scaled and rounded instance.
+
+    ``job_classes`` must classify the jobs of ``instance``.  When every bag
+    with a large or medium job is a priority bag, the record is the identity
+    on ``instance`` (see :class:`TransformationRecord`).
+    """
+    heavy = job_classes.medium_or_large
+    heavy_bags = set(instance.job_bags[instance.rows_of(heavy)].tolist())
+    if heavy_bags <= bag_classes.priority:
+        return TransformationRecord(
+            original=instance,
+            transformed=instance,
+            augmented=instance,
+            job_classes=job_classes,
+            bag_classes=bag_classes,
+        )
+
     next_job_id = max(instance.job_ids, default=-1) + 1
     next_bag = max(instance.bag_indices, default=-1) + 1
 
@@ -295,16 +318,14 @@ def revert_to_original(
     schedule.
     """
     original = record.original
-    augmented = record.augmented
-    assignment: dict[int, int] = {}
-    for job in original.jobs:
-        machine = schedule.machine_of(job.id)
-        if machine is None:
-            raise AlgorithmError(
-                f"revert: job {job.id} of the original instance is unassigned "
-                "in the augmented solution"
-            )
-        assignment[job.id] = machine
+    machine_of = schedule.assignment.get
+    assignment = {job_id: machine_of(job_id) for job_id in original.job_ids}
+    if None in assignment.values():
+        missing = next(job_id for job_id, machine in assignment.items() if machine is None)
+        raise AlgorithmError(
+            f"revert: job {missing} of the original instance is unassigned "
+            "in the augmented solution"
+        )
     result = Schedule(original, assignment)
 
     swaps = 0

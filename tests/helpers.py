@@ -10,12 +10,13 @@ so ``from helpers import ...`` always resolves here.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping
+import heapq
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 from hypothesis import strategies as st
 
-from repro.core import Instance, Job, Schedule
+from repro.core import Instance, InvalidInstanceError, Job, Occupancy, Schedule
 from repro.milp import LinearModel, Sense
 
 __all__ = [
@@ -25,6 +26,7 @@ __all__ = [
     "drawn_instances",
     "make_instance",
     "make_jobs",
+    "reference_greedy_assign",
 ]
 
 
@@ -54,6 +56,50 @@ def drawn_instances(draw, max_jobs: int = 24, max_machines: int = 6) -> Instance
         counts[bag] = counts.get(bag, 0) + 1
         jobs.append(Job(id=job_id, size=draw(size), bag=bag))
     return Instance(jobs, num_machines, name="drawn")
+
+
+def reference_greedy_assign(
+    instance: Instance,
+    order: Sequence[Job] | None = None,
+    *,
+    schedule: Schedule | None = None,
+) -> Schedule:
+    """``greedy_assign`` as a heap that may hold stale entries: pop until a
+    current entry of a machine without the job's bag, stash the conflicting
+    ones and push them back.  The oracle for the one-entry-per-machine heap."""
+    jobs = list(order) if order is not None else list(instance.jobs)
+    occupancy = Occupancy(
+        schedule if schedule is not None else Schedule(instance, allow_partial=True)
+    )
+    schedule = occupancy.schedule
+    loads, bags = occupancy.loads, occupancy.bags
+    heap: list[tuple[float, int]] = [(load, machine) for machine, load in enumerate(loads)]
+    heapq.heapify(heap)
+    for job in jobs:
+        if job.id in schedule:
+            continue
+        stash: list[tuple[float, int]] = []
+        chosen: int | None = None
+        while heap:
+            load, machine = heapq.heappop(heap)
+            if load != loads[machine]:
+                heapq.heappush(heap, (loads[machine], machine))
+                continue
+            if job.bag in bags[machine]:
+                stash.append((load, machine))
+                continue
+            chosen = machine
+            break
+        for entry in stash:
+            heapq.heappush(heap, entry)
+        if chosen is None:
+            raise InvalidInstanceError(
+                f"no conflict-free machine for job {job.id} of bag {job.bag}; "
+                f"bag has more jobs than machines"
+            )
+        occupancy.assign(job, chosen)
+        heapq.heappush(heap, (loads[chosen], chosen))
+    return schedule
 
 
 def make_instance(sizes, bags, machines, name="test") -> Instance:

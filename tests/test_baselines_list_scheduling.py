@@ -11,13 +11,21 @@ from repro.baselines import (
     greedy_assign,
     greedy_schedule,
     lpt_order,
+    lpt_schedule,
     upper_bound_makespan,
 )
 from repro.bounds import combined_lower_bound
-from repro.core import Instance, InvalidInstanceError, Job, Schedule
+from repro.core import (
+    Instance,
+    InvalidInstanceError,
+    InvalidScheduleError,
+    Job,
+    Occupancy,
+    Schedule,
+)
 from repro.generators import uniform_random_instance
 
-from helpers import assert_feasible, drawn_instances
+from helpers import assert_feasible, drawn_instances, reference_greedy_assign
 
 
 class TestGreedySchedule:
@@ -132,6 +140,78 @@ class TestFirstFitMatchesTheLoop:
         assert result.schedule.assignment == {0: 0, 1: 1, 2: 2, 3: 1, 4: 0}
 
 
+@st.composite
+def _greedy_cases(draw):
+    """A drawn instance (tied sizes, bags of up to m jobs), an order of its
+    jobs that may list one job twice, and maybe a conflict-free partial
+    schedule to extend, as Das–Wiese passes one."""
+    instance = draw(drawn_instances())
+    jobs = list(instance.jobs)
+    order = draw(st.permutations(jobs))
+    if jobs and draw(st.booleans()):
+        order.insert(draw(st.integers(0, len(order))), draw(st.sampled_from(jobs)))
+    partial = None
+    if draw(st.booleans()):
+        partial = Schedule(instance, allow_partial=True)
+        held: list[set[int]] = [set() for _ in range(instance.num_machines)]
+        placed = draw(st.lists(st.sampled_from(jobs), unique_by=lambda job: job.id)) if jobs else []
+        for job in placed:
+            machine = draw(st.integers(0, instance.num_machines - 1))
+            if job.bag not in held[machine]:
+                partial.assign(job.id, machine)
+                held[machine].add(job.bag)
+    return instance, order, partial
+
+
+def _greedy_outcome(function, instance, order, partial):
+    """The assignment (in order) and occupancy loads, or the error raised."""
+    try:
+        schedule = function(instance, order, schedule=partial.copy() if partial else None)
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome compared
+        return type(exc), str(exc)
+    return list(schedule.assignment.items()), Occupancy(schedule).loads
+
+
+class TestGreedyMatchesTheStaleEntryHeap:
+    @settings(max_examples=300, deadline=None)
+    @given(_greedy_cases())
+    def test_same_assignment_order_and_loads(self, case):
+        instance, order, partial = case
+        expected = _greedy_outcome(reference_greedy_assign, instance, order, partial)
+        assert _greedy_outcome(greedy_assign, instance, order, partial) == expected
+        assert isinstance(expected[0], list)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_greedy_cases(), st.data())
+    def test_an_unknown_job_raises_the_same_error(self, case, data):
+        instance, order, partial = case
+        # A fresh bag, so a machine is free for it and the id is what fails.
+        stranger = Job(
+            id=max(instance.job_ids, default=0) + 1,
+            size=1.0,
+            bag=max(instance.bag_indices, default=0) + 1,
+        )
+        order.insert(data.draw(st.integers(0, len(order))), stranger)
+        expected = _greedy_outcome(reference_greedy_assign, instance, order, partial)
+        assert _greedy_outcome(greedy_assign, instance, order, partial) == expected
+        assert expected[0] is InvalidScheduleError
+
+    @pytest.mark.parametrize("machines", [1, 2, 3])
+    def test_an_overfull_bag_raises_the_same_error(self, machines):
+        # Bag 1 has one job more than there are machines.
+        jobs = [Job(id=job_id, size=1.0, bag=1) for job_id in range(machines + 1)]
+        jobs.append(Job(id=99, size=5.0, bag=0))
+        instance = Instance(jobs, machines, validate=False)
+        order = lpt_order(instance)
+        expected = _greedy_outcome(reference_greedy_assign, instance, order, None)
+        assert _greedy_outcome(greedy_assign, instance, order, None) == expected
+        assert expected == (
+            InvalidInstanceError,
+            f"no conflict-free machine for job {machines} of bag 1; "
+            "bag has more jobs than machines",
+        )
+
+
 class TestUpperBound:
     def test_upper_bound_brackets_greedy(self, uniform_instance):
         upper = upper_bound_makespan(uniform_instance)
@@ -140,6 +220,29 @@ class TestUpperBound:
         # The LPT-ordered bound is never worse than twice the lower bound.
         assert upper <= 2.0 * combined_lower_bound(uniform_instance) + 1e-9
         assert result.makespan > 0
+
+    def test_ties_break_by_id_as_in_lpt(self):
+        # Jobs 65 and 13 of bag 0 tie at size 2: taking 13 first, as LPT's
+        # id order does, reaches a makespan of 6; the listed order reaches 8.
+        instance = Instance(
+            [
+                Job(65, 2.0, 0), Job(13, 2.0, 0), Job(99, 3.0, 3), Job(20, 1.0, 1),
+                Job(66, 1.0, 1), Job(50, 3.0, 1), Job(47, 2.0, 2), Job(62, 3.0, 2),
+            ],
+            3,
+        )
+        assert upper_bound_makespan(instance) == 6.0
+        assert lpt_schedule(instance).makespan == 6.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(drawn_instances(), st.randoms(use_true_random=False))
+    def test_equals_lpt_whatever_the_listed_order(self, instance, random):
+        shuffled = list(instance.jobs)
+        random.shuffle(shuffled)
+        relisted = Instance(shuffled, instance.num_machines, name="relisted")
+        expected = lpt_schedule(instance).makespan
+        assert upper_bound_makespan(instance) == expected
+        assert upper_bound_makespan(relisted) == expected
 
 
 @st.composite

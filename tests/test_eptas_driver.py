@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.baselines import greedy_schedule, lpt_schedule
 from repro.bounds import best_lower_bound, combined_lower_bound
@@ -21,7 +24,7 @@ from repro.generators import (
     uniform_random_instance,
 )
 
-from helpers import assert_feasible
+from helpers import assert_feasible, drawn_instances
 
 
 # The EPTAS at eps = 1/2 on the uniform instance spends about a minute in
@@ -147,6 +150,84 @@ class TestSolveForGuess:
         assert data["feasible"] is True
         assert data["k"] >= 1
         assert data["num_patterns"] == report.num_patterns
+
+
+def _regrouped(record):
+    """The record the transformation loop builds when it splits nothing: I'
+    and the augmented instance are new instances of the jobs grouped by bag."""
+    original = record.original
+    jobs = [job for members in original.bags().values() for job in members]
+    machines = original.num_machines
+    return replace(
+        record,
+        transformed=Instance(jobs, machines, name=f"{original.name}#transformed", validate=False),
+        augmented=Instance(jobs, machines, name=f"{original.name}#augmented", validate=False),
+    )
+
+
+def _guess_outcome(instance, guess, config):
+    """``solve_for_guess``'s assignment (in order) and report, or its error
+    with the instance-name suffixes of the regrouped record taken out."""
+    try:
+        schedule, report = solve_for_guess(instance, guess, config)
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome compared
+        message = str(exc).replace("#transformed", "").replace("#augmented", "")
+        return type(exc), message
+    assignment = list(schedule.assignment.items()) if schedule is not None else None
+    return assignment, report.to_dict()
+
+
+def _solve_both_ways(instance, guess, config):
+    """The outcome of ``solve_for_guess``, the outcome with every identity
+    record regrouped, and whether the guess's transformation was the identity."""
+    transform = driver.transform_instance
+    identities = []
+
+    def regrouping(working, job_classes, bag_classes):
+        record = transform(working, job_classes, bag_classes)
+        identities.append(record.transformed is working)
+        return _regrouped(record) if identities[-1] else record
+
+    direct = _guess_outcome(instance, guess, config)
+    with mock.patch.object(driver, "transform_instance", regrouping):
+        regrouped = _guess_outcome(instance, guess, config)
+    return direct, regrouped, identities == [True]
+
+
+class TestIdentityTransformation:
+    """A guess whose transformation is the identity skips building I' and
+    classifying it again; its outcome is the one with I' built as the loop
+    built it."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(drawn_instances(), st.sampled_from([0.5, 0.25]), st.sampled_from(["lower", "lpt"]))
+    def test_drawn_instances(self, instance, eps, which):
+        if which == "lpt":
+            guess = lpt_schedule(instance).makespan
+        else:
+            guess = best_lower_bound(instance).best
+        assume(guess > 0)
+        direct, regrouped, _ = _solve_both_ways(instance, guess, EptasConfig(eps=eps).normalised())
+        assert direct == regrouped
+
+    @pytest.mark.parametrize(
+        "generated",
+        [
+            uniform_random_instance(num_jobs=400, num_machines=10, num_bags=40, seed=1),
+            two_size_instance(num_machines=12, large_per_machine=2, seed=0),
+            replica_workload_instance(num_services=40, num_machines=8, seed=0),
+        ],
+        ids=["uniform", "two-size", "replicas"],
+    )
+    def test_identity_guesses_of_the_families(self, generated):
+        instance = generated.instance
+        guess = best_lower_bound(instance).best
+        direct, regrouped, identity = _solve_both_ways(
+            instance, guess, EptasConfig(eps=0.5).normalised()
+        )
+        assert identity
+        assert direct == regrouped
+        assert isinstance(direct[0], list)
 
 
 class TestBinarySearch:

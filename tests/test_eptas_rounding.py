@@ -10,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bounds import best_lower_bound
-from repro.core import Instance
+from repro.core import Instance, Job
 from repro.eptas import round_instance, round_up_to_power, scale_and_round
 from repro.eptas.rounding import round_up_sizes
 from repro.generators import generate
+
+from helpers import drawn_instances
 
 _EPSILONS = [0.5, 1 / 3, 0.25, 0.2, 0.1]
 
@@ -117,6 +119,51 @@ class TestOnePassRounding:
     def test_drawn_instances(self, sizes, eps, guess):
         instance = Instance.from_sizes(sizes, list(range(len(sizes))), 2, name="drawn")
         _assert_matches_two_step_rounding(instance, eps, guess)
+
+
+def _assert_same_job_table(actual: Instance, expected: Instance) -> None:
+    """Equal on every read of the job table, arrays byte for byte."""
+    assert actual.name == expected.name
+    assert actual.num_machines == expected.num_machines
+    assert actual.jobs == expected.jobs
+    for field in ("sizes", "job_bags"):
+        mine, theirs = getattr(actual, field), getattr(expected, field)
+        assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes(), field
+    assert list(actual.job_ids) == list(expected.job_ids)
+    assert actual.bags() == expected.bags()
+    ids = list(expected.job_ids)
+    assert actual.rows_of(ids).tolist() == expected.rows_of(ids).tolist()
+    for job_id, row in zip(ids, expected.rows_of(ids).tolist()):
+        assert actual.job(job_id) is actual.jobs[row]
+        assert actual.job(job_id) == expected.job(job_id)
+
+
+class TestRoundedJobTable:
+    """The rounded instance shares its source's ids, rows and bag array, and
+    reads exactly like one built by the constructor from its jobs."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        drawn_instances(),
+        st.sampled_from(_EPSILONS),
+        st.floats(1e-2, 1e2, allow_nan=False, allow_infinity=False),
+    )
+    def test_equals_the_constructor(self, instance, eps, guess):
+        for rounded in (scale_and_round(instance, eps, guess).instance, round_instance(instance, eps)):
+            expected = Instance(rounded.jobs, rounded.num_machines, name=rounded.name, validate=False)
+            _assert_same_job_table(rounded, expected)
+
+    def test_repeated_ids(self):
+        # Id 1 sits in rows 0 and 2; job(1) is the later row's job, as the
+        # constructor's id -> row dict keeps the last row.
+        source = Instance(
+            [Job(1, 0.3, 0), Job(2, 0.2, 1), Job(1, 0.7, 1)], 2, name="repeated", validate=False
+        )
+        rounded = round_instance(source, 0.5)
+        expected = Instance(rounded.jobs, 2, name=rounded.name, validate=False)
+        _assert_same_job_table(rounded, expected)
+        assert rounded.job(1).size == round_up_to_power(0.7, 0.5)
+        assert rounded.bags() == {0: (rounded.jobs[0],), 1: rounded.jobs[1:]}
 
 
 # ----------------------------------------------------------------------

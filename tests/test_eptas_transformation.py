@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines import lpt_schedule
-from repro.core import Instance, Job, Schedule
+from repro.core import AlgorithmError, Instance, Job, Schedule
 from repro.eptas import (
     ConstantsMode,
     classify_bags,
@@ -17,6 +19,8 @@ from repro.eptas import (
     transform_instance,
 )
 from repro.flows import AssignmentResult
+
+from helpers import drawn_instances
 
 
 def _build_pipeline(instance: Instance, eps: float = 0.25, cap: int = 1):
@@ -133,7 +137,40 @@ class TestTransformInstance:
         bag_classes = classify_bags(instance, job_classes, practical_priority_cap=10)
         record = transform_instance(instance, job_classes, bag_classes)
         assert not record.companion_bag
-        assert record.transformed.num_jobs == instance.num_jobs
+        assert record.transformed is record.augmented is instance
+
+
+class TestIdentityTransformation:
+    """Nothing to split: the record is the identity on the input instance."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(drawn_instances(), st.sampled_from([0.5, 0.25]), st.integers(1, 4))
+    def test_identity_exactly_when_every_heavy_bag_is_a_priority_bag(
+        self, instance, eps, cap
+    ):
+        job_classes, bag_classes, record = _build_pipeline(instance, eps, cap)
+        heavy_bags = {instance.job(job_id).bag for job_id in job_classes.medium_or_large}
+        split = heavy_bags - bag_classes.priority
+        assert set(record.companion_bag) == split
+        if split:
+            assert record.transformed is not instance
+            return
+        assert record.original is record.transformed is record.augmented is instance
+        assert record.job_classes is job_classes
+        assert record.bag_classes is bag_classes
+        assert record.filler_for == {} and record.fillers_by_bag == {}
+        assert record.removed_medium == {} and record.moved_large == {}
+
+    def test_a_non_priority_bag_of_small_jobs_only_is_no_reason_to_split(self):
+        # Bag 0 holds the two large jobs and is the priority bag; bag 1 holds
+        # small jobs only, so nothing is split although bag 1 is non-priority.
+        instance = Instance([Job(0, 0.6, 0), Job(1, 0.6, 0), Job(2, 0.1, 1)], 2)
+        job_classes, bag_classes, record = _build_pipeline(instance, 0.5, 1)
+        assert bag_classes.non_priority == {1}
+        assert record.transformed is instance
+        schedule = Schedule(instance, {0: 0, 1: 1, 2: 0})
+        assert reinsert_medium_jobs(record, schedule).assignment == schedule.assignment
+        assert revert_to_original(record, schedule).assignment == schedule.assignment
 
 
 class TestForwardTransform:
@@ -249,6 +286,19 @@ class TestRevert:
         reverted = revert_to_original(record, augmented)
         assert reverted.is_conflict_free()
         reverted.validate(require_complete=True)
+
+    def test_an_unassigned_job_is_named_in_original_order(self):
+        # Jobs 2 and 4 of the original instance are missing; 2 comes first.
+        record = _one_split_bag()
+        augmented = Schedule(
+            record.augmented, {0: 0, 1: 1, 3: 2, 5: 1, 6: 0}, allow_partial=True
+        )
+        with pytest.raises(
+            AlgorithmError,
+            match=r"^revert: job 2 of the original instance is unassigned "
+            r"in the augmented solution$",
+        ):
+            revert_to_original(record, augmented)
 
     def test_fallback_when_every_filler_sits_on_a_heavy_machine(self):
         # Small job 2 shares machine 0 with large job 0 of its original bag,

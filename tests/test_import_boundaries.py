@@ -1,4 +1,5 @@
-"""The algorithm packages import none of the infrastructure packages."""
+"""The algorithm packages import none of the infrastructure packages, and not
+networkx, which is only a dev dependency."""
 
 from __future__ import annotations
 
@@ -16,13 +17,9 @@ INFRASTRUCTURE = (
 )
 
 
-def test_algorithms_load_no_infrastructure():
-    # A fresh interpreter: this test process has imported everything already.
-    code = (
-        "import json, sys\n"
-        "import repro.eptas, repro.exact, repro.baselines, repro.solvers\n"
-        "print(json.dumps(sorted(sys.modules)))\n"
-    )
+def _fresh(code: str) -> str:
+    """Run ``code`` in a fresh interpreter (this test process has imported
+    everything already) and return its standard output."""
     done = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -30,10 +27,45 @@ def test_algorithms_load_no_infrastructure():
         check=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
-    loaded = json.loads(done.stdout)
+    return done.stdout
+
+
+def _loaded_by_the_algorithms() -> list[str]:
+    return json.loads(
+        _fresh(
+            "import json, sys\n"
+            "import repro.eptas, repro.exact, repro.baselines, repro.solvers\n"
+            "print(json.dumps(sorted(sys.modules)))\n"
+        )
+    )
+
+
+def test_algorithms_load_no_infrastructure():
+    loaded = _loaded_by_the_algorithms()
     offending = [
         name
         for name in loaded
         if any(name == package or name.startswith(package + ".") for package in INFRASTRUCTURE)
     ]
     assert offending == []
+
+
+def test_algorithms_load_without_networkx():
+    # networkx is a dev dependency: only the networkx views of the conflict
+    # graph import it, when they are called.
+    loaded = _loaded_by_the_algorithms()
+    assert [name for name in loaded if name.split(".")[0] == "networkx"] == []
+
+
+def test_eptas_runs_with_networkx_blocked():
+    out = _fresh(
+        "import sys\n"
+        "sys.modules['networkx'] = None  # any import of it now raises\n"
+        "from repro.eptas import eptas_schedule\n"
+        "from repro.generators import uniform_random_instance\n"
+        "instance = uniform_random_instance(num_jobs=12, num_machines=3, num_bags=4, seed=0).instance\n"
+        "result = eptas_schedule(instance, 0.5)\n"
+        "result.schedule.validate(require_complete=True)\n"
+        "print(result.makespan > 0)\n"
+    )
+    assert out.strip() == "True"
