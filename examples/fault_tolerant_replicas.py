@@ -46,7 +46,7 @@ def bag_oblivious_schedule(instance: Instance, capacity: float) -> Schedule:
     packed = first_fit_schedule(relaxed, capacity=capacity).schedule
     # Interpret the assignment on the original instance (bags restored), so
     # the simulator can report per-service survivability.
-    return Schedule(instance, packed.assignment, allow_partial=True)
+    return Schedule(instance, packed.assignment)
 
 
 def main() -> None:

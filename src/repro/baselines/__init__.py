@@ -13,7 +13,6 @@ from .lpt import (
     bag_lpt,
     group_bag_lpt,
     lpt_schedule,
-    small_job_lpt_schedule,
 )
 from .coloring import coloring_schedule
 from .das_wiese import DasWieseConfig, das_wiese_schedule
@@ -35,6 +34,5 @@ __all__ = [
     "local_search_schedule",
     "lpt_order",
     "lpt_schedule",
-    "small_job_lpt_schedule",
     "upper_bound_makespan",
 ]

@@ -17,13 +17,38 @@ pairwise different classes.
 
 from __future__ import annotations
 
-from ..core.conflict_graph import color_classes, greedy_clique_coloring
 from ..core.instance import Instance
 from ..core.result import SolverResult, timed_solver_result
 from ..core.schedule import Schedule
 from .list_scheduling import greedy_assign
 
 __all__ = ["coloring_schedule"]
+
+
+def greedy_clique_coloring(instance: Instance) -> dict[int, int]:
+    """Color the conflict graph of a bag-constrained instance optimally.
+
+    Because the conflict graph is a cluster graph, an optimal coloring simply
+    assigns color ``0, 1, 2, …`` to the jobs of each bag independently; the
+    chromatic number equals the size of the largest bag.  The returned
+    mapping is ``job id -> color``.  Colors can be interpreted as "machine
+    classes": jobs of the same color never conflict.
+    """
+    coloring: dict[int, int] = {}
+    for _, members in instance.bags().items():
+        # Color larger jobs first so color classes are balanced by area,
+        # which helps the coloring-based scheduling baseline.
+        for color, job in enumerate(sorted(members, key=lambda j: -j.size)):
+            coloring[job.id] = color
+    return coloring
+
+
+def color_classes(coloring: dict[int, int]) -> dict[int, list[int]]:
+    """Group a coloring into ``color -> sorted job ids``."""
+    classes: dict[int, list[int]] = {}
+    for job_id, color in coloring.items():
+        classes.setdefault(color, []).append(job_id)
+    return {color: sorted(ids) for color, ids in sorted(classes.items())}
 
 
 def coloring_schedule(instance: Instance) -> SolverResult:

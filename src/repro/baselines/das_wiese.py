@@ -213,7 +213,7 @@ def _try_build_schedule(
         group_index: sorted(group_jobs[(bag, size)], key=lambda job: (-job.size, job.id))
         for group_index, (bag, size, _) in enumerate(groups)
     }
-    schedule = Schedule(instance, allow_partial=True)
+    schedule = Schedule(instance)
     for machine, counts in enumerate(machine_configs):
         for group_index, count in enumerate(counts):
             for _ in range(count):

@@ -73,9 +73,7 @@ def greedy_assign(
     machines until one is free, then pushes the others back.
     """
     jobs = list(order) if order is not None else list(instance.jobs)
-    occupancy = Occupancy(
-        schedule if schedule is not None else Schedule(instance, allow_partial=True)
-    )
+    occupancy = Occupancy(schedule if schedule is not None else Schedule(instance))
     loads, bags, placed = occupancy.loads, occupancy.bags, occupancy.assignment
 
     heap: list[tuple[float, int]] = [(load, machine) for machine, load in enumerate(loads)]
@@ -133,7 +131,7 @@ def first_fit_schedule(instance: Instance, *, capacity: float | None = None) -> 
     """
 
     def build() -> Schedule:
-        occupancy = Occupancy(Schedule(instance, allow_partial=True))
+        occupancy = Occupancy(Schedule(instance))
         loads, bags = occupancy.loads, occupancy.bags
         for job in instance.jobs:
             machine = next(

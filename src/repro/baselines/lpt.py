@@ -13,9 +13,8 @@
   of a bag go to the least loaded group.  Lemma 9 bounds the area each group
   receives.
 
-The latter two are the building blocks the EPTAS uses to place small jobs;
-they are exposed here because they are also reasonable standalone heuristics
-and are benchmarked as such.
+The latter two are the building blocks the EPTAS uses to place small jobs
+(:mod:`repro.eptas.small_jobs`).
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from ..core.errors import AlgorithmError
 from ..core.instance import Instance
 from ..core.job import Job
 from ..core.result import SolverResult, timed_solver_result
-from ..core.schedule import Schedule
 from .list_scheduling import greedy_assign, lpt_order
 
 __all__ = [
@@ -218,27 +216,3 @@ def group_bag_lpt(
         bags_per_group=bags_per_group,
         area_per_group=area_per_group,
     )
-
-
-def small_job_lpt_schedule(instance: Instance) -> SolverResult:
-    """Standalone scheduler built from group-bag-LPT + bag-LPT.
-
-    Schedules the *whole* instance with the Section-4 machinery alone (all
-    machines form one group at height 0).  This only makes sense when every
-    bag fits on the machines — which instance validation guarantees — and is
-    benchmarked as the "small-jobs-only heuristic" ablation.
-    """
-
-    def build() -> Schedule:
-        bags = [list(members) for members in instance.bags().values()]
-        result = bag_lpt(
-            list(range(instance.num_machines)),
-            {machine: 0.0 for machine in range(instance.num_machines)},
-            bags,
-        )
-        schedule = Schedule(instance, allow_partial=True)
-        for job_id, machine in result.assignment.items():
-            schedule.assign(job_id, int(machine))
-        return schedule
-
-    return timed_solver_result("bag-lpt", build, params={})

@@ -557,7 +557,7 @@ def _print_result(result: SolverResult) -> None:
     print(f"makespan   : {result.makespan:.6g}")
     print(f"wall time  : {result.wall_time:.3f}s")
     bounds = best_lower_bound(result.schedule.instance)
-    print(f"lower bound: {bounds.best:.6g}  (ratio <= {result.makespan / bounds.best:.4f})")
+    print(f"lower bound: {bounds.best:.6g}  (ratio <= {result.ratio_to(bounds.best):.4f})")
     if result.diagnostics:
         trimmed = {
             key: value
@@ -609,7 +609,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             {
                 "solver": name,
                 "makespan": result.makespan,
-                "ratio_to_lb": result.makespan / bounds.best if bounds.best > 0 else float("nan"),
+                "ratio_to_lb": result.ratio_to(bounds.best),
                 "time_s": result.wall_time,
             }
         )

@@ -259,38 +259,9 @@ class Instance:
         """Mapping ``bag index -> number of jobs in that bag``."""
         return {bag: len(members) for bag, members in self._bags.items()}
 
-    def bag_of(self, job_id: int) -> int:
-        """Bag index of the given job."""
-        return self.job(job_id).bag
-
-    def size_restricted_bag(self, bag_index: int, size: float, *, tol: float = 1e-12) -> tuple[Job, ...]:
-        """Jobs of bag ``bag_index`` whose size equals ``size``.
-
-        This realises the paper's ``B_l^s`` notation (Definition 1): the
-        *size-restricted bag* containing all jobs of bag ``l`` with
-        processing time exactly ``s``.  A small tolerance is used because
-        rounded sizes are floats.
-        """
-        return tuple(
-            job for job in self.bag(bag_index) if abs(job.size - size) <= tol * max(1.0, size)
-        )
-
-    def distinct_sizes(self) -> tuple[float, ...]:
-        """Sorted tuple of distinct job sizes present in the instance."""
-        return tuple(sorted({float(job.size) for job in self._jobs}))
-
     # ------------------------------------------------------------------
     # Derived constructions
     # ------------------------------------------------------------------
-    def with_jobs(self, jobs: Iterable[Job], *, name: str | None = None) -> "Instance":
-        """Return a new instance with the same machine count but new jobs."""
-        return Instance(
-            jobs,
-            self._num_machines,
-            name=name if name is not None else self._name,
-            validate=False,
-        )
-
     def _resized(self, sizes: np.ndarray, *, name: str) -> "Instance":
         """A copy whose job in row ``r`` has size ``sizes[r]``, for rounding.
 
@@ -310,19 +281,13 @@ class Instance:
         copy._job_bags = self._job_bags
         return copy
 
-    def with_machines(self, num_machines: int, *, name: str | None = None) -> "Instance":
-        """Return a new instance with the same jobs but a new machine count."""
-        return Instance(
-            self._jobs,
-            num_machines,
-            name=name if name is not None else self._name,
-            validate=False,
-        )
-
     def scaled(self, factor: float, *, name: str | None = None) -> "Instance":
         """Return a copy of the instance with every job size multiplied by ``factor``.
 
-        Used by the EPTAS to normalise the guessed optimum to ``1``.
+        With ``factor = 1 / guess``, rounding this copy with
+        :func:`~repro.eptas.rounding.round_instance` gives, bit for bit, the
+        sizes that :func:`~repro.eptas.rounding.scale_and_round` computes in
+        one step.
         """
         if factor <= 0:
             raise ValueError(f"scaling factor must be positive, got {factor}")
@@ -330,16 +295,6 @@ class Instance:
             (job.with_size(job.size * factor) for job in self._jobs),
             self._num_machines,
             name=name if name is not None else f"{self._name}*{factor:g}",
-            validate=False,
-        )
-
-    def subset(self, job_ids: Iterable[int], *, name: str | None = None) -> "Instance":
-        """Return a new instance restricted to the given job identifiers."""
-        wanted = set(job_ids)
-        return Instance(
-            (job for job in self._jobs if job.id in wanted),
-            self._num_machines,
-            name=name if name is not None else f"{self._name}-subset",
             validate=False,
         )
 

@@ -36,10 +36,11 @@ class Job:
         the job set; the constraint is "at most one job of each bag per
         machine".
     meta:
-        Free-form metadata.  Used by the instance transformation to remember
-        the provenance of filler jobs (``{"filler_for": original_job_id}``)
-        and by the simulator to attach task names / replica groups.  The
-        mapping is not hashed and does not participate in equality.
+        Free-form metadata.  The instance transformation records the
+        provenance of filler jobs (``{"filler_for": original_job_id}``) and
+        the instance generators tag jobs with their role, service replica or
+        planted machine.  The mapping is not hashed and does not participate
+        in equality.
     """
 
     id: int
@@ -57,13 +58,6 @@ class Job:
         if self.bag < 0:
             raise ValueError(f"bag index must be non-negative, got {self.bag}")
 
-    # ------------------------------------------------------------------
-    # Convenience predicates used by classification code and tests.
-    # ------------------------------------------------------------------
-    def is_dummy(self) -> bool:
-        """Return ``True`` if this is a zero-size dummy job."""
-        return self.size == 0.0
-
     def is_filler(self) -> bool:
         """Return ``True`` if this job was created as a filler job.
 
@@ -73,11 +67,6 @@ class Job:
         ``p_max`` (the largest small-job size of the bag).
         """
         return "filler_for" in self.meta
-
-    def filler_source(self) -> int | None:
-        """Identifier of the job this filler job stands in for, if any."""
-        value = self.meta.get("filler_for")
-        return int(value) if value is not None else None
 
     def with_size(self, size: float) -> "Job":
         """Return a copy of this job with a different processing time.
@@ -103,12 +92,6 @@ class Job:
     def with_bag(self, bag: int) -> "Job":
         """Return a copy of this job that belongs to a different bag."""
         return Job(id=self.id, size=self.size, bag=bag, meta=dict(self.meta))
-
-    def with_meta(self, **meta: Any) -> "Job":
-        """Return a copy of this job with additional metadata entries."""
-        merged = dict(self.meta)
-        merged.update(meta)
-        return Job(id=self.id, size=self.size, bag=self.bag, meta=merged)
 
     def to_dict(self) -> dict[str, Any]:
         """Serialize the job to a JSON-compatible dictionary."""

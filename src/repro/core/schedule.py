@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping
 
 import numpy as np
 
@@ -168,25 +168,18 @@ class Schedule:
     assignment:
         Mapping ``job id -> machine index``.  Machine indices are
         ``0``-based and must lie in ``range(instance.num_machines)``.
-    allow_partial:
-        If ``True`` the schedule may leave jobs unassigned.  Partial
-        schedules are used internally while the EPTAS builds a solution in
-        stages (large jobs first, then small jobs); the final result of
-        every public solver is always complete and validated.
+        Jobs may stay unassigned while a solver builds the schedule in
+        stages (the EPTAS places large jobs first, then small jobs);
+        :meth:`validate` rejects an unassigned job unless called with
+        ``require_complete=False``, and the final result of every public
+        solver is complete and validated.
     """
 
-    __slots__ = ("_instance", "_assignment", "_allow_partial")
+    __slots__ = ("_instance", "_assignment")
 
-    def __init__(
-        self,
-        instance: Instance,
-        assignment: Mapping[int, int] | None = None,
-        *,
-        allow_partial: bool = False,
-    ) -> None:
+    def __init__(self, instance: Instance, assignment: Mapping[int, int] | None = None) -> None:
         self._instance = instance
         self._assignment: dict[int, int] = dict(assignment or {})
-        self._allow_partial = bool(allow_partial)
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -249,11 +242,6 @@ class Schedule:
             self.assign(job_id, machine)
         return self
 
-    def unassign(self, job_id: int) -> "Schedule":
-        """Remove a job from the schedule (no error if it was unassigned)."""
-        self._assignment.pop(job_id, None)
-        return self
-
     def swap(self, job_a: int, job_b: int) -> "Schedule":
         """Exchange the machines of two assigned jobs.
 
@@ -272,24 +260,7 @@ class Schedule:
 
     def copy(self) -> "Schedule":
         """Return an independent copy of this schedule."""
-        return Schedule(
-            self._instance, dict(self._assignment), allow_partial=self._allow_partial
-        )
-
-    def reassigned_to_instance(self, instance: Instance, *, drop_missing: bool = True) -> "Schedule":
-        """Carry this assignment over to another instance sharing job ids.
-
-        Used when mapping a solution of the transformed instance ``I'`` back
-        to the original instance ``I``: jobs that exist in both instances
-        keep their machine, jobs that only exist in ``I'`` (filler jobs) are
-        dropped when ``drop_missing`` is true.
-        """
-        mapping = {
-            job_id: machine
-            for job_id, machine in self._assignment.items()
-            if (job_id in instance) or not drop_missing
-        }
-        return Schedule(instance, mapping, allow_partial=True)
+        return Schedule(self._instance, self._assignment)
 
     # ------------------------------------------------------------------
     # Loads and makespan
@@ -459,17 +430,6 @@ class Schedule:
     @classmethod
     def from_dict(cls, instance: Instance, data: Mapping[str, Any]) -> "Schedule":
         assignment = {int(job_id): int(machine) for job_id, machine in data["assignment"].items()}
-        return cls(instance, assignment)
-
-    @classmethod
-    def from_machine_lists(
-        cls, instance: Instance, machines: Sequence[Sequence[int]]
-    ) -> "Schedule":
-        """Build a schedule from per-machine lists of job identifiers."""
-        assignment: dict[int, int] = {}
-        for machine, job_ids in enumerate(machines):
-            for job_id in job_ids:
-                assignment[job_id] = machine
         return cls(instance, assignment)
 
 

@@ -8,7 +8,7 @@ from .params import (
     normalise_eps,
     theory_constants_report,
 )
-from .rounding import RoundedInstance, round_instance, round_up_to_power, scale_and_round
+from .rounding import round_instance, round_up_to_power, scale_and_round
 from .classification import (
     BagClasses,
     JobClasses,
@@ -58,7 +58,6 @@ __all__ = [
     "PatternEntry",
     "PatternSet",
     "RepairDiagnostics",
-    "RoundedInstance",
     "SmallPlacementDiagnostics",
     "TransformationRecord",
     "build_configuration_milp",

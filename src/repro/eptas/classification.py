@@ -23,7 +23,6 @@ from typing import Mapping
 import numpy as np
 
 from ..core.instance import Instance
-from ..core.job import Job
 from .params import ConstantsMode, DerivedConstants, derive_constants, normalise_eps
 
 __all__ = [
@@ -85,13 +84,6 @@ class JobClasses:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "medium_or_large", self.large | self.medium)
-
-    def class_of(self, job: Job) -> str:
-        if job.id in self.large:
-            return "large"
-        if job.id in self.medium:
-            return "medium"
-        return "small"
 
     def summary(self) -> dict[str, float | int]:
         return {

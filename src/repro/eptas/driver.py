@@ -107,8 +107,7 @@ def solve_for_guess(
     report = AttemptReport(guess=guess, feasible=False)
     eps = config.eps
 
-    rounded = scale_and_round(instance, eps, guess)
-    working = rounded.instance
+    working = scale_and_round(instance, eps, guess)
 
     job_classes = classify_jobs(working, eps)
     bag_classes = classify_bags(

@@ -37,19 +37,16 @@ class LargePlacement:
     """Result of the large/medium placement stage.
 
     ``machine_pattern[i]`` is the pattern index machine ``i`` runs (``None``
-    for machines without a pattern), ``pattern_height[i]`` its slot height.
-    ``origin`` records, for every priority-bag job placed through a
-    dedicated slot, the machine the MILP assigned it to — Lemma 11's repair
-    walks these origins.
+    for machines without a pattern).  ``origin`` records, for every
+    priority-bag job placed through a dedicated slot, the machine the MILP
+    assigned it to — Lemma 11's repair walks these origins.
     """
 
     schedule: Schedule
     machine_pattern: list[int | None]
-    pattern_height: list[float]
     origin: dict[int, int] = field(default_factory=dict)
     swaps: int = 0
     fallback_moves: int = 0
-    unfilled_slots: int = 0
 
 
 def place_large_and_medium(
@@ -78,18 +75,10 @@ def place_large_and_medium(
         )
     while len(machine_pattern) < num_machines:
         machine_pattern.append(None)
-    pattern_height = [
-        patterns.patterns[index].height if index is not None else 0.0
-        for index in machine_pattern
-    ]
 
-    occupancy = Occupancy(Schedule(instance, allow_partial=True))
+    occupancy = Occupancy(Schedule(instance))
     schedule, bags = occupancy.schedule, occupancy.bags
-    placement = LargePlacement(
-        schedule=schedule,
-        machine_pattern=machine_pattern,
-        pattern_height=pattern_height,
-    )
+    placement = LargePlacement(schedule=schedule, machine_pattern=machine_pattern)
 
     # ------------------------------------------------------------------
     # 2. Job pools: the table's groups, reversed so pop() takes the
@@ -113,7 +102,6 @@ def place_large_and_medium(
             for _ in range(count):
                 pool = priority_pool.get((bag, size), [])
                 if not pool:
-                    placement.unfilled_slots += 1
                     continue
                 job_id = pool.pop()
                 occupancy.assign(instance.job(job_id), machine)
@@ -129,7 +117,6 @@ def place_large_and_medium(
         per_bag = wildcard_pool.get(size, {})
         candidates = [(len(pool), bag) for bag, pool in per_bag.items() if pool]
         if not candidates:
-            placement.unfilled_slots += 1
             continue
         non_conflicting = [(count, bag) for count, bag in candidates if bag not in bags[machine]]
         _, bag = max(non_conflicting or candidates)

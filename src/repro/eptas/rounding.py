@@ -18,14 +18,12 @@ per distinct ``k``, so every rounded size is bit for bit the one
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from ..core.instance import Instance
 
 __all__ = [
-    "RoundedInstance",
     "round_up_to_power",
     "round_up_sizes",
     "round_instance",
@@ -56,27 +54,6 @@ def round_up_to_power(size: float, eps: float) -> float:
         rounded_exponent += 1
         value = base**rounded_exponent
     return value
-
-
-@dataclass(frozen=True, slots=True)
-class RoundedInstance:
-    """A scaled-and-rounded instance together with its provenance.
-
-    ``instance`` has every size equal to a power of ``1 + eps``; ``scale``
-    is the factor original sizes were multiplied with (``1 / T_guess``), so
-    multiplying a makespan of ``instance`` by ``1 / scale`` converts it back
-    to the original units.  Assignments transfer verbatim because job
-    identifiers are preserved.
-    """
-
-    instance: Instance
-    original: Instance
-    eps: float
-    scale: float
-
-    def to_original_makespan(self, makespan: float) -> float:
-        """Convert a makespan measured in scaled units back to original units."""
-        return makespan / self.scale
 
 
 def round_up_sizes(sizes: np.ndarray, eps: float) -> np.ndarray:
@@ -122,15 +99,15 @@ def round_instance(instance: Instance, eps: float) -> Instance:
     return _round_scaled(instance, eps, 1.0, f"{instance.name}#rounded")
 
 
-def scale_and_round(instance: Instance, eps: float, makespan_guess: float) -> RoundedInstance:
+def scale_and_round(instance: Instance, eps: float, makespan_guess: float) -> Instance:
     """Scale so the guessed optimum becomes 1, then round sizes geometrically.
 
-    Raises ``ValueError`` for a non-positive guess: the binary search always
-    works with strictly positive guesses (the lower bound of a non-empty
-    instance is positive).
+    Every size ``s`` becomes ``round_up_to_power(s * (1 / makespan_guess), eps)``
+    and ids and bags stay, so an assignment transfers verbatim.  Raises
+    ``ValueError`` for a non-positive guess: the binary search always works
+    with strictly positive guesses (the lower bound of a non-empty instance
+    is positive).
     """
     if makespan_guess <= 0:
         raise ValueError(f"makespan guess must be positive, got {makespan_guess}")
-    scale = 1.0 / makespan_guess
-    rounded = _round_scaled(instance, eps, scale, f"{instance.name}#scaled#rounded")
-    return RoundedInstance(instance=rounded, original=instance, eps=eps, scale=scale)
+    return _round_scaled(instance, eps, 1.0 / makespan_guess, f"{instance.name}#scaled#rounded")

@@ -236,7 +236,7 @@ def reinsert_medium_jobs(
     """
     augmented = record.augmented
     num_machines = augmented.num_machines
-    result = Schedule(augmented, schedule.assignment, allow_partial=True)
+    result = Schedule(augmented, schedule.assignment)
 
     pending = {
         bag: list(job_ids) for bag, job_ids in record.removed_medium.items() if job_ids

@@ -142,7 +142,7 @@ def exact_milp_schedule(
                 f"exact MILP for {instance.name!r} returned status {solution.status.value}"
             )
         x = solution.x[1:].reshape(instance.num_jobs, instance.num_machines)
-        schedule = Schedule(instance, allow_partial=True)
+        schedule = Schedule(instance)
         for job, values in zip(instance.jobs, x):
             # The machine of the largest value, which must be above 0.5.
             machine = int(values.argmax())

@@ -13,7 +13,6 @@ from .drivers import (
     experiment_e8_repair_statistics,
     experiment_e9_fault_tolerance,
     experiment_e10_ablation,
-    run_all_experiments,
     run_experiment,
 )
 
@@ -30,6 +29,5 @@ __all__ = [
     "experiment_e8_repair_statistics",
     "experiment_e9_fault_tolerance",
     "experiment_e10_ablation",
-    "run_all_experiments",
     "run_experiment",
 ]

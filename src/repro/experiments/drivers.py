@@ -34,7 +34,6 @@ __all__ = [
     "experiment_e10_ablation",
     "EXPERIMENTS",
     "run_experiment",
-    "run_all_experiments",
 ]
 
 
@@ -88,8 +87,3 @@ def run_experiment(experiment_id: str, *, quick: bool = True, seed: int = 0) -> 
             f"unknown experiment {experiment_id!r}; available: {sorted(EXPERIMENTS)}"
         ) from exc
     return driver(quick=quick, seed=seed)
-
-
-def run_all_experiments(*, quick: bool = True, seed: int = 0) -> list[ExperimentTable]:
-    """Run every experiment and return the tables in DESIGN.md order."""
-    return [driver(quick=quick, seed=seed) for driver in EXPERIMENTS.values()]

@@ -1,10 +1,9 @@
-"""Flow-network substrate: Dinic max-flow, bag-to-machine assignment, matching."""
+"""Flow-network substrate: Dinic max-flow and bag-to-machine assignment."""
 
 from .maxflow import FlowNetwork, FlowResult, max_flow
 from .assignment import (
     AssignmentProblem,
     AssignmentResult,
-    maximum_bipartite_matching,
     solve_bag_assignment,
 )
 
@@ -14,6 +13,5 @@ __all__ = [
     "FlowNetwork",
     "FlowResult",
     "max_flow",
-    "maximum_bipartite_matching",
     "solve_bag_assignment",
 ]

@@ -5,8 +5,8 @@ through a flow network: one node per bag, one node per machine, unit
 capacities between a bag and every machine that carries no large job of the
 bag, demand ``|B_l^med|`` at the bag side, and per-machine capacity
 ``ceil(sum_j x_{i,j})`` derived from an even fractional spreading.  This
-module exposes the generic primitive (:func:`solve_bag_assignment`) plus a
-bipartite maximum-matching convenience used in tests and in the simulator.
+module exposes that primitive, :func:`solve_bag_assignment`, which the
+medium-job re-insertion of :mod:`repro.eptas.transformation` calls.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ __all__ = [
     "AssignmentProblem",
     "AssignmentResult",
     "solve_bag_assignment",
-    "maximum_bipartite_matching",
 ]
 
 _SOURCE = "__source__"
@@ -118,37 +117,3 @@ def solve_bag_assignment(problem: AssignmentProblem) -> AssignmentResult:
         placed=placed,
         satisfied=placed >= problem.total_demand(),
     )
-
-
-def maximum_bipartite_matching(
-    left: Sequence[Hashable],
-    right: Sequence[Hashable],
-    edges: Sequence[tuple[Hashable, Hashable]],
-) -> dict[Hashable, Hashable]:
-    """Maximum matching in a bipartite graph via unit-capacity max-flow.
-
-    Returns a mapping ``left node -> matched right node`` for matched nodes
-    only.  Used by tests as an independent check of the flow solver and by
-    the simulator to pair replicas with machines.
-    """
-    network = FlowNetwork()
-    network.add_node(_SOURCE)
-    network.add_node(_SINK)
-    for node in left:
-        network.add_edge(_SOURCE, ("L", node), 1)
-    for node in right:
-        network.add_edge(("R", node), _SINK, 1)
-    for u, v in edges:
-        network.add_edge(("L", u), ("R", v), 1)
-    result = network.max_flow(_SOURCE, _SINK)
-    matching: dict[Hashable, Hashable] = {}
-    for (a, b), amount in result.edge_flows.items():
-        if (
-            amount > 0
-            and isinstance(a, tuple)
-            and isinstance(b, tuple)
-            and a[0] == "L"
-            and b[0] == "R"
-        ):
-            matching[a[1]] = b[1]
-    return matching

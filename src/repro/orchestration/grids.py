@@ -377,8 +377,7 @@ def cell_e5(*, case_seed: int) -> dict[str, Any]:
     # A feasible schedule S of the original instance (LPT).
     schedule = lpt_schedule(instance).schedule
     c_value = schedule.makespan()
-    rounded = scale_and_round(instance, eps, c_value)
-    working = rounded.instance
+    working = scale_and_round(instance, eps, c_value)
     job_classes = classify_jobs(working, eps)
     bag_classes = classify_bags(
         working, job_classes, mode=ConstantsMode.PRACTICAL, practical_priority_cap=1
@@ -432,8 +431,7 @@ def cell_e6(*, case_seed: int) -> dict[str, Any]:
         sizes, bags, num_machines=6, name=f"e6-{case_seed}"
     )
     guess = 1.0
-    rounded = scale_and_round(instance, eps, guess)
-    working = rounded.instance
+    working = scale_and_round(instance, eps, guess)
     working_job_classes = classify_jobs(working, eps)
     bag_classes = classify_bags(
         working,
@@ -610,7 +608,7 @@ def cell_e9(*, num_failures: int, case_seed: int, failures_seed: int) -> dict[st
     no_bag_schedule_raw = first_fit_schedule(
         no_bag_instance, capacity=bag_schedule.makespan()
     ).schedule
-    no_bag_schedule = Schedule(instance, no_bag_schedule_raw.assignment, allow_partial=True)
+    no_bag_schedule = Schedule(instance, no_bag_schedule_raw.assignment)
 
     report_bag = ClusterSimulator(instance, bag_schedule).run_with_random_failures(
         num_failures=num_failures, seed=failures_seed

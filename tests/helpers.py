@@ -68,9 +68,7 @@ def reference_greedy_assign(
     current entry of a machine without the job's bag, stash the conflicting
     ones and push them back.  The oracle for the one-entry-per-machine heap."""
     jobs = list(order) if order is not None else list(instance.jobs)
-    occupancy = Occupancy(
-        schedule if schedule is not None else Schedule(instance, allow_partial=True)
-    )
+    occupancy = Occupancy(schedule if schedule is not None else Schedule(instance))
     schedule = occupancy.schedule
     loads, bags = occupancy.loads, occupancy.bags
     heap: list[tuple[float, int]] = [(load, machine) for machine, load in enumerate(loads)]

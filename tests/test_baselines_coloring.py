@@ -6,12 +6,33 @@ import pytest
 from hypothesis import given, settings
 
 from repro.baselines import coloring_schedule
+from repro.baselines.coloring import color_classes, greedy_clique_coloring
 from repro.bounds import combined_lower_bound
 from repro.core import Instance, InvalidInstanceError, Schedule
-from repro.core.conflict_graph import color_classes, greedy_clique_coloring
 from repro.generators import bag_heavy_instance, uniform_random_instance
 
 from helpers import assert_feasible, drawn_instances
+
+
+def test_greedy_coloring_is_valid(uniform_instance):
+    coloring = greedy_clique_coloring(uniform_instance)
+    assert len(coloring) == uniform_instance.num_jobs
+    for members in uniform_instance.bags().values():
+        colors = [coloring[job.id] for job in members]
+        assert len(set(colors)) == len(colors)
+
+
+def test_coloring_uses_chromatic_number_colors(full_bag_instance):
+    coloring = greedy_clique_coloring(full_bag_instance)
+    used = len(set(coloring.values()))
+    assert used == max(full_bag_instance.bag_sizes().values()) == 3
+
+
+def test_color_classes_partition(uniform_instance):
+    coloring = greedy_clique_coloring(uniform_instance)
+    classes = color_classes(coloring)
+    all_ids = sorted(job_id for ids in classes.values() for job_id in ids)
+    assert all_ids == sorted(coloring)
 
 
 def test_feasible_on_fixtures(tiny_instance, uniform_instance, full_bag_instance):
@@ -47,7 +68,7 @@ def _reference_coloring(instance: Instance) -> Schedule:
     least-loaded conflict-free machine, which ``coloring_schedule`` replaced
     with ``greedy_assign`` on the color-class order."""
     classes = color_classes(greedy_clique_coloring(instance))
-    schedule = Schedule(instance, allow_partial=True)
+    schedule = Schedule(instance)
     machine_loads = [0.0] * instance.num_machines
     machine_bags: list[set[int]] = [set() for _ in range(instance.num_machines)]
 

@@ -49,7 +49,7 @@ class TestGreedySchedule:
         assert result.params["order"] == "custom"
 
     def test_extends_partial_schedule(self, tiny_instance):
-        partial = Schedule(tiny_instance, allow_partial=True).assign(0, 0)
+        partial = Schedule(tiny_instance).assign(0, 0)
         completed = greedy_assign(tiny_instance, schedule=partial)
         assert completed.is_complete
         assert completed.machine_of(0) == 0
@@ -86,7 +86,7 @@ class TestFirstFit:
 def _reference_first_fit(instance: Instance, capacity: float | None) -> Schedule:
     """The first-fit loop with its own load list, bag sets and fallback scan,
     which ``first_fit_schedule`` replaced with an ``Occupancy``."""
-    schedule = Schedule(instance, allow_partial=True)
+    schedule = Schedule(instance)
     machine_loads = [0.0] * instance.num_machines
     machine_bags: list[set[int]] = [set() for _ in range(instance.num_machines)]
     for job in instance.jobs:
@@ -152,7 +152,7 @@ def _greedy_cases(draw):
         order.insert(draw(st.integers(0, len(order))), draw(st.sampled_from(jobs)))
     partial = None
     if draw(st.booleans()):
-        partial = Schedule(instance, allow_partial=True)
+        partial = Schedule(instance)
         held: list[set[int]] = [set() for _ in range(instance.num_machines)]
         placed = draw(st.lists(st.sampled_from(jobs), unique_by=lambda job: job.id)) if jobs else []
         for job in placed:

@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines import bag_lpt, group_bag_lpt, lpt_schedule, small_job_lpt_schedule
+from repro.baselines import bag_lpt, group_bag_lpt, lpt_schedule
 from repro.core import Job
 from repro.core.errors import AlgorithmError
-from repro.generators import uniform_random_instance
 
 from helpers import assert_feasible, make_jobs
 
@@ -111,13 +110,3 @@ class TestGroupBagLpt:
     def test_bag_exceeding_total_capacity_rejected(self):
         with pytest.raises(AlgorithmError):
             group_bag_lpt({0: 1}, {0: 0.0}, [make_jobs((1.0, 0), (1.0, 0))])
-
-
-class TestSmallJobLptScheduler:
-    def test_feasible_on_random_instances(self):
-        for seed in range(3):
-            instance = uniform_random_instance(
-                num_jobs=24, num_machines=4, num_bags=8, seed=seed
-            ).instance
-            result = small_job_lpt_schedule(instance)
-            assert_feasible(result.schedule)

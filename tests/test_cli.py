@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-from repro.core import Instance
+from repro.core import Instance, Job
 from repro.generators import uniform_random_instance
 from repro.solvers import SOLVER_ROSTER
 
@@ -87,6 +87,20 @@ class TestSolveAndCompare:
         assert code == 0
         out = capsys.readouterr().out
         assert "greedy" in out and "lpt" in out
+
+    @pytest.mark.parametrize(
+        "jobs",
+        [[], [Job(0, 0.0, 0), Job(1, 0.0, 0), Job(2, 0.0, 1)]],
+        ids=["empty", "all-zero"],
+    )
+    def test_zero_lower_bound(self, jobs, tmp_path, capsys):
+        # An instance without jobs, or with only zero-size jobs, has lower
+        # bound 0; its ratio is 0 / 0, which reads 1.
+        path = tmp_path / "zero.json"
+        Instance(jobs, 3, name="zero").save(path)
+        assert main(["solve", str(path), "--solver", "lpt"]) == 0
+        assert "ratio <= 1.0000" in capsys.readouterr().out
+        assert main(["compare", str(path)]) == 0
 
 
 class TestExperimentsAndConstants:

@@ -94,14 +94,6 @@ class TestInstanceAccessors:
         assert [job.id for job in tiny_instance.bag(0)] == [0, 1]
         assert tiny_instance.bag(42) == ()
         assert tiny_instance.bag_sizes() == {0: 2, 1: 2}
-        assert tiny_instance.bag_of(2) == 1
-
-    def test_size_restricted_bag(self, tiny_instance):
-        assert [job.id for job in tiny_instance.size_restricted_bag(0, 2.0)] == [1]
-        assert tiny_instance.size_restricted_bag(0, 9.0) == ()
-
-    def test_distinct_sizes(self, tiny_instance):
-        assert tiny_instance.distinct_sizes() == (1.0, 2.0, 3.0)
 
     def test_iteration_and_len(self, tiny_instance):
         assert len(tiny_instance) == 4
@@ -115,14 +107,6 @@ class TestInstanceDerived:
         assert scaled.num_machines == tiny_instance.num_machines
         with pytest.raises(ValueError):
             tiny_instance.scaled(0.0)
-
-    def test_with_machines(self, tiny_instance):
-        assert tiny_instance.with_machines(5).num_machines == 5
-
-    def test_subset(self, tiny_instance):
-        sub = tiny_instance.subset([0, 3])
-        assert sub.num_jobs == 2
-        assert {job.id for job in sub.jobs} == {0, 3}
 
     def test_stats(self, tiny_instance):
         stats = tiny_instance.stats()

@@ -32,11 +32,6 @@ class TestJobConstruction:
         with pytest.raises(ValueError):
             Job(id=0, size=1.0, bag=-2)
 
-    def test_zero_size_is_dummy(self):
-        job = Job(id=0, size=0.0, bag=0)
-        assert job.is_dummy()
-        assert not Job(id=1, size=0.1, bag=0).is_dummy()
-
     def test_equality_ignores_meta(self):
         a = Job(id=1, size=1.0, bag=0, meta={"x": 1})
         b = Job(id=1, size=1.0, bag=0, meta={"y": 2})
@@ -51,12 +46,10 @@ class TestJobFiller:
     def test_filler_detection(self):
         filler = Job(id=5, size=0.5, bag=2, meta={"filler_for": 3})
         assert filler.is_filler()
-        assert filler.filler_source() == 3
 
     def test_non_filler(self):
         job = Job(id=5, size=0.5, bag=2)
         assert not job.is_filler()
-        assert job.filler_source() is None
 
 
 class TestJobCopies:
@@ -70,12 +63,6 @@ class TestJobCopies:
         job = Job(id=7, size=1.0, bag=3)
         assert job.with_bag(9).bag == 9
         assert job.with_bag(9).size == 1.0
-
-    def test_with_meta_merges(self):
-        job = Job(id=7, size=1.0, bag=3, meta={"a": 1})
-        copy = job.with_meta(b=2)
-        assert copy.meta == {"a": 1, "b": 2}
-        assert job.meta == {"a": 1}
 
 
 class TestJobSerialization:

@@ -43,21 +43,11 @@ class TestScheduleBasics:
         with pytest.raises(InvalidScheduleError):
             Schedule(tiny_instance).assign(0, 5)
 
-    def test_unassign(self, tiny_instance):
-        schedule = Schedule(tiny_instance).assign(0, 0)
-        schedule.unassign(0)
-        assert 0 not in schedule
-        schedule.unassign(0)  # idempotent
-
     def test_copy_is_independent(self, tiny_instance):
         schedule = Schedule(tiny_instance).assign(0, 0)
         copy = schedule.copy().assign(1, 1)
         assert 1 not in schedule
         assert 1 in copy
-
-    def test_from_machine_lists(self, tiny_instance):
-        schedule = Schedule.from_machine_lists(tiny_instance, [[0, 2], [1, 3]])
-        assert schedule.makespan() == 5.0
 
 
 class TestConflicts:
@@ -114,12 +104,6 @@ class TestValidation:
 
 
 class TestScheduleTransfer:
-    def test_reassigned_to_instance_drops_missing(self, tiny_instance):
-        other = tiny_instance.subset([0, 1])
-        schedule = Schedule(tiny_instance).assign_many([(0, 0), (1, 1), (2, 0), (3, 1)])
-        moved = schedule.reassigned_to_instance(other)
-        assert set(moved.assignment) == {0, 1}
-
     def test_serialization_roundtrip(self, tiny_instance):
         schedule = Schedule(tiny_instance).assign_many([(0, 0), (1, 1), (2, 0), (3, 1)])
         data = schedule.to_dict()
@@ -456,7 +440,7 @@ class TestOccupancy:
     @given(_occupancy_runs())
     def test_matches_a_recount_after_every_change(self, run):
         instance, start, operations = run
-        occupancy = Occupancy(Schedule(instance, start, allow_partial=True))
+        occupancy = Occupancy(Schedule(instance, start))
         schedule = occupancy.schedule
         assert occupancy.loads == schedule.loads().tolist()
         _assert_matches_recount(occupancy)
@@ -482,7 +466,7 @@ class TestOccupancy:
 
     def test_least_loaded_takes_the_lowest_index_on_ties(self):
         instance = Instance.from_sizes([2.0, 1.0, 1.0, 1.0], bags=[0, 1, 2, 3], num_machines=4)
-        occupancy = Occupancy(Schedule(instance, {0: 0, 1: 3, 2: 1}, allow_partial=True))
+        occupancy = Occupancy(Schedule(instance, {0: 0, 1: 3, 2: 1}))
         assert occupancy.loads == [2.0, 1.0, 0.0, 1.0]
         assert occupancy.least_loaded(3) == 2
         occupancy.assign(instance.job(3), 2)
@@ -491,7 +475,7 @@ class TestOccupancy:
 
     def test_least_loaded_is_none_when_every_machine_holds_the_bag(self):
         instance = Instance.from_sizes([1.0, 1.0, 5.0], bags=[0, 0, 1], num_machines=2)
-        occupancy = Occupancy(Schedule(instance, {0: 0, 1: 1}, allow_partial=True))
+        occupancy = Occupancy(Schedule(instance, {0: 0, 1: 1}))
         assert occupancy.least_loaded(0) is None
         assert occupancy.least_loaded(1) == 0
         occupancy.assign(instance.job(0), 1)  # a move leaves machine 0 free of bag 0

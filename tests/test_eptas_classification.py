@@ -24,7 +24,7 @@ def _normalised_instance(seed: int = 0) -> Instance:
         num_jobs=30, num_machines=5, num_bags=10, size_range=(0.01, 1.0), seed=seed
     ).instance
     guess = lpt_schedule(raw).makespan
-    return scale_and_round(raw, 0.25, guess).instance
+    return scale_and_round(raw, 0.25, guess)
 
 
 class TestComputeK:
@@ -77,12 +77,10 @@ class TestClassifyJobs:
         instance = _normalised_instance()
         classes = classify_jobs(instance, 0.25)
         summary = classes.summary()
-        counts = {"large": 0, "medium": 0, "small": 0}
-        for job in instance.jobs:
-            counts[classes.class_of(job)] += 1
-        assert counts["large"] == summary["num_large"]
-        assert counts["medium"] == summary["num_medium"]
-        assert counts["small"] == summary["num_small"]
+        assert summary["num_large"] == len(classes.large)
+        assert summary["num_medium"] == len(classes.medium)
+        assert summary["num_small"] == len(classes.small)
+        assert len(classes.large | classes.medium | classes.small) == instance.num_jobs
 
     def test_explicit_k_is_used(self):
         instance = _normalised_instance()

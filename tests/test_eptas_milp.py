@@ -48,8 +48,7 @@ def _prepare(instance: Instance, eps: float = 0.25, guess: float | None = None, 
     config = EptasConfig(eps=eps, practical_priority_cap=cap).normalised()
     if guess is None:
         guess = lpt_schedule(instance).makespan
-    rounded = scale_and_round(instance, config.eps, guess)
-    working = rounded.instance
+    working = scale_and_round(instance, config.eps, guess)
     job_classes = classify_jobs(working, config.eps)
     bag_classes = classify_bags(
         working, job_classes, practical_priority_cap=config.practical_priority_cap

@@ -272,7 +272,7 @@ def _library_entry_types(instance: Instance, eps: float):
     """Entry types and constants at ``eptas_schedule``'s first guess, the lower bound."""
     config = EptasConfig(eps=eps).normalised()
     guess = best_lower_bound(instance).best
-    working = scale_and_round(instance, config.eps, guess).instance
+    working = scale_and_round(instance, config.eps, guess)
     job_classes = classify_jobs(working, config.eps)
     bag_classes = classify_bags(
         working,

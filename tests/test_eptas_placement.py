@@ -34,8 +34,7 @@ def _full_pipeline(instance: Instance, eps: float = 0.25, guess: float | None = 
     config = EptasConfig(eps=eps).normalised()
     if guess is None:
         guess = lpt_schedule(instance).makespan
-    rounded = scale_and_round(instance, config.eps, guess)
-    working = rounded.instance
+    working = scale_and_round(instance, config.eps, guess)
     job_classes = classify_jobs(working, config.eps)
     bag_classes = classify_bags(
         working, job_classes, practical_priority_cap=config.practical_priority_cap
@@ -260,9 +259,7 @@ class TestSmallJobPlacement:
             (0, 0.1, (2, 3))
         ]
         placement = LargePlacement(
-            schedule=Schedule(instance, {0: 1, 1: 0, 4: 2}, allow_partial=True),
-            machine_pattern=[None] * 3,
-            pattern_height=[0.0] * 3,
+            schedule=Schedule(instance, {0: 1, 1: 0, 4: 2}), machine_pattern=[None] * 3
         )
         solution = ConfigurationSolution(
             feasible=True,
@@ -300,7 +297,7 @@ class TestRepair:
             [0.6, 0.1, 0.55, 0.5, 0.1], bags=[0, 0, 1, 2, 3], num_machines=3
         )
         job_classes = classify_jobs(instance, 0.5, k=1)
-        schedule = Schedule(instance, allow_partial=True)
+        schedule = Schedule(instance)
         # Machine 0 gets both bag-0 jobs -> conflict.
         schedule.assign_many([(0, 0), (1, 0), (2, 1), (3, 2), (4, 1)])
         assert not schedule.is_conflict_free()
@@ -314,7 +311,7 @@ class TestRepair:
             [0.6, 0.1, 0.4], bags=[0, 0, 1], num_machines=3
         )
         job_classes = classify_jobs(instance, 0.5, k=1)
-        schedule = Schedule(instance, allow_partial=True)
+        schedule = Schedule(instance)
         schedule.assign_many([(0, 0), (1, 0), (2, 1)])
         origin = {0: 2}  # machine 2 is free of bag 0
         diagnostics = resolve_conflicts(instance, schedule, job_classes, origin)
@@ -326,7 +323,7 @@ class TestRepair:
             [0.6, 0.1, 0.4], bags=[0, 0, 1], num_machines=2
         )
         job_classes = classify_jobs(instance, 0.5, k=1)
-        schedule = Schedule(instance, allow_partial=True)
+        schedule = Schedule(instance)
         schedule.assign_many([(0, 0), (1, 0), (2, 1)])
         diagnostics = resolve_conflicts(instance, schedule, job_classes, origin={})
         assert schedule.is_conflict_free()

@@ -290,9 +290,7 @@ class TestRevert:
     def test_an_unassigned_job_is_named_in_original_order(self):
         # Jobs 2 and 4 of the original instance are missing; 2 comes first.
         record = _one_split_bag()
-        augmented = Schedule(
-            record.augmented, {0: 0, 1: 1, 3: 2, 5: 1, 6: 0}, allow_partial=True
-        )
+        augmented = Schedule(record.augmented, {0: 0, 1: 1, 3: 2, 5: 1, 6: 0})
         with pytest.raises(
             AlgorithmError,
             match=r"^revert: job 2 of the original instance is unassigned "

@@ -4,11 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.flows import (
-    AssignmentProblem,
-    maximum_bipartite_matching,
-    solve_bag_assignment,
-)
+from repro.flows import AssignmentProblem, solve_bag_assignment
 
 
 class TestBagAssignment:
@@ -71,23 +67,3 @@ class TestBagAssignment:
         result = solve_bag_assignment(problem)
         assert result.satisfied
         assert sorted(result.assignment["A"]) == [0, 1, 2]
-
-
-class TestBipartiteMatching:
-    def test_perfect_matching(self):
-        matching = maximum_bipartite_matching(
-            ["a", "b", "c"],
-            [1, 2, 3],
-            [("a", 1), ("a", 2), ("b", 2), ("c", 3)],
-        )
-        assert len(matching) == 3
-        assert len(set(matching.values())) == 3
-
-    def test_partial_matching(self):
-        matching = maximum_bipartite_matching(
-            ["a", "b"], [1], [("a", 1), ("b", 1)]
-        )
-        assert len(matching) == 1
-
-    def test_empty(self):
-        assert maximum_bipartite_matching([], [], []) == {}

@@ -1,12 +1,17 @@
-"""The algorithm packages import none of the infrastructure packages, and not
-networkx, which is only a dev dependency."""
+"""The algorithm packages import none of the infrastructure packages, and no
+module of the program imports networkx, which is only a dev dependency: tests
+cross-check the flow solver against it."""
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
+
+import repro
 
 INFRASTRUCTURE = (
     "repro.analysis",
@@ -51,10 +56,27 @@ def test_algorithms_load_no_infrastructure():
 
 
 def test_algorithms_load_without_networkx():
-    # networkx is a dev dependency: only the networkx views of the conflict
-    # graph import it, when they are called.
+    # networkx is a dev dependency, so loading the algorithms must not load it.
     loaded = _loaded_by_the_algorithms()
     assert [name for name in loaded if name.split(".")[0] == "networkx"] == []
+
+
+def test_no_module_imports_networkx():
+    # Every import statement counts, inside functions and TYPE_CHECKING
+    # blocks too, so an import that runs only when called is also caught.
+    root = Path(repro.__file__).parent
+    offending = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(module.split(".")[0] == "networkx" for module in modules):
+                offending.append(f"{path.relative_to(root)}:{node.lineno}")
+    assert offending == []
 
 
 def test_eptas_runs_with_networkx_blocked():

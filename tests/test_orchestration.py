@@ -6,6 +6,7 @@ import threading
 
 import pytest
 
+from repro.core import Instance
 from repro.generators import uniform_random_instance
 from repro.orchestration import (
     ExperimentStore,
@@ -269,7 +270,7 @@ class TestCache:
 
     def test_digest_ignores_name(self):
         a = self._instance()
-        b = a.with_jobs(a.jobs, name="renamed")
+        b = Instance(a.jobs, a.num_machines, name="renamed")
         assert instance_digest(a) == instance_digest(b)
 
     def test_memo_layer_hits(self):

@@ -1,4 +1,4 @@
-"""Additional property-based tests: schedules, local search, analysis, simulator."""
+"""Additional property-based tests: schedules, local search, simulator."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import greedy_schedule, improve_schedule, lpt_schedule
-from repro.core import Instance, Schedule, analyze_schedule, schedule_certificate
+from repro.core import Schedule
 from repro.generators import uniform_random_instance
 from repro.simulation import ClusterSimulator
 
@@ -46,22 +46,6 @@ def test_local_search_never_worsens_and_stays_feasible(instance):
     assert schedule.makespan() <= before + 1e-9
     assert schedule.validation_report().is_feasible
     assert stats.final_makespan <= stats.initial_makespan + 1e-9
-
-
-@given(random_instances())
-@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_analysis_metrics_invariants(instance):
-    schedule = lpt_schedule(instance).schedule
-    metrics = analyze_schedule(schedule)
-    loads = schedule.loads()
-    assert metrics.makespan == pytest.approx(float(loads.max()))
-    assert metrics.min_load <= metrics.mean_load <= metrics.makespan + 1e-12
-    assert metrics.imbalance >= 1.0 - 1e-12
-    assert 0.0 < metrics.utilisation <= 1.0 + 1e-12
-    assert metrics.bag_spread == pytest.approx(1.0)  # feasible => full spread
-    certificate = schedule_certificate(schedule, lower_bound=metrics.mean_load)
-    assert certificate["feasible"] is True
-    assert certificate["ratio_upper_bound"] == pytest.approx(metrics.imbalance)
 
 
 @given(random_instances(), st.integers(min_value=0, max_value=3))
