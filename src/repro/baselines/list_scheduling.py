@@ -13,7 +13,7 @@ EPTAS's dual-approximation binary search.
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,12 +31,10 @@ def lpt_order(instance: Instance) -> list[Job]:
 
     This is ``sorted(instance.jobs, key=lambda job: (-job.size, job.id))``,
     the order that turns :func:`greedy_assign` into bag-aware LPT, computed
-    by one stable ``np.lexsort`` over the instance's size array.
+    by one stable ``np.lexsort`` over the instance's id and size arrays.
     """
-    jobs = instance.jobs
-    ids = np.array([job.id for job in jobs], dtype=np.int64)
-    order = np.lexsort((ids, -instance.sizes))
-    return list(map(jobs.__getitem__, order.tolist()))
+    order = np.lexsort((instance.row_ids, -instance.sizes))
+    return list(map(instance.jobs.__getitem__, order.tolist()))
 
 
 def greedy_assign(

@@ -9,19 +9,25 @@ transformation) return new instances.
 
 Per-job reads of whole schedules go through one job table that an instance
 builds once, when it is constructed: a dict from job id to *row* (the job's
-position in construction order) beside the ``sizes`` and ``job_bags``
-arrays.  :meth:`Instance.rows_of` maps many ids to rows in one C-level pass,
-so a schedule reads every size or bag with one fancy index instead of one
-:meth:`Instance.job` call per job.
+position in construction order) beside the ``row_ids``, ``sizes`` and
+``job_bags`` arrays.  :meth:`Instance.rows_of` maps many ids to rows in one
+C-level pass, so a schedule reads every size or bag with one fancy index
+instead of one :meth:`Instance.job` call per job.
+
+A copy with new sizes (:meth:`Instance._resized`, the rounding step of every
+EPTAS guess) shares that table and gets only its size array.  Its
+:class:`~repro.core.job.Job` tuple and bag map are built the first time
+something reads them, so a guess whose stages read only the table copies no
+job.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Iterator, KeysView, Mapping, Sequence
+from typing import Any, Iterable, Iterator, KeysView, Mapping, Sequence, SupportsIndex
 
 import numpy as np
 
@@ -88,11 +94,16 @@ class Instance:
         (no bag may contain more jobs than machines) because such instances
         admit no feasible schedule at all.
 
-    The job table (``id -> row``, and each row's size and bag as arrays) is
-    built here, once; job ids and bag indices must fit in int64.
+    The job table (``id -> row``, and each row's id, size and bag as arrays)
+    is built here, once; job ids and bag indices must fit in int64.  A copy
+    made by :meth:`_resized` shares it and builds its jobs on demand.
     """
 
-    __slots__ = ("_jobs", "_num_machines", "_name", "_rows", "_bags", "_sizes", "_job_bags")
+    # ``_source`` is set only on a copy whose jobs are not built yet.
+    __slots__ = (
+        "_jobs", "_num_machines", "_name", "_rows", "_id_by_row", "_ids", "_bags",
+        "_bag_indices", "_sizes", "_job_bags", "_source",
+    )
 
     def __init__(
         self,
@@ -106,9 +117,13 @@ class Instance:
         self._jobs: tuple[Job, ...] = job_tuple
         self._num_machines = int(num_machines)
         self._name = str(name)
+        ids = tuple([job.id for job in job_tuple])
         # A repeated id (only possible without validation) maps to its last row.
-        self._rows: dict[int, int] = {job.id: row for row, job in enumerate(job_tuple)}
+        self._rows: dict[int, int] = dict(zip(ids, range(len(ids))))
+        self._id_by_row = ids
+        self._ids = np.array(ids, dtype=np.int64)
         self._bags = _by_bag(job_tuple)
+        self._bag_indices = tuple(self._bags)
         self._sizes = np.array([job.size for job in job_tuple], dtype=float)
         self._job_bags = np.array([job.bag for job in job_tuple], dtype=np.int64)
         if validate:
@@ -167,17 +182,38 @@ class Instance:
     @property
     def num_jobs(self) -> int:
         """Number of jobs ``n``."""
-        return len(self._jobs)
+        return len(self._sizes)
 
     @property
     def num_bags(self) -> int:
         """Number of non-empty bags ``b``."""
-        return len(self._bags)
+        return len(self._bag_indices)
 
     @property
     def bag_indices(self) -> tuple[int, ...]:
         """Sorted tuple of bag indices that actually contain jobs."""
-        return tuple(self._bags.keys())
+        return self._bag_indices
+
+    @property
+    def row_ids(self) -> np.ndarray:
+        """Vector of job ids in construction order (read-only view).
+
+        Unlike :attr:`job_ids` it has one entry per row, also when an id
+        repeats (possible only without validation).
+        """
+        view = self._ids.view()
+        view.setflags(write=False)
+        return view
+
+    @property
+    def job_id_by_row(self) -> tuple[int, ...]:
+        """The ids of :attr:`row_ids` as the jobs' own ``int`` objects.
+
+        A dict or set built from these finds the instance's id table's keys
+        by identity; the ints of ``row_ids.tolist()`` are new objects, which
+        every lookup must compare by value.
+        """
+        return self._id_by_row
 
     @property
     def sizes(self) -> np.ndarray:
@@ -206,7 +242,7 @@ class Instance:
     @property
     def max_job_size(self) -> float:
         """Largest processing time (``0.0`` for an empty instance)."""
-        return float(self._sizes.max()) if len(self._jobs) else 0.0
+        return float(self._sizes.max()) if self._sizes.size else 0.0
 
     def job(self, job_id: int) -> Job:
         """Look up a job by identifier."""
@@ -236,7 +272,7 @@ class Instance:
         return iter(self._jobs)
 
     def __len__(self) -> int:
-        return len(self._jobs)
+        return len(self._sizes)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -266,19 +302,22 @@ class Instance:
         """A copy whose job in row ``r`` has size ``sizes[r]``, for rounding.
 
         The copy keeps every id, row and bag, so it shares this instance's
-        id -> row dict and bag array, and ``sizes`` (not copied) becomes its
-        size array.  ``sizes`` must be finite and non-negative, as rounded
-        sizes are: the jobs are copied with :meth:`Job._resized`, unchecked.
+        id -> row dict, ids by row, id and bag arrays and bag indices, and
+        ``sizes`` (not copied) becomes its size array.  It copies no job: its
+        job tuple and bag map are built when first read (see
+        :class:`_ResizedInstance`), with :meth:`Job._resized`, unchecked, so
+        ``sizes`` must be finite and non-negative, as rounded sizes are.
         """
-        jobs = tuple(map(Job._resized, self._jobs, sizes.tolist()))
-        copy = Instance.__new__(Instance)
-        copy._jobs = jobs
+        copy = _ResizedInstance.__new__(_ResizedInstance)
         copy._num_machines = self._num_machines
         copy._name = name
         copy._rows = self._rows
-        copy._bags = _by_bag(jobs)
+        copy._id_by_row = self._id_by_row
+        copy._ids = self._ids
+        copy._bag_indices = self._bag_indices
         copy._sizes = sizes
         copy._job_bags = self._job_bags
+        copy._source = self
         return copy
 
     def scaled(self, factor: float, *, name: str | None = None) -> "Instance":
@@ -405,3 +444,37 @@ class Instance:
         classical algorithms and for tests.
         """
         return cls.from_sizes(sizes, bags=list(range(len(sizes))), num_machines=num_machines, name=name)
+
+
+class _ResizedInstance(Instance):
+    """An :meth:`Instance._resized` copy, whose jobs are built on first read.
+
+    It starts with the ``_jobs`` and ``_bags`` slots empty.  Reading an empty
+    slot raises ``AttributeError``, so Python calls :meth:`__getattr__`,
+    which builds both: the source's jobs in row order, each copied by
+    :meth:`Job._resized` with this copy's size, which is the tuple an eager
+    copy would hold.  Every accessor that reads jobs therefore works
+    unchanged.  Then the copy releases its source and becomes a plain
+    :class:`Instance` (same slots), because a class with ``__getattr__``
+    reads every attribute more slowly, about 35 ns a read: instances made by
+    the constructor never pay that, and a copy pays it only until its jobs
+    exist.
+    """
+
+    __slots__ = ()
+
+    def __getattr__(self, name: str) -> Any:
+        if name not in ("_jobs", "_bags"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        jobs = tuple(map(Job._resized, self._source.jobs, self._sizes.tolist()))
+        self._jobs = jobs
+        self._bags = _by_bag(jobs)
+        del self._source
+        self.__class__ = Instance
+        return jobs if name == "_jobs" else self._bags
+
+    def __reduce_ex__(self, protocol: SupportsIndex) -> Any:
+        # Build the jobs first, so that a copy or pickle is of the plain
+        # Instance this copy then is.
+        self.__getattr__("_jobs")
+        return Instance.__reduce_ex__(self, protocol)

@@ -18,9 +18,10 @@ run that lists the conflicts in (machine, bag, id) order.
 
 An :class:`Occupancy` wraps a schedule while a stage builds or repairs it:
 it keeps every machine's load and per-bag job count current through its own
-``assign`` and ``swap``, and names the least-loaded machine without a job of
-a given bag.  The greedy baselines, local search and every placement, repair
-and revert stage of the EPTAS place jobs through one.
+``assign``, ``place_bag`` (many jobs of one bag at once) and ``swap``, and
+names the least-loaded machine without a job of a given bag.  The greedy
+baselines, local search and every placement, repair and revert stage of the
+EPTAS place jobs through one.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -439,7 +440,7 @@ class Occupancy:
     Every placement stage asks which machines already hold a job of a bag
     and which of the others is least loaded.  An occupancy answers both for
     the schedule it wraps, as long as every change goes through
-    :meth:`assign` and :meth:`swap`:
+    :meth:`assign`, :meth:`place_bag` and :meth:`swap`:
 
     * ``loads[m]`` starts as :meth:`Schedule.loads` and then moves by the
       size of each job placed on or taken off ``m``, in the order of the
@@ -495,6 +496,38 @@ class Occupancy:
         # Placing is the hot path of greedy and small placement: count inline.
         counts = self.bags[machine]
         counts[bag] = counts.get(bag, 0) + 1
+
+    def place_bag(
+        self, bag: int, job_ids: Sequence[int], sizes: Sequence[float], machines: Sequence[int]
+    ) -> bool:
+        """Place jobs of ``bag`` that are not placed yet, one per machine, in order.
+
+        The bulk form of :meth:`assign`: job ``job_ids[i]``, whose size is
+        ``sizes[i]``, goes to ``machines[i]``.  It places only when every id
+        is the instance's and unplaced, and the machines are distinct, in
+        ``[0, m)`` and free of ``bag``.  Then the jobs enter the assignment
+        in order, every load and bag count moves as one :meth:`assign` per
+        job would move it, and the result is ``True``.  Otherwise nothing
+        changes and the result is ``False``: the caller places those jobs one
+        by one, and :meth:`assign` raises for an unknown job or machine.
+        """
+        loads, counts_of, assignment = self.loads, self.bags, self.assignment
+        if machines and (
+            len(set(machines)) != len(machines)
+            or min(machines) < 0
+            or max(machines) >= len(loads)
+            or not assignment.keys().isdisjoint(job_ids)
+            or not self._job_ids >= set(job_ids)
+        ):
+            return False
+        for machine in machines:
+            if bag in counts_of[machine]:
+                return False
+        assignment.update(zip(job_ids, machines))
+        for machine, size in zip(machines, sizes):
+            loads[machine] += size
+            counts_of[machine][bag] = 1
+        return True
 
     def swap(self, job_a: Job, job_b: Job) -> None:
         """Exchange the machines of two assigned jobs."""

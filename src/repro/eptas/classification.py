@@ -103,9 +103,7 @@ def classify_jobs(instance: Instance, eps: float, *, k: int | None = None) -> Jo
         k = compute_k(instance, eps)
     large_threshold = eps**k
     medium_threshold = eps ** (k + 1)
-    ids = np.fromiter(
-        (job.id for job in instance.jobs), dtype=np.int64, count=instance.num_jobs
-    )
+    ids = instance.row_ids
     sizes = instance.sizes
     is_large = sizes >= large_threshold - SIZE_TOL
     is_medium = ~is_large & (sizes >= medium_threshold - SIZE_TOL)

@@ -93,12 +93,20 @@ def place_large_and_medium(
     # ------------------------------------------------------------------
     # 3. Dedicated priority slots.
     # ------------------------------------------------------------------
+    # Each used pattern's slots, read once however many machines run it.
+    slots_of = {
+        pattern_index: (
+            patterns.patterns[pattern_index].priority_slots(),
+            patterns.patterns[pattern_index].wildcard_slots(),
+        )
+        for pattern_index in solution.pattern_machines
+    }
     wildcard_slots: list[tuple[int, float]] = []  # (machine, size)
     for machine, pattern_index in enumerate(machine_pattern):
         if pattern_index is None:
             continue
-        pattern = patterns.patterns[pattern_index]
-        for (bag, size), count in pattern.priority_slots().items():
+        priority_slots, pattern_wildcards = slots_of[pattern_index]
+        for (bag, size), count in priority_slots.items():
             for _ in range(count):
                 pool = priority_pool.get((bag, size), [])
                 if not pool:
@@ -106,7 +114,7 @@ def place_large_and_medium(
                 job_id = pool.pop()
                 occupancy.assign(instance.job(job_id), machine)
                 placement.origin[job_id] = machine
-        for size, count in pattern.wildcard_slots().items():
+        for size, count in pattern_wildcards.items():
             wildcard_slots.extend([(machine, size)] * count)
 
     # ------------------------------------------------------------------
@@ -129,10 +137,12 @@ def place_large_and_medium(
     # ------------------------------------------------------------------
     # 5. Lemma-7 swap repair for wildcard conflicts.
     # ------------------------------------------------------------------
+    if not conflicts:
+        return placement
+    # Placed jobs by size, in placement order: the swap partners.
     same_size_jobs: dict[float, list[int]] = {}
-    for job_id, machine in schedule.assignment.items():
-        job = instance.job(job_id)
-        same_size_jobs.setdefault(size_key(job.size), []).append(job_id)
+    for job_id in schedule.assignment:
+        same_size_jobs.setdefault(size_key(instance.job(job_id).size), []).append(job_id)
 
     for job_id, machine, size in conflicts:
         job = instance.job(job_id)

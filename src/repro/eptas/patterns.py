@@ -172,8 +172,9 @@ def group_jobs(
     """Key every job of the transformed instance once, by its :func:`size_key`.
 
     This is the one grouping of a guess: the entry types, the configuration
-    MILP and both placement stages read it.  :func:`size_key` runs once per
-    distinct size.
+    MILP and both placement stages read it.  It walks the instance's job
+    table (each row's id, size and bag), not its :class:`~repro.core.job.Job`
+    objects, and :func:`size_key` runs once per distinct size.
     """
     small_ids = job_classes.small
     priority_bags = bag_classes.priority
@@ -181,16 +182,18 @@ def group_jobs(
     wildcard: dict[float, dict[int, list[int]]] = {}
     small: dict[tuple[int, float], list[int]] = {}
     keys: dict[float, float] = {}  # size -> size_key(size)
-    for job in instance.jobs:
-        size = keys.get(job.size)
+    for job_id, job_size, bag in zip(
+        instance.job_id_by_row, instance.sizes.tolist(), instance.job_bags.tolist()
+    ):
+        size = keys.get(job_size)
         if size is None:
-            size = keys[job.size] = size_key(job.size)
-        if job.id in small_ids:
-            small.setdefault((job.bag, size), []).append(job.id)
-        elif job.bag in priority_bags:
-            priority.setdefault((job.bag, size), []).append(job.id)
+            size = keys[job_size] = size_key(job_size)
+        if job_id in small_ids:
+            small.setdefault((bag, size), []).append(job_id)
+        elif bag in priority_bags:
+            priority.setdefault((bag, size), []).append(job_id)
         else:
-            wildcard.setdefault(size, {}).setdefault(job.bag, []).append(job.id)
+            wildcard.setdefault(size, {}).setdefault(bag, []).append(job_id)
     return JobTable(
         priority={key: tuple(sorted(ids)) for key, ids in priority.items()},
         wildcard={

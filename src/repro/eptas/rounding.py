@@ -13,6 +13,11 @@ numpy's ``log`` and ``math.log`` could round to different sides, are redone
 with ``math.log``.  Each power comes from Python's ``(1 + eps) ** k``, once
 per distinct ``k``, so every rounded size is bit for bit the one
 :func:`round_up_to_power` gives.
+
+The rounded instance copies no job: it is its source's job table with the
+rounded size array (:meth:`~repro.core.instance.Instance._resized`), and
+builds its :class:`~repro.core.job.Job` objects only if a stage reads them.
+A guess whose jobs are all small reads none.
 """
 
 from __future__ import annotations
@@ -85,10 +90,11 @@ def _round_scaled(instance: Instance, eps: float, scale: float, name: str) -> In
     """Replace every size ``s`` with ``round_up_to_power(s * scale, eps)``.
 
     ``s * scale`` is the product :meth:`Instance.scaled` stores, so rounding
-    a scaled copy gives the same sizes bit for bit.  Rounded sizes are finite
-    and non-negative, so the copies skip :class:`~repro.core.job.Job`
-    validation; ids and bags do not change, so the rounded instance shares
-    the source's job table (:meth:`Instance._resized`).
+    a scaled copy gives the same sizes bit for bit.  Ids and bags do not
+    change, so the rounded instance shares the source's job table
+    (:meth:`Instance._resized`) and copies a :class:`~repro.core.job.Job`
+    only when its jobs are first read; rounded sizes are finite and
+    non-negative, so those copies skip validation.
     """
     sizes = round_up_sizes(instance.sizes * scale, eps)
     return instance._resized(sizes, name=name)

@@ -19,6 +19,13 @@ The small classes and their job ids come from the guess's
 :class:`~repro.eptas.patterns.JobTable`; the ``y`` values of class ``c`` are
 read as ``solution.small_assignment[c]``, by the class's index.
 
+The non-priority bags (:func:`place_non_priority_bags`) hold most small jobs,
+and are placed from the instance's job table alone: ids, sizes and bags by
+row, one ``np.lexsort`` for every bag's bag-LPT order, and one bulk
+:meth:`~repro.core.schedule.Occupancy.place_bag` per chunk.  They read no
+:class:`~repro.core.job.Job`, so a guess without priority bags never builds
+its rounded instance's jobs.
+
 Every step keeps the bag constraint *within the transformed instance*; the
 only conflicts that can remain afterwards are between priority small jobs
 and large jobs that were moved by the Lemma-7 swap, and those are repaired
@@ -33,9 +40,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import attrgetter
+from itertools import chain
 
-from ..baselines.lpt import bag_lpt, group_bag_lpt
+import numpy as np
+
+from ..baselines.lpt import LptBag, bag_lpt, group_bag_lpt, lpt_sorted
 from ..core.errors import AlgorithmError
 from ..core.instance import Instance
 from ..core.job import Job
@@ -46,9 +55,7 @@ from .milp import ConfigurationSolution
 from .params import DerivedConstants
 from .patterns import JobTable
 
-__all__ = ["SmallPlacementDiagnostics", "place_small_jobs"]
-
-_size = attrgetter("size")
+__all__ = ["SmallPlacementDiagnostics", "place_non_priority_bags", "place_small_jobs"]
 
 
 @dataclass(slots=True)
@@ -71,6 +78,99 @@ class SmallPlacementDiagnostics:
             "machine_groups": self.machine_groups,
             "merged_slots": self.merged_slots,
         }
+
+
+def _non_priority_bags(instance: Instance, rows: np.ndarray) -> dict[int, LptBag]:
+    """The jobs of ``rows`` by bag, as group-bag-LPT takes them.
+
+    Bags come largest area first, ties by ascending bag index; each area is
+    the Python ``sum`` of the bag's sizes in row order, as a job-by-job sum
+    over the instance's bag gives it.  Each bag's ids and sizes are in
+    bag-LPT order (size descending, ties by id), sorted for all bags at once
+    by one ``np.lexsort``.
+    """
+    rows = np.sort(rows)
+    rows = rows[np.argsort(instance.job_bags[rows], kind="stable")]  # by bag, then row
+    ids, sizes, job_bags = instance.row_ids[rows], instance.sizes[rows], instance.job_bags[rows]
+    bounds = [0, *(np.flatnonzero(job_bags[1:] != job_bags[:-1]) + 1).tolist(), len(rows)]
+    by_row = sizes.tolist()
+    areas = [sum(by_row[start:end]) for start, end in zip(bounds, bounds[1:])]
+    lpt = np.lexsort((ids, -sizes, job_bags))  # the same bag runs, each in bag-LPT order
+    id_by_row = instance.job_id_by_row
+    lpt_ids = [id_by_row[row] for row in rows[lpt].tolist()]
+    lpt_sizes = sizes[lpt].tolist()
+    bag_of = job_bags[bounds[:-1]].tolist()
+    # A stable sort with reverse=True keeps tied areas in ascending bag order.
+    return {
+        bag_of[k]: (lpt_ids[bounds[k] : bounds[k + 1]], lpt_sizes[bounds[k] : bounds[k + 1]])
+        for k in sorted(range(len(areas)), key=areas.__getitem__, reverse=True)
+    }
+
+
+def _place_least_loaded(occupancy: Occupancy, job: Job) -> None:
+    """The defensive path: the least-loaded machine without the job's bag."""
+    machine = occupancy.least_loaded(job.bag)
+    if machine is None:
+        raise AlgorithmError(
+            f"no conflict-free machine available for small job {job.id} "
+            f"of bag {job.bag}"
+        )
+    occupancy.assign(job, machine)
+
+
+def place_non_priority_bags(
+    instance: Instance,
+    table: JobTable,
+    priority: frozenset[int],
+    groups: dict[int, list[int]],
+    grouping_height: list[float],
+    occupancy: Occupancy,
+) -> int:
+    """Section C: place the small jobs of the non-priority bags; return their number.
+
+    After the transformation a non-priority bag is all small (an original
+    bag) or has no small job (a companion bag).  Its small jobs are the
+    table's classes of that bag, read as rows of the instance's job table;
+    no :class:`~repro.core.job.Job` is read.  Group-bag-LPT routes each bag,
+    largest area first, to the machine ``groups`` (by their average
+    ``grouping_height``), and bag-LPT spreads each group's chunks over its
+    machines, starting from those heights.  Each chunk goes on through one
+    :meth:`~repro.core.schedule.Occupancy.place_bag`, groups in order, then
+    their chunks in routing order, then each chunk's jobs in bag-LPT order:
+    the order bag-LPT placed them in.  A chunk that ``place_bag`` refuses,
+    which the transformation rules out, is placed job by job, and a job whose
+    machine already holds its bag takes the defensive path.
+    """
+    rows = instance.rows_of(
+        chain.from_iterable(small.job_ids for small in table.small if small.bag not in priority)
+    )
+    if not rows.size:
+        return 0
+    group_sizes = {group: len(machines) for group, machines in groups.items()}
+    group_avg = {
+        group: sum(grouping_height[m] for m in machines) / len(machines)
+        for group, machines in groups.items()
+    }
+    routed = group_bag_lpt(group_sizes, group_avg, _non_priority_bags(instance, rows))
+    bags = occupancy.bags
+    for group, chunks in routed.bags_per_group.items():
+        if not chunks:
+            continue
+        machines = groups[group]
+        spread = bag_lpt(
+            machines,
+            {machine: grouping_height[machine] for machine in machines},
+            chunks.values(),
+        )
+        for (bag, (job_ids, sizes)), targets in zip(chunks.items(), spread.machines):
+            if not occupancy.place_bag(bag, job_ids, sizes, targets):
+                for job_id, machine in zip(job_ids, targets):
+                    job = instance.job(job_id)
+                    if bag in bags[machine]:
+                        _place_least_loaded(occupancy, job)
+                    else:
+                        occupancy.assign(job, machine)
+    return len(rows)
 
 
 @dataclass(slots=True)
@@ -101,16 +201,6 @@ def place_small_jobs(
 
     occupancy = Occupancy(schedule)
     loads, bags = occupancy.loads, occupancy.bags
-
-    def place_least_loaded(job: Job) -> None:
-        """The defensive path: the least-loaded machine without the bag."""
-        machine = occupancy.least_loaded(job.bag)
-        if machine is None:
-            raise AlgorithmError(
-                f"no conflict-free machine available for small job {job.id} "
-                f"of bag {job.bag}"
-            )
-        occupancy.assign(job, machine)
 
     # ------------------------------------------------------------------
     # A. Interpret the y variables of priority bags.
@@ -163,67 +253,18 @@ def place_small_jobs(
                 reserved[machine] = share
 
     grouping_height = [loads[m] + reserved[m] for m in range(instance.num_machines)]
-    group_of_machine: dict[int, int] = {}
     groups: dict[int, list[int]] = {}
     for machine in range(instance.num_machines):
         rounded = math.ceil(grouping_height[machine] / eps - 1e-9) * eps
-        group_key = int(round(rounded / eps))
-        group_of_machine[machine] = group_key
-        groups.setdefault(group_key, []).append(machine)
+        groups.setdefault(int(round(rounded / eps)), []).append(machine)
     diagnostics.machine_groups = len(groups)
 
     # ------------------------------------------------------------------
     # C. Non-priority bags: group-bag-LPT across groups, bag-LPT inside.
     # ------------------------------------------------------------------
-    # After the transformation a non-priority bag is all small (an original
-    # bag) or has no small job (a companion bag); the table's counts say which,
-    # so only a bag of both kinds is filtered job by job.
-    small_count: dict[int, int] = {}
-    for small in table.small:
-        small_count[small.bag] = small_count.get(small.bag, 0) + small.count
-    non_priority_bags: list[list[Job]] = []
-    for bag, members in instance.bags().items():
-        count = small_count.get(bag, 0)
-        if not count or bag in bag_classes.priority:
-            continue
-        if count == len(members):
-            non_priority_bags.append(list(members))
-        else:
-            non_priority_bags.append(
-                [job for job in members if job.id in job_classes.small]
-            )
-    # Largest bags (by area) first gives group-bag-LPT the most freedom; each
-    # area is summed in instance order.
-    non_priority_bags.sort(key=lambda jobs: -sum(map(_size, jobs)))
-
-    if non_priority_bags:
-        group_sizes = {group: len(machines) for group, machines in groups.items()}
-        group_avg = {
-            group: sum(grouping_height[m] for m in machines) / len(machines)
-            for group, machines in groups.items()
-        }
-        routed = group_bag_lpt(group_sizes, group_avg, non_priority_bags)
-        for group, bag_chunks in routed.bags_per_group.items():
-            if not any(bag_chunks):
-                continue
-            machines = groups[group]
-            machine_of = bag_lpt(
-                machines,
-                {machine: grouping_height[machine] for machine in machines},
-                bag_chunks,
-            ).assignment
-            # Each chunk is in (size descending, id) order already, the order
-            # bag-LPT places it in, so this walk follows its placements.
-            for chunk in bag_chunks:
-                for job in chunk:
-                    machine = machine_of[job.id]
-                    if job.bag in bags[machine]:
-                        # Should not happen (non-priority small bags are fresh
-                        # on every machine); defensively reroute.
-                        place_least_loaded(job)
-                    else:
-                        occupancy.assign(job, machine)
-                diagnostics.non_priority_jobs += len(chunk)
+    diagnostics.non_priority_jobs = place_non_priority_bags(
+        instance, table, bag_classes.priority, groups, grouping_height, occupancy
+    )
 
     # ------------------------------------------------------------------
     # D. Priority bags: Corollary 1 merged jobs + Lemma 10 slot filling.
@@ -242,26 +283,24 @@ def place_small_jobs(
         ]
         if not bag_entries:
             continue
-        modified_bags: list[list[Job]] = []
-        slot_records: dict[int, tuple[int, float]] = {}  # synthetic id -> (bag, height)
+        modified_bags: list[LptBag] = []
+        slot_bag: dict[int, int] = {}  # synthetic id -> bag
         for bag, allocation in sorted(bag_entries):
-            entries: list[Job] = [
-                instance.job(job_id) for job_id in allocation.full_job_ids
-            ]
-            num_full = len(entries)
-            num_merged = max(0, len(machines) - num_full)
+            job_ids = list(allocation.full_job_ids)
+            heights = instance.sizes[instance.rows_of(job_ids)].tolist()
+            num_merged = max(0, len(machines) - len(job_ids))
             if allocation.fractional_area > 1e-12 and num_merged > 0:
                 height = allocation.fractional_area / num_merged
                 height = max(height, 0.0)
                 rounded_height = max(height, slot_threshold)
                 for _ in range(num_merged):
-                    slot_job = Job(id=synthetic_id, size=rounded_height, bag=bag)
-                    slot_records[synthetic_id] = (bag, rounded_height)
+                    slot_bag[synthetic_id] = bag
+                    job_ids.append(synthetic_id)
+                    heights.append(rounded_height)
                     synthetic_id += 1
-                    entries.append(slot_job)
                     diagnostics.merged_slots += 1
-            if entries:
-                modified_bags.append(entries)
+            if job_ids:
+                modified_bags.append(lpt_sorted(job_ids, heights))
         if not modified_bags:
             continue
         result = bag_lpt(
@@ -271,13 +310,12 @@ def place_small_jobs(
         )
         for job_id, machine in result.assignment.items():
             machine = int(machine)
-            if job_id in slot_records:
-                bag, _ = slot_records[job_id]
-                slots_by_bag.setdefault(bag, []).append(machine)
+            if job_id in slot_bag:
+                slots_by_bag.setdefault(slot_bag[job_id], []).append(machine)
                 continue
             job = instance.job(job_id)
             if job.bag in bags[machine]:
-                place_least_loaded(job)
+                _place_least_loaded(occupancy, job)
                 diagnostics.priority_fallback_jobs += 1
             else:
                 occupancy.assign(job, machine)
@@ -294,7 +332,7 @@ def place_small_jobs(
                 occupancy.assign(job, slots.pop())
                 diagnostics.priority_slot_jobs += 1
             else:
-                place_least_loaded(job)
+                _place_least_loaded(occupancy, job)
                 diagnostics.priority_fallback_jobs += 1
 
     # ------------------------------------------------------------------
@@ -307,7 +345,7 @@ def place_small_jobs(
         for small in table.small:
             for job_id in small.job_ids:
                 if job_id not in schedule:
-                    place_least_loaded(instance.job(job_id))
+                    _place_least_loaded(occupancy, instance.job(job_id))
                     diagnostics.priority_fallback_jobs += 1
 
     return diagnostics

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
 
 from ..core.errors import AlgorithmError
 from ..core.instance import Instance

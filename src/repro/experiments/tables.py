@@ -14,7 +14,7 @@ import csv
 import io
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping
 
 __all__ = ["ExperimentTable"]
 

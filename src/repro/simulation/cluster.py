@@ -18,7 +18,6 @@ paper depends on it.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 

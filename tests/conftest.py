@@ -7,11 +7,9 @@ import pytest
 from repro.analysis import racecheck
 from repro.core import Instance
 from repro.generators import (
-    bag_heavy_instance,
     figure1_adversarial_instance,
     planted_optimum_instance,
     replica_workload_instance,
-    two_size_instance,
     uniform_random_instance,
 )
 

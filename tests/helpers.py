@@ -11,12 +11,16 @@ so ``from helpers import ...`` always resolves here.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 from hypothesis import strategies as st
 
+from repro.baselines.lpt import LptBag, lpt_sorted
 from repro.core import Instance, InvalidInstanceError, Job, Occupancy, Schedule
+from repro.core.errors import AlgorithmError
+from repro.eptas.classification import BagClasses, JobClasses
+from repro.eptas.patterns import JobTable, SmallClass, size_key
 from repro.milp import LinearModel, Sense
 
 __all__ = [
@@ -24,9 +28,15 @@ __all__ = [
     "assert_same_model",
     "build_model",
     "drawn_instances",
+    "lpt_bag",
     "make_instance",
     "make_jobs",
+    "reference_bag_lpt",
     "reference_greedy_assign",
+    "reference_group_bag_lpt",
+    "reference_group_jobs",
+    "reference_place_non_priority_bags",
+    "reference_resized",
 ]
 
 
@@ -176,3 +186,160 @@ def assert_same_model(model: LinearModel, reference: LinearModel) -> None:
         assert matrix.shape == wanted.shape, field
         for part in ("indptr", "indices", "data"):
             assert _same_array(getattr(matrix, part), getattr(wanted, part)), (field, part)
+
+
+def lpt_bag(jobs: Sequence[Job]) -> LptBag:
+    """A bag of jobs as bag-LPT and group-bag-LPT take it: ids and sizes,
+    largest job first, ties by id."""
+    return lpt_sorted([job.id for job in jobs], [job.size for job in jobs])
+
+
+# ----------------------------------------------------------------------
+# References: the Job-based code the id-and-size kernels replaced.
+# ----------------------------------------------------------------------
+def _by_size_then_id(jobs: Sequence[Job]) -> list[Job]:
+    ordered = sorted(jobs, key=lambda job: job.id)
+    ordered.sort(key=lambda job: job.size, reverse=True)
+    return ordered
+
+
+def reference_bag_lpt(
+    machines: Sequence[Hashable],
+    initial_loads: Mapping[Hashable, float],
+    bags: Sequence[Sequence[Job]],
+) -> tuple[dict[int, Hashable], dict[Hashable, float]]:
+    """Bag-LPT over bags of jobs in any order: ``(assignment, loads)``.  Each
+    bag is sorted by (size descending, id), and the machines by load, ties by
+    ``str``; the job-by-job oracle for :func:`repro.baselines.lpt.bag_lpt`."""
+    machine_list = list(machines)
+    if not machine_list:
+        if any(len(bag) for bag in bags):
+            raise AlgorithmError("bag-LPT called with jobs but no machines")
+        return {}, {}
+    loads = {machine: float(initial_loads.get(machine, 0.0)) for machine in machine_list}
+    assignment: dict[int, Hashable] = {}
+    by_label = sorted(machine_list, key=str)
+    for bag in bags:
+        if len(bag) > len(machine_list):
+            raise AlgorithmError("bag-LPT: a bag has more jobs than the group has machines")
+        for job, machine in zip(_by_size_then_id(bag), sorted(by_label, key=loads.__getitem__)):
+            assignment[job.id] = machine
+            loads[machine] += job.size
+    return assignment, loads
+
+
+def reference_group_bag_lpt(
+    group_sizes: Mapping[int, int],
+    group_average_loads: Mapping[int, float],
+    bags: Sequence[Sequence[Job]],
+) -> tuple[dict[int, list[list[Job]]], dict[int, float]]:
+    """Group-bag-LPT over bags of jobs in any order: ``(chunks per group,
+    area per group)``; the oracle for :func:`repro.baselines.lpt.group_bag_lpt`."""
+    total_capacity = sum(group_sizes.values())
+    averages = {group: float(group_average_loads.get(group, 0.0)) for group in group_sizes}
+    bags_per_group: dict[int, list[list[Job]]] = {group: [] for group in group_sizes}
+    area_per_group = {group: 0.0 for group in group_sizes}
+    for bag in bags:
+        if len(bag) > total_capacity:
+            raise AlgorithmError("group-bag-LPT: a bag has more jobs than all groups")
+        sorted_jobs = _by_size_then_id(bag)
+        cursor = 0
+        for group in sorted(group_sizes, key=lambda group: (averages[group], group)):
+            if cursor >= len(sorted_jobs):
+                break
+            take = min(group_sizes[group], len(sorted_jobs) - cursor)
+            chunk = sorted_jobs[cursor : cursor + take]
+            cursor += take
+            bags_per_group[group].append(list(chunk))
+            chunk_area = sum(job.size for job in chunk)
+            area_per_group[group] += chunk_area
+            averages[group] += chunk_area / group_sizes[group]
+    return bags_per_group, area_per_group
+
+
+def reference_place_non_priority_bags(
+    instance: Instance,
+    job_classes: JobClasses,
+    table: JobTable,
+    priority: frozenset[int],
+    groups: dict[int, list[int]],
+    grouping_height: list[float],
+    occupancy: Occupancy,
+) -> int:
+    """Section C of small placement walked job by job over ``Job`` objects:
+    the oracle for :func:`repro.eptas.small_jobs.place_non_priority_bags`."""
+    small_count: dict[int, int] = {}
+    for small in table.small:
+        small_count[small.bag] = small_count.get(small.bag, 0) + small.count
+    non_priority_bags: list[list[Job]] = []
+    for bag, members in instance.bags().items():
+        count = small_count.get(bag, 0)
+        if not count or bag in priority:
+            continue
+        if count == len(members):
+            non_priority_bags.append(list(members))
+        else:
+            non_priority_bags.append([job for job in members if job.id in job_classes.small])
+    non_priority_bags.sort(key=lambda jobs: -sum(job.size for job in jobs))
+    if not non_priority_bags:
+        return 0
+    group_sizes = {group: len(machines) for group, machines in groups.items()}
+    group_avg = {
+        group: sum(grouping_height[m] for m in machines) / len(machines)
+        for group, machines in groups.items()
+    }
+    bags_per_group, _ = reference_group_bag_lpt(group_sizes, group_avg, non_priority_bags)
+    placed = 0
+    for group, bag_chunks in bags_per_group.items():
+        if not any(bag_chunks):
+            continue
+        machines = groups[group]
+        machine_of, _ = reference_bag_lpt(
+            machines, {machine: grouping_height[machine] for machine in machines}, bag_chunks
+        )
+        for chunk in bag_chunks:
+            for job in chunk:
+                machine = machine_of[job.id]
+                if job.bag in occupancy.bags[machine]:
+                    machine = occupancy.least_loaded(job.bag)
+                    if machine is None:
+                        raise AlgorithmError(f"no conflict-free machine for small job {job.id}")
+                occupancy.assign(job, machine)
+            placed += len(chunk)
+    return placed
+
+
+def reference_group_jobs(
+    instance: Instance, job_classes: JobClasses, bag_classes: BagClasses
+) -> JobTable:
+    """The guess's grouping walked over ``instance.jobs``: the oracle for
+    :func:`repro.eptas.patterns.group_jobs`."""
+    priority: dict[tuple[int, float], list[int]] = {}
+    wildcard: dict[float, dict[int, list[int]]] = {}
+    small: dict[tuple[int, float], list[int]] = {}
+    for job in instance.jobs:
+        size = size_key(job.size)
+        if job.id in job_classes.small:
+            small.setdefault((job.bag, size), []).append(job.id)
+        elif job.bag in bag_classes.priority:
+            priority.setdefault((job.bag, size), []).append(job.id)
+        else:
+            wildcard.setdefault(size, {}).setdefault(job.bag, []).append(job.id)
+    return JobTable(
+        priority={key: tuple(sorted(ids)) for key, ids in priority.items()},
+        wildcard={
+            size: {bag: tuple(sorted(ids)) for bag, ids in per_bag.items()}
+            for size, per_bag in wildcard.items()
+        },
+        small=tuple(
+            SmallClass(bag=bag, size=size, job_ids=tuple(sorted(ids)))
+            for (bag, size), ids in sorted(small.items())
+        ),
+    )
+
+
+def reference_resized(instance: Instance, sizes: np.ndarray, *, name: str) -> Instance:
+    """``instance`` with the job in row ``r`` resized to ``sizes[r]``, every
+    job copied up front: the eager copy that ``Instance._resized`` replaced."""
+    jobs = tuple(map(Job._resized, instance.jobs, sizes.tolist()))
+    return Instance(jobs, instance.num_machines, name=name, validate=False)

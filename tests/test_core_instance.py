@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import Instance, InvalidInstanceError, Job
+
+from helpers import drawn_instances, reference_resized
 
 
 class TestInstanceConstruction:
@@ -98,6 +105,114 @@ class TestInstanceAccessors:
     def test_iteration_and_len(self, tiny_instance):
         assert len(tiny_instance) == 4
         assert [job.id for job in tiny_instance] == [0, 1, 2, 3]
+
+
+def _jobs_built(instance: Instance) -> bool:
+    """Whether the instance's job tuple exists, read past the on-demand hook."""
+    try:
+        Instance._jobs.__get__(instance, Instance)
+    except AttributeError:
+        return False
+    return True
+
+
+def _table_reads(instance: Instance) -> list:
+    """Every read that the job table answers without a Job."""
+    ids = list(instance.job_ids)
+    return [
+        instance.name,
+        instance.num_machines,
+        instance.num_jobs,
+        instance.num_bags,
+        instance.bag_indices,
+        ids,
+        instance.rows_of(ids).tolist(),
+        [job_id in instance for job_id in ids],
+        -1 in instance,
+        len(instance),
+        instance.total_work.hex(),
+        instance.max_job_size.hex(),
+        instance.job_id_by_row,
+        *(
+            (array.dtype.str, array.tobytes())
+            for array in (instance.sizes, instance.job_bags, instance.row_ids)
+        ),
+    ]
+
+
+def _job_reads(instance: Instance) -> list:
+    """Every read that needs the Job tuple or the bag map."""
+    try:
+        instance.validate()
+        validation = None
+    except InvalidInstanceError as exc:
+        validation = str(exc)
+    return [
+        instance.jobs,
+        [instance.job(job_id) for job_id in instance.job_ids],
+        list(instance),
+        [instance.bag(bag) for bag in (*instance.bag_indices, -1)],
+        instance.bags(),
+        instance.bag_sizes(),
+        instance.to_dict(),
+        instance.stats(),
+        validation,
+        instance.scaled(2.0).to_dict(),
+        instance._resized(instance.sizes * 3.0, name="again").to_dict(),
+    ]
+
+
+class TestJobsOnDemand:
+    """A resized copy (every guess's rounded instance) builds its Job tuple
+    and bag map only when read, and then reads like the eager copy it
+    replaced, which copied every job when it was made."""
+
+    def test_table_reads_build_no_job(self, tiny_instance):
+        resized = tiny_instance._resized(tiny_instance.sizes * 2.0, name="twice")
+        eager = reference_resized(tiny_instance, tiny_instance.sizes * 2.0, name="twice")
+        assert _table_reads(resized) == _table_reads(eager)
+        assert not _jobs_built(resized)
+        assert resized.jobs == eager.jobs
+        assert _jobs_built(resized)
+        # Built, it is a plain Instance, whose reads skip the on-demand hook.
+        assert type(resized) is Instance
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        drawn_instances(),
+        st.floats(0.01, 100.0),
+        st.sampled_from(["as is", "copy", "pickle", "deepcopy"]),
+    )
+    def test_every_read_equals_the_eager_copy(self, instance, factor, passage):
+        sizes = instance.sizes * factor
+        resized = instance._resized(sizes, name="resized")
+        if passage == "copy":
+            resized = copy.copy(resized)
+        elif passage == "pickle":
+            resized = pickle.loads(pickle.dumps(resized))
+        elif passage == "deepcopy":
+            resized = copy.deepcopy(resized)
+        eager = reference_resized(instance, sizes, name="resized")
+        assert _table_reads(resized) == _table_reads(eager)
+        assert _job_reads(resized) == _job_reads(eager)
+
+    def test_repeated_ids(self):
+        # Id 1 sits in rows 0 and 2 (only possible without validation).
+        source = Instance(
+            [Job(1, 0.3, 0), Job(2, 0.2, 1), Job(1, 0.7, 1)], 2, name="repeated", validate=False
+        )
+        for passage in (lambda x: x, copy.copy, lambda x: pickle.loads(pickle.dumps(x))):
+            resized = passage(source._resized(source.sizes * 2.0, name="resized"))
+            eager = reference_resized(source, source.sizes * 2.0, name="resized")
+            assert _table_reads(resized) == _table_reads(eager)
+            assert resized.row_ids.tolist() == [1, 2, 1]
+            assert _job_reads(resized) == _job_reads(eager)
+
+    def test_unknown_attributes_still_raise(self, tiny_instance):
+        resized = tiny_instance._resized(tiny_instance.sizes, name="same")
+        with pytest.raises(AttributeError, match="no attribute 'missing'"):
+            resized.missing  # noqa: B018
+        assert not _jobs_built(resized)
 
 
 class TestInstanceDerived:

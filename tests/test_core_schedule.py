@@ -492,3 +492,62 @@ class TestOccupancy:
         occupancy.swap(instance.job(0), instance.job(2))  # one machine: nothing moves
         assert occupancy.loads == [1.0, 5.0]
         assert occupancy.bags == [{1: 1}, {0: 2}]
+
+    @settings(max_examples=300, deadline=None)
+    @given(_occupancy_runs(), st.data())
+    def test_place_bag_places_like_assign_or_changes_nothing(self, run, data):
+        # A drawn bag's jobs (possibly placed already, plus maybe an unknown
+        # id) on drawn machines from -1 to m (possibly repeated, possibly
+        # holding the bag): place_bag places only when assign would place
+        # each job fresh on a machine free of the bag, and then exactly as
+        # one assign per job does.
+        instance, start, _ = run
+        bag = data.draw(st.sampled_from(_BAGS))
+        members = [job for job in instance.jobs if job.bag == bag]
+        jobs = data.draw(st.permutations(members)) if members else []
+        job_ids = [job.id for job in jobs]
+        sizes = [job.size for job in jobs]
+        if data.draw(st.booleans()):
+            job_ids.append(10**6)  # not the instance's
+            sizes.append(1.0)
+        machines = data.draw(
+            st.lists(
+                st.integers(-1, instance.num_machines),
+                min_size=len(job_ids),
+                max_size=len(job_ids),
+            )
+        )
+        bulk = Occupancy(Schedule(instance, start))
+        holders = {machine for machine, counts in enumerate(bulk.bags) if bag in counts}
+        fresh = (
+            len(set(machines)) == len(machines)
+            and all(0 <= machine < instance.num_machines for machine in machines)
+            and not set(job_ids) & start.keys()
+            and 10**6 not in job_ids
+            and not holders & set(machines)
+        )
+        before = Occupancy(Schedule(instance, start))
+        assert bulk.place_bag(bag, job_ids, sizes, machines) is fresh
+        expected = Occupancy(Schedule(instance, start))
+        if fresh:
+            for job, machine in zip(jobs, machines):
+                expected.assign(job, machine)
+        else:
+            expected = before
+        assert list(bulk.assignment.items()) == list(expected.assignment.items())
+        assert repr(bulk.loads) == repr(expected.loads)
+        assert bulk.bags == expected.bags
+        _assert_matches_recount(bulk)
+
+    def test_place_bag_in_order(self):
+        instance = Instance.from_sizes([0.5, 0.25, 1.0, 2.0], bags=[0, 0, 0, 1], num_machines=3)
+        occupancy = Occupancy(Schedule(instance, {3: 1}))
+        assert occupancy.place_bag(0, [2, 0, 1], [1.0, 0.5, 0.25], [1, 2, 0])
+        assert list(occupancy.assignment.items()) == [(3, 1), (2, 1), (0, 2), (1, 0)]
+        assert occupancy.loads == [0.25, 3.0, 0.5]
+        assert occupancy.bags == [{0: 1}, {1: 1, 0: 1}, {0: 1}]
+        assert occupancy.place_bag(2, [], [], [])
+        # Job 3 is placed already: nothing changes.
+        assert not occupancy.place_bag(1, [3], [2.0], [2])
+        assert occupancy.loads == [0.25, 3.0, 0.5]
+

@@ -10,7 +10,6 @@ from repro.eptas import (
     classify_bags,
     classify_jobs,
     compute_k,
-    round_instance,
     scale_and_round,
 )
 from repro.generators import uniform_random_instance

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import greedy_schedule, lpt_schedule
+from repro.baselines import lpt_schedule
 from repro.bounds import best_lower_bound, combined_lower_bound
-from repro.core import Instance
+from repro.core import Instance, Job
 from repro.core.errors import AlgorithmError
 from repro.eptas import ConstantsMode, EptasConfig, driver, eptas_schedule, solve_for_guess
 from repro.exact import brute_force_optimum, exact_milp_schedule
@@ -228,6 +228,29 @@ class TestIdentityTransformation:
         assert identity
         assert direct == regrouped
         assert isinstance(direct[0], list)
+
+
+class TestRoundedJobsOnDemand:
+    def test_an_all_small_guess_copies_no_job(self):
+        # The smoke ``uniform`` instance of the EPTAS benchmark's many-jobs
+        # workload: at eps = 1/2 every job of every guess is small, so no
+        # stage reads a Job of the rounded instance, and none is copied.
+        instance = uniform_random_instance(
+            num_jobs=2000, num_machines=20, num_bags=100, seed=0
+        ).instance
+        copied: list[int] = []
+        resize = Job._resized
+
+        def counting(job: Job, size: float) -> Job:
+            copied.append(job.id)
+            return resize(job, size)
+
+        with mock.patch.object(Job, "_resized", counting):
+            result = eptas_schedule(instance, eps=0.5)
+        feasible = [attempt for attempt in result.diagnostics["attempts"] if attempt["feasible"]]
+        assert feasible
+        assert all(attempt["non_priority_jobs"] == 2000 for attempt in feasible)
+        assert copied == []
 
 
 class TestBinarySearch:

@@ -16,6 +16,7 @@ from repro.eptas import (
     collect_entry_types,
     enumerate_patterns,
     group_jobs,
+    round_instance,
     scale_and_round,
     transform_instance,
 )
@@ -35,6 +36,8 @@ from repro.generators import (
     replica_workload_instance,
     uniform_random_instance,
 )
+
+from helpers import drawn_instances, reference_group_jobs
 
 
 def _entry(size: float, bag: int) -> PatternEntry:
@@ -555,3 +558,52 @@ class TestGroupJobs:
             (PatternEntry(size=0.5, bag=WILDCARD_BAG), 3),
             (PatternEntry(size=0.5, bag=0), 3),
         ]
+
+    @staticmethod
+    def _assert_matches_the_job_walk(instance, eps):
+        job_classes = classify_jobs(instance, eps)
+        bag_classes = classify_bags(instance, job_classes, practical_priority_cap=1)
+        table = group_jobs(instance, job_classes, bag_classes)
+        expected = reference_group_jobs(instance, job_classes, bag_classes)
+        assert table == expected
+        # The same insertion orders too, and the ids are the jobs' own objects.
+        assert list(table.priority) == list(expected.priority)
+        assert [list(per_bag) for per_bag in table.wildcard.values()] == [
+            list(per_bag) for per_bag in expected.wildcard.values()
+        ]
+        own_ids = {id(job_id) for job_id in instance.job_id_by_row}
+        assert all(id(job_id) in own_ids for small in table.small for job_id in small.job_ids)
+
+    @settings(max_examples=200, deadline=None)
+    @given(drawn_instances(), st.sampled_from([0.5, 0.25]), st.booleans())
+    def test_matches_the_job_walk_on_drawn_instances(self, instance, eps, rounded):
+        if rounded:
+            instance = round_instance(instance, eps)
+        self._assert_matches_the_job_walk(instance, eps)
+
+    def test_repeated_ids(self):
+        # Id a sits in rows 0 and 2: both rows are grouped, as the walk over
+        # the jobs groups them.  The ids lie above Python's small-int cache,
+        # so the check that the table holds the jobs' own id objects bites.
+        a, b, c = (10**6 + offset for offset in (1, 2, 3))
+        instance = Instance(
+            [Job(a, 0.7, 0), Job(b, 0.01, 1), Job(a, 0.02, 1), Job(c, 0.6, 2)],
+            2,
+            name="repeated",
+            validate=False,
+        )
+        self._assert_matches_the_job_walk(instance, 0.5)
+        job_classes = classify_jobs(instance, 0.5)
+        table = group_jobs(
+            instance, job_classes, classify_bags(instance, job_classes, practical_priority_cap=1)
+        )
+        grouped = [job_id for small in table.small for job_id in small.job_ids]
+        grouped += [job_id for ids in table.priority.values() for job_id in ids]
+        grouped += [
+            job_id
+            for per_bag in table.wildcard.values()
+            for ids in per_bag.values()
+            for job_id in ids
+        ]
+        assert sorted(grouped) == [a, a, b, c]
+

@@ -4,9 +4,12 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines import lpt_schedule
-from repro.core import Instance, Job, Schedule
+from repro.core import Instance, Job, Occupancy, Schedule
+from repro.core.errors import AlgorithmError
 from repro.eptas import (
     ConfigurationSolution,
     EptasConfig,
@@ -20,13 +23,17 @@ from repro.eptas import (
     place_large_and_medium,
     place_small_jobs,
     resolve_conflicts,
+    round_instance,
     scale_and_round,
     solve_configuration_milp,
     transform_instance,
 )
 from repro.eptas.patterns import WILDCARD_BAG, JobTable, Pattern, PatternEntry, PatternSet
+from repro.eptas.small_jobs import place_non_priority_bags
 from repro.generators import figure1_adversarial_instance, uniform_random_instance
 from repro.milp import SolutionStatus
+
+from helpers import drawn_instances, reference_place_non_priority_bags
 
 
 def _full_pipeline(instance: Instance, eps: float = 0.25, guess: float | None = None):
@@ -287,6 +294,111 @@ class TestSmallJobPlacement:
         assert diagnostics.priority_fallback_jobs == 2
         assert diagnostics.priority_slot_jobs == diagnostics.priority_full_jobs == 0
         assert schedule.assignment == {0: 1, 1: 0, 4: 2, 2: 0, 3: 2}
+
+
+def _run_section_c(place, instance, placed, *args):
+    """Run a Section C implementation on a fresh occupancy of ``placed``;
+    return its count (or error type) and the occupancy."""
+    occupancy = Occupancy(Schedule(instance, placed))
+    try:
+        outcome = place(*args, occupancy)
+    except AlgorithmError as exc:
+        outcome = type(exc)
+    return outcome, occupancy
+
+
+def _assert_section_c_matches_the_job_walk(
+    instance, job_classes, priority, groups, heights, placed
+):
+    """Section C over rows places like the Job-by-Job walk: the same count,
+    the same assignment in the same insertion order, loads equal float for
+    float and the same bag counts."""
+    table = group_jobs(instance, job_classes, classify_bags(instance, job_classes))
+    outcome, occupancy = _run_section_c(
+        place_non_priority_bags, instance, placed, instance, table, priority, groups, heights
+    )
+    expected_outcome, expected = _run_section_c(
+        reference_place_non_priority_bags,
+        instance,
+        placed,
+        instance,
+        job_classes,
+        table,
+        priority,
+        groups,
+        heights,
+    )
+    assert outcome == expected_outcome
+    assert list(occupancy.assignment.items()) == list(expected.assignment.items())
+    assert repr(occupancy.loads) == repr(expected.loads)
+    assert occupancy.bags == expected.bags
+    return occupancy
+
+
+class TestNonPriorityPlacement:
+    """Section C reads ids, sizes and bags by row and places each chunk in
+    bulk; the Job-by-Job walk it replaced is the oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        drawn_instances(max_jobs=30),
+        st.sampled_from([0.5, 0.25]),
+        st.booleans(),
+        st.data(),
+    )
+    def test_drawn_instances(self, instance, eps, rounded, data):
+        # Rounding ties the sizes further and gives a copy that builds its
+        # jobs on demand; a drawn priority set, machine groups of one to
+        # three machines (so bags split), tied heights, and jobs placed
+        # beforehand (so a chunk can hit a machine holding its bag and take
+        # the defensive reroute, or hold a job already placed).
+        if rounded:
+            instance = round_instance(instance, eps)
+        job_classes = classify_jobs(instance, eps)
+        num_machines = instance.num_machines
+        priority = frozenset(
+            data.draw(st.sets(st.sampled_from(instance.bag_indices)))
+            if instance.num_bags
+            else ()
+        )
+        groups: dict[int, list[int]] = {}
+        for machine in range(num_machines):
+            groups.setdefault(data.draw(st.integers(0, 2)), []).append(machine)
+        heights = [data.draw(st.sampled_from([0.0, 0.25, 0.5])) for _ in range(num_machines)]
+        placed = {
+            job_id: data.draw(st.integers(0, num_machines - 1))
+            for job_id in data.draw(st.sets(st.sampled_from(list(instance.job_ids))))
+        } if instance.num_jobs else {}
+        _assert_section_c_matches_the_job_walk(
+            instance, job_classes, priority, groups, heights, placed
+        )
+
+    def test_tied_areas_split_over_groups_with_zero_fillers(self):
+        # All three bags have area 0.04, so they go in bag order.  Bags 0 and
+        # 1 split over the two 2-machine groups: their two largest jobs go to
+        # the lower group, their zero-size job to machine 2.
+        instance = Instance.from_sizes(
+            [0.02, 0.01, 0.02, 0.03, 0.0, 0.0, 0.04], bags=[0, 1, 0, 1, 0, 1, 2], num_machines=4
+        )
+        job_classes = classify_jobs(instance, 0.5, k=1)
+        assert job_classes.small == set(range(7))
+        occupancy = _assert_section_c_matches_the_job_walk(
+            instance, job_classes, frozenset(), {0: [0, 1], 1: [2, 3]}, [0.0, 0.0, 0.5, 0.5], {}
+        )
+        assert list(occupancy.assignment.items()) == [
+            (0, 0), (2, 1), (3, 0), (1, 1), (6, 1), (4, 2), (5, 2)
+        ]
+
+    def test_a_machine_holding_the_bag_takes_the_defensive_reroute(self):
+        # Job 0 (large, bag 0) already sits on machine 0, the least loaded:
+        # bag-LPT sends job 1 there, so it reroutes to machine 1.
+        instance = Instance.from_sizes([0.9, 0.1, 0.05], bags=[0, 0, 1], num_machines=3)
+        job_classes = classify_jobs(instance, 0.5, k=1)
+        assert job_classes.large == {0}
+        occupancy = _assert_section_c_matches_the_job_walk(
+            instance, job_classes, frozenset(), {0: [0, 1, 2]}, [0.0, 0.2, 0.3], {0: 0}
+        )
+        assert occupancy.assignment == {0: 0, 1: 1, 2: 0}
 
 
 class TestRepair:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.flows import AssignmentProblem, solve_bag_assignment
 
 

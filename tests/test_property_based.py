@@ -28,6 +28,8 @@ from repro.exact import brute_force_optimum
 from repro.flows import max_flow
 from repro.generators import uniform_random_instance
 
+from helpers import lpt_bag
+
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -110,7 +112,7 @@ def test_bag_lpt_lemma8_properties(num_machines, raw_bags, start_height):
             job_id += 1
         bags.append(bag)
     loads = {machine: start_height for machine in machines}
-    result = bag_lpt(machines, loads, bags)
+    result = bag_lpt(machines, loads, [lpt_bag(bag) for bag in bags])
     all_jobs = [job for bag in bags for job in bag]
     if not all_jobs:
         return

@@ -40,7 +40,6 @@ from repro.orchestration.scheduling import (
     plan_priorities,
     save_priors,
 )
-from repro.orchestration.store import params_hash
 
 HINTED = "replan-hinted-test"  # hint = params["n"]
 TRUE = "replan-true-test"  # well-hinted sleep cells (hint = n)
